@@ -4,8 +4,7 @@ theorem verification suites, figure-data reproduction, and state export.
 Exit codes: 0 success, 2 configuration error, 3 measure undefined on a
 requested cut, 4 no sign change inside a critical-exponent bracket, 5 a
 verification suite found violations. CSV output uses 17-significant-digit
-floats so identical configurations produce byte-identical files. The
-MONOLAB_THREADS environment variable caps worker threads for grid sweeps.
+floats so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from . import __version__, measures, monogamy, states, verify
 from .measures import MeasureKind, MeasureUndefinedError
@@ -27,18 +26,6 @@ EXIT_CONFIG = 2
 EXIT_MEASURE = 3
 EXIT_BRACKET = 4
 EXIT_VIOLATION = 5
-
-THEOREM_TAGS = (
-    "lemmas",
-    "raising",
-    "lowering",
-    "functional",
-    "mixed",
-    "strong",
-    "hierarchy",
-    "probe-high-power",
-    "search",
-)
 
 # Grids used by the figure reproductions. The plot ranges come from the
 # figures themselves; the sampling densities are a recorded choice.
@@ -76,6 +63,15 @@ class RunConfig:
     out: str | None = None
     fmt: str = "csv"
 
+    def __post_init__(self):
+        for flag, value in (("--count", self.count), ("--samples", self.samples)):
+            if value < 1:
+                raise ConfigError(f"{flag} must be >= 1, got {value}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError(f"--tol must be positive and finite, got {self.tol!r}")
+        if self.r is not None and not math.isfinite(self.r):
+            raise ConfigError(f"--r must be finite, got {self.r!r}")
+
     def provenance(self) -> dict:
         cfg = {
             k: (list(v) if isinstance(v, tuple) else v)
@@ -94,12 +90,16 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
             if num < 1:
                 raise ValueError
             if num == 1:
-                return (lo,)
-            stepped = tuple(lo + (hi - lo) * i / (num - 1) for i in range(num))
-            return stepped
-        return tuple(float(x) for x in text.split(",") if x.strip())
+                vals = (lo,)
+            else:
+                vals = tuple(lo + (hi - lo) * i / (num - 1) for i in range(num))
+        else:
+            vals = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} {text!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{what} values must be finite, got {text!r}")
+    return vals
 
 
 def _parse_grid(text: str, what: str) -> tuple[float, ...]:
@@ -143,7 +143,7 @@ def _resolve_state(cfg: RunConfig) -> states.MultipartiteState:
         dims = cfg.dims or (2, 2, 2)
         if name == "random-pure":
             return states.haar_pure(dims, cfg.seed)
-        rank = cfg.rank or math.prod(dims)
+        rank = math.prod(dims) if cfg.rank is None else cfg.rank
         return states.random_mixed(dims, rank, cfg.seed)
     try:
         return states.named_state(name)
@@ -151,43 +151,21 @@ def _resolve_state(cfg: RunConfig) -> states.MultipartiteState:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_ensemble(cfg: RunConfig) -> states.EnsembleSpec:
+def _resolve_ensemble(cfg: RunConfig, default: str = "random-pure") -> states.EnsembleSpec:
     if cfg.state_file is not None:
         raise ConfigError("verification ensembles use --state, not --state-file")
-    name = (cfg.state or "random-pure").strip().lower()
+    name = (cfg.state or default).strip().lower()
     dims = cfg.dims or (2, 2, 2)
     if name == "random-pure":
         return states.EnsembleSpec("haar_pure", dims, cfg.count, p_grid=cfg.p_grid)
     if name == "random-mixed":
-        ranks = (cfg.rank,) if cfg.rank else None
+        ranks = None if cfg.rank is None else (cfg.rank,)
         return states.EnsembleSpec(
             "random_mixed", dims, cfg.count, ranks=ranks, p_grid=cfg.p_grid
         )
     spec = states.EnsembleSpec("named", dims, 1, name=name, p_grid=cfg.p_grid)
     states.named_state(name)  # fail fast on unknown names
     return spec
-
-
-def _max_workers(njobs: int) -> int:
-    raw = os.environ.get("MONOLAB_THREADS", "").strip()
-    try:
-        cap = int(raw) if raw else 0
-    except ValueError:
-        raise ConfigError(f"MONOLAB_THREADS must be an integer, got {raw!r}")
-    workers = min(njobs, os.cpu_count() or 1, 4)
-    if cap > 0:
-        workers = min(workers, cap)
-    return max(workers, 1)
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, possibly in parallel, preserving input order."""
-    items = list(items)
-    workers = _max_workers(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(x: float) -> str:
@@ -208,25 +186,21 @@ def _write_json(path: str | None, obj: dict) -> None:
 
 def _sweep_rows(kind: MeasureKind, base: states.MultipartiteState, focus: int,
                 p_grid, r_grid) -> list[dict]:
-    def rows_for_p(p: float) -> list[dict]:
+    rows = []
+    for p in p_grid:
         mixed = states.white_noise_mix(base, p)
-        reports = monogamy.power_sweep(kind, mixed, focus, r_grid)
-        return [
-            {
-                "p": p,
-                "r": rep.exponent,
-                "measure": kind.label(),
-                "whole": rep.whole,
-                "parts": rep.parts,
-                "delta": rep.score,
-            }
-            for rep in reports
-        ]
-
-    out: list[dict] = []
-    for chunk in _map_ordered(rows_for_p, p_grid):
-        out.extend(chunk)
-    return out
+        for rep in monogamy.power_sweep(kind, mixed, focus, r_grid):
+            rows.append(
+                {
+                    "p": p,
+                    "r": rep.exponent,
+                    "measure": kind.label(),
+                    "whole": rep.whole,
+                    "parts": rep.parts,
+                    "delta": rep.score,
+                }
+            )
+    return rows
 
 
 def _rows_to_csv(rows: list[dict], n_parts: int) -> str:
@@ -309,69 +283,96 @@ def cmd_rstar(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class _Suite:
+    """How ``verify <tag>`` runs. ``run(cfg, kind, r)`` calls the library
+    suite, named through its module so that it is looked up at call time;
+    ``kind`` is --measure or the default ``measure``, and ``r`` is --r or the
+    default ``r``. ``reads`` lists the optional flags of _SUITE_FLAGS the tag
+    uses; exploratory tags (``asserts`` false) exit 0 whatever they find."""
+
+    run: Callable[..., verify.VerificationSummary]
+    reads: tuple[str, ...] = ()
+    measure: MeasureKind | None = None
+    r: float | None = None
+    asserts: bool = True
+
+
+_SUITE_FLAGS = ("measure", "r", "r_grid", "p_grid", "alpha")
+_CONCURRENCE = MeasureKind(measures.Measure.CONCURRENCE, True)
+_NEGATIVITY = MeasureKind(measures.Measure.NEGATIVITY, True)
+
+
+def _alpha(cfg: RunConfig) -> float:
+    """The single target exponent of functional, strong and hierarchy."""
+    return cfg.alpha[0] if cfg.alpha else 2.0
+
+
+_SUITES = {
+    "lemmas": _Suite(lambda cfg, kind, r: verify.check_scalar_lemmas(cfg.samples, cfg.seed)),
+    "raising": _Suite(
+        lambda cfg, kind, r: verify.verify_raising(
+            kind, _resolve_ensemble(cfg), r, cfg.alpha or (r + 0.5, r + 1.0, 2.0 * r), cfg.seed
+        ),
+        ("measure", "r", "p_grid", "alpha"), _CONCURRENCE, 2.0,
+    ),
+    "lowering": _Suite(
+        lambda cfg, kind, r: verify.verify_lowering(
+            kind, _resolve_ensemble(cfg), r, cfg.alpha or (0.5 * r, 0.8 * r), cfg.seed
+        ),
+        ("measure", "r", "p_grid", "alpha"),
+        MeasureKind(measures.Measure.LOG_NEGATIVITY, True), 1.0,
+    ),
+    "functional": _Suite(
+        lambda cfg, kind, r: verify.verify_functional_lift(
+            _resolve_ensemble(cfg), _alpha(cfg), cfg.seed
+        ),
+        ("p_grid", "alpha"),
+    ),
+    "mixed": _Suite(
+        lambda cfg, kind, r: verify.verify_mixed_lifting(
+            kind, _resolve_ensemble(cfg, "random-mixed"), cfg.seed
+        ),
+        ("measure", "p_grid"), _NEGATIVITY,
+    ),
+    "strong": _Suite(
+        lambda cfg, kind, r: verify.verify_strong_chain(
+            kind, _resolve_ensemble(cfg), _alpha(cfg), cfg.seed, cfg.focus
+        ),
+        ("measure", "p_grid", "alpha"), _CONCURRENCE,
+    ),
+    "hierarchy": _Suite(
+        lambda cfg, kind, r: verify.verify_hierarchy_chain(
+            kind, _resolve_ensemble(cfg), _alpha(cfg), cfg.seed, cfg.focus
+        ),
+        ("measure", "p_grid", "alpha"), _CONCURRENCE,
+    ),
+    "probe-high-power": _Suite(
+        lambda cfg, kind, r: verify.probe_high_power_mixed(
+            cfg.r_grid or (2.0, 3.0, 4.0), _resolve_ensemble(cfg, "random-mixed"), cfg.seed, kind
+        ),
+        ("measure", "r_grid", "p_grid"), _NEGATIVITY, asserts=False,
+    ),
+    "search": _Suite(
+        lambda cfg, kind, r: verify.counterexample_search(
+            kind, r, cfg.dims or (2, 2, 2), cfg.count, cfg.seed
+        ),
+        ("measure", "r"), MeasureKind(measures.Measure.LOG_NEGATIVITY), 1.0, asserts=False,
+    ),
+}
+
+
 def cmd_verify(cfg: RunConfig) -> int:
-    tag = cfg.theorem
-    kind = None
-    if cfg.measure is not None:
-        kind = _measure_kind(cfg)
-    alphas = cfg.alpha
-
-    if tag == "lemmas":
-        summary = verify.check_scalar_lemmas(cfg.samples, cfg.seed)
-    elif tag == "raising":
-        r = cfg.r if cfg.r is not None else 2.0
-        summary = verify.verify_raising(
-            kind or MeasureKind(measures.Measure.CONCURRENCE, True),
-            _resolve_ensemble(cfg), r, alphas or (r + 0.5, r + 1.0, 2.0 * r), cfg.seed,
-        )
-    elif tag == "lowering":
-        r = cfg.r if cfg.r is not None else 1.0
-        summary = verify.verify_lowering(
-            kind or MeasureKind(measures.Measure.LOG_NEGATIVITY, True),
-            _resolve_ensemble(cfg), r, alphas or (0.5 * r, 0.8 * r), cfg.seed,
-        )
-    elif tag == "functional":
-        m = alphas[0] if alphas else 2.0
-        summary = verify.verify_functional_lift(_resolve_ensemble(cfg), m, cfg.seed)
-    elif tag == "mixed":
-        spec = _resolve_ensemble(cfg) if cfg.state else states.EnsembleSpec(
-            "random_mixed", cfg.dims or (2, 2, 2), cfg.count
-        )
-        summary = verify.verify_mixed_lifting(
-            kind or MeasureKind(measures.Measure.NEGATIVITY, True), spec, cfg.seed
-        )
-    elif tag == "strong":
-        alpha = alphas[0] if alphas else 2.0
-        summary = verify.verify_strong_chain(
-            kind or MeasureKind(measures.Measure.CONCURRENCE, True),
-            _resolve_ensemble(cfg), alpha, cfg.seed, cfg.focus,
-        )
-    elif tag == "hierarchy":
-        alpha = alphas[0] if alphas else 2.0
-        summary = verify.verify_hierarchy_chain(
-            kind or MeasureKind(measures.Measure.CONCURRENCE, True),
-            _resolve_ensemble(cfg), alpha, cfg.seed, cfg.focus,
-        )
-    elif tag == "probe-high-power":
-        spec = _resolve_ensemble(cfg) if cfg.state else states.EnsembleSpec(
-            "random_mixed", cfg.dims or (2, 2, 2), cfg.count
-        )
-        rs = cfg.r_grid or (2.0, 3.0, 4.0)
-        summary = verify.probe_high_power_mixed(rs, spec, cfg.seed)
-    elif tag == "search":
-        r = cfg.r if cfg.r is not None else 1.0
-        summary = verify.counterexample_search(
-            kind or MeasureKind(measures.Measure.LOG_NEGATIVITY),
-            r, cfg.dims or (2, 2, 2), cfg.count, cfg.seed,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown theorem tag {tag!r}")
-
-    payload = {"provenance": cfg.provenance(), "summary": summary.to_json()}
-    _write_json(cfg.out, payload)
-    if tag in ("probe-high-power", "search"):
-        return EXIT_OK
-    return EXIT_OK if summary.ok else EXIT_VIOLATION
+    suite = _SUITES[cfg.theorem]
+    unread = [f for f in _SUITE_FLAGS if getattr(cfg, f) is not None and f not in suite.reads]
+    if unread:
+        flags = ", ".join("--" + f.replace("_", "-") for f in unread)
+        raise ConfigError(f"verify {cfg.theorem} does not take {flags}")
+    kind = suite.measure if cfg.measure is None else _measure_kind(cfg)
+    r = suite.r if cfg.r is None else cfg.r
+    summary = suite.run(cfg, kind, r)
+    _write_json(cfg.out, {"provenance": cfg.provenance(), "summary": summary.to_json()})
+    return EXIT_VIOLATION if suite.asserts and not summary.ok else EXIT_OK
 
 
 def cmd_figure(cfg: RunConfig) -> int:
@@ -459,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("theorem", choices=THEOREM_TAGS)
+    p.add_argument("theorem", choices=tuple(_SUITES))
     p.add_argument("--measure")
     p.add_argument("--normalized", action="store_true")
     p.add_argument("--r", type=float, help="hypothesis exponent")
@@ -496,16 +497,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         state_file=get("state_file"),
         dims=_parse_dims(args.dims) if get("dims") else None,
         rank=get("rank"),
-        focus=int(get("focus", 0) or 0),
+        focus=get("focus", 0),
         r=get("r"),
         r_grid=_parse_grid(args.r_grid, "--r-grid") if get("r_grid") else None,
         p_grid=_parse_grid(args.p_grid, "--p-grid") if get("p_grid") else None,
         bracket=_parse_bracket(args.bracket) if get("bracket") else None,
-        tol=float(get("tol", 1e-4) or 1e-4),
+        tol=get("tol", 1e-4),
         alpha=_parse_floats(args.alpha, "--alpha") if get("alpha") else None,
-        seed=int(get("seed", 0) or 0),
-        count=int(get("count", 100) or 100),
-        samples=int(get("samples", 1_000_000) or 1_000_000),
+        seed=get("seed", 0),
+        count=get("count", 100),
+        samples=get("samples", 1_000_000),
         theorem=get("theorem"),
         figure=get("figure"),
         out=get("out"),
@@ -538,15 +539,15 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except MeasureUndefinedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MEASURE
     except BracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BRACKET
+    except ValueError as exc:  # ConfigError and library argument checks
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -67,6 +67,11 @@ def _pow(x: float, r: float) -> float:
     return 0.0 if x == 0.0 else float(x) ** r
 
 
+def _delta(whole: float, parts, r: float) -> float:
+    """The monogamy score whole^r - sum_j part_j^r of unexponentiated values."""
+    return _pow(whole, r) - math.fsum(_pow(p, r) for p in parts)
+
+
 def _others(state: MultipartiteState, focus: int) -> list[int]:
     n = state.n_subsystems
     if not 0 <= focus < n:
@@ -140,11 +145,7 @@ def bisect_score_crossing(whole: float, parts, bracket, tol: float) -> CriticalE
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     parts = tuple(float(p) for p in parts)
-
-    def delta(r: float) -> float:
-        return _pow(whole, r) - math.fsum(_pow(p, r) for p in parts)
-
-    d_lo, d_hi = delta(lo), delta(hi)
+    d_lo, d_hi = _delta(whole, parts, lo), _delta(whole, parts, hi)
     if not (d_lo < 0.0 < d_hi):
         raise BracketError(
             f"no bracketed crossing: delta({lo:g}) = {d_lo:.6g}, delta({hi:g}) = {d_hi:.6g}"
@@ -152,7 +153,9 @@ def bisect_score_crossing(whole: float, parts, bracket, tol: float) -> CriticalE
     steps = []
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        d_mid = delta(mid)
+        if mid == lo or mid == hi:  # tol below the float spacing of the bracket
+            break
+        d_mid = _delta(whole, parts, mid)
         steps.append((lo, hi, mid, d_mid))
         if d_mid < 0.0:
             lo = mid

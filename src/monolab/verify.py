@@ -22,7 +22,7 @@ from .measures import (
     concurrence_two_qubit,
     eof_from_concurrence,
 )
-from .monogamy import _pow, base_values, monogamy_score
+from .monogamy import _delta, _pow, base_values, monogamy_score
 from .states import (
     EnsembleSpec,
     MultipartiteState,
@@ -94,17 +94,31 @@ def _materialize(ensemble, seed: int) -> list[MultipartiteState]:
     return list(ensemble)
 
 
-class _Worst:
-    """Tracks the most negative slack and the state that produced it."""
+def _run_suite(summary: VerificationSummary, ensemble, seed: int, slack_fn) -> VerificationSummary:
+    """Score every state of the ensemble with ``slack_fn`` and tally the result.
 
-    def __init__(self):
-        self.margin = math.inf
-        self.state = None
-
-    def record(self, slack: float, state=None):
-        if slack < self.margin:
-            self.margin = slack
-            self.state = state
+    ``slack_fn(state)`` returns the state's slack, or None when the state does
+    not meet the suite's hypothesis (counted as skipped). The most negative
+    slack becomes the worst margin; the first state reaching it is reported
+    as the offender when any slack falls below -STATE_TOL.
+    """
+    worst_state = None
+    for state in _materialize(ensemble, seed):
+        summary.count += 1
+        slack = slack_fn(state)
+        if slack is None:
+            summary.skipped += 1
+            continue
+        if slack < summary.worst_margin:
+            summary.worst_margin = slack
+            worst_state = state
+        if slack < -STATE_TOL:
+            summary.violations += 1
+        else:
+            summary.passes += 1
+    if summary.violations:
+        summary.offender = state_to_json(worst_state)
+    return summary._finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +236,14 @@ def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationS
         raise ValueError(f"all alphas must be >= r = {r}")
     summary = VerificationSummary("power-raising", _describe(ensemble, seed))
     summary.extra.update({"measure": kind.label(), "r": r, "alphas": list(alphas)})
-    worst = _Worst()
-    for state in _materialize(ensemble, seed):
-        summary.count += 1
+
+    def slack(state):
         whole, parts = base_values(kind, state, 0)
-        d_r = _pow(whole, r) - math.fsum(_pow(p, r) for p in parts)
-        if d_r < -STATE_TOL:
-            summary.skipped += 1
-            continue
-        slacks = [_pow(whole, a) - math.fsum(_pow(p, a) for p in parts) for a in alphas]
-        slack = min(slacks)
-        worst.record(slack, state)
-        if slack < -STATE_TOL:
-            summary.violations += 1
-        else:
-            summary.passes += 1
-    summary.worst_margin = worst.margin
-    if summary.violations and worst.state is not None:
-        summary.offender = state_to_json(worst.state)
-    return summary._finalize()
+        if _delta(whole, parts, r) < -STATE_TOL:
+            return None
+        return min(_delta(whole, parts, a) for a in alphas)
+
+    return _run_suite(summary, ensemble, seed, slack)
 
 
 def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> VerificationSummary:
@@ -258,27 +261,14 @@ def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> Verification
         raise ValueError("alphas must be positive")
     summary = VerificationSummary("power-lowering", _describe(ensemble, seed))
     summary.extra.update({"measure": kind.label(), "r": r, "alphas": list(alphas)})
-    worst = _Worst()
-    for state in _materialize(ensemble, seed):
-        summary.count += 1
+
+    def slack(state):
         whole, parts = base_values(kind, state, 0)
-        d_r = _pow(whole, r) - math.fsum(_pow(p, r) for p in parts)
-        if d_r > STATE_TOL:
-            summary.skipped += 1
-            continue
-        slacks = [
-            math.fsum(_pow(p, a) for p in parts) - _pow(whole, a) for a in alphas
-        ]
-        slack = min(slacks)
-        worst.record(slack, state)
-        if slack < -STATE_TOL:
-            summary.violations += 1
-        else:
-            summary.passes += 1
-    summary.worst_margin = worst.margin
-    if summary.violations and worst.state is not None:
-        summary.offender = state_to_json(worst.state)
-    return summary._finalize()
+        if _delta(whole, parts, r) > STATE_TOL:
+            return None
+        return min(math.fsum(_pow(p, a) for p in parts) - _pow(whole, a) for a in alphas)
+
+    return _run_suite(summary, ensemble, seed, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +289,8 @@ def verify_functional_lift(ensemble, m: float, seed: int) -> VerificationSummary
     m = float(m)
     summary = VerificationSummary("functional-lift-eof", _describe(ensemble, seed))
     summary.extra.update({"m": m, "out_of_range": 0, "mixed_restricted": 0})
-    worst = _Worst()
-    for state in _materialize(ensemble, seed):
-        summary.count += 1
+
+    def slack(state):
         others = [i for i in range(state.n_subsystems) if i != 0]
         pairs = [
             tensor.partial_trace(state.rho, state.dims, [0, j]) for j in others
@@ -313,27 +302,17 @@ def verify_functional_lift(ensemble, m: float, seed: int) -> VerificationSummary
             whole = tensor.von_neumann_entropy(
                 tensor.partial_trace(state.rho, state.dims, [0])
             )
-            slacks.append(_pow(whole, m) - math.fsum(_pow(e, m) for e in eofs))
+            slacks.append(_delta(whole, eofs, m))
         else:
             summary.extra["mixed_restricted"] += 1
         y = math.fsum(c * c for c in cs)
         if y <= 1.0 + SCALAR_TOL:
-            side = _pow(eof_from_concurrence(math.sqrt(min(y, 1.0))), m) - math.fsum(
-                _pow(e, m) for e in eofs
-            )
-            slacks.append(side)
+            slacks.append(_delta(eof_from_concurrence(math.sqrt(min(y, 1.0))), eofs, m))
         else:
             summary.extra["out_of_range"] += 1
-        slack = min(slacks) if slacks else 0.0
-        worst.record(slack, state)
-        if slack < -STATE_TOL:
-            summary.violations += 1
-        else:
-            summary.passes += 1
-    summary.worst_margin = worst.margin
-    if summary.violations and worst.state is not None:
-        summary.offender = state_to_json(worst.state)
-    return summary._finalize()
+        return min(slacks) if slacks else 0.0
+
+    return _run_suite(summary, ensemble, seed, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +336,14 @@ def verify_mixed_lifting(kind, ensemble, seed: int) -> VerificationSummary:
         )
     summary = VerificationSummary("mixed-lifting", _describe(ensemble, seed))
     summary.extra["measure"] = kind.label()
-    worst = _Worst()
     r1 = []
-    for state in _materialize(ensemble, seed):
-        summary.count += 1
+
+    def slack(state):
         whole, parts = base_values(kind, state, 0)
-        slack = _pow(whole, 2.0) - math.fsum(_pow(p, 2.0) for p in parts)
         r1.append(whole - math.fsum(parts))
-        worst.record(slack, state)
-        if slack < -STATE_TOL:
-            summary.violations += 1
-        else:
-            summary.passes += 1
-    summary.worst_margin = worst.margin
-    if summary.violations and worst.state is not None:
-        summary.offender = state_to_json(worst.state)
+        return _delta(whole, parts, 2.0)
+
+    _run_suite(summary, ensemble, seed, slack)
     if r1:
         summary.extra["r1_scores"] = {
             "min": float(min(r1)),
@@ -380,7 +352,7 @@ def verify_mixed_lifting(kind, ensemble, seed: int) -> VerificationSummary:
                 sum(1 for v in r1 if v >= -STATE_TOL) / len(r1)
             ),
         }
-    return summary._finalize()
+    return summary
 
 
 def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVITY) -> VerificationSummary:
@@ -404,9 +376,9 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
         summary.count += 1
         summary.passes += 1
         whole, parts = base_values(kind, state, 0)
-        d2 = _pow(whole, 2.0) - math.fsum(_pow(p, 2.0) for p in parts)
+        d2 = _delta(whole, parts, 2.0)
         for r in rs:
-            d = _pow(whole, r) - math.fsum(_pow(p, r) for p in parts)
+            d = _delta(whole, parts, r)
             per_r[r] = min(per_r[r], d)
             if d2 >= -STATE_TOL and d < -STATE_TOL:
                 implication_violations += 1
@@ -426,20 +398,12 @@ def verify_strong_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0)
 
     summary = VerificationSummary("strong-monogamy", _describe(ensemble, seed))
     summary.extra.update({"measure": as_kind(kind).label(), "alpha": float(alpha)})
-    worst = _Worst()
-    for state in _materialize(ensemble, seed):
-        summary.count += 1
+
+    def slack(state):
         rep = strong_monogamy_report(kind, state, focus, alpha)
-        slack = min(rep.whole - rep.subset_average, rep.subset_average - rep.pair_sum)
-        worst.record(slack, state)
-        if slack < -STATE_TOL:
-            summary.violations += 1
-        else:
-            summary.passes += 1
-    summary.worst_margin = worst.margin
-    if summary.violations and worst.state is not None:
-        summary.offender = state_to_json(worst.state)
-    return summary._finalize()
+        return min(rep.whole - rep.subset_average, rep.subset_average - rep.pair_sum)
+
+    return _run_suite(summary, ensemble, seed, slack)
 
 
 def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0,
@@ -449,24 +413,16 @@ def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int =
 
     summary = VerificationSummary("hierarchy", _describe(ensemble, seed))
     summary.extra.update({"measure": as_kind(kind).label(), "alpha": float(alpha)})
-    worst = _Worst()
-    for state in _materialize(ensemble, seed):
-        summary.count += 1
+
+    def slack(state):
         p = partner if partner is not None else next(
             i for i in range(state.n_subsystems) if i != focus
         )
         whole = _score(kind, state, focus, alpha).whole
         rep = hierarchy_chain(kind, state, focus, p, alpha)
-        slack = min(whole - lvl for lvl in rep.levels)
-        worst.record(slack, state)
-        if slack < -STATE_TOL:
-            summary.violations += 1
-        else:
-            summary.passes += 1
-    summary.worst_margin = worst.margin
-    if summary.violations and worst.state is not None:
-        summary.offender = state_to_json(worst.state)
-    return summary._finalize()
+        return min(whole - lvl for lvl in rep.levels)
+
+    return _run_suite(summary, ensemble, seed, slack)
 
 
 # ---------------------------------------------------------------------------

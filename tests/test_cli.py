@@ -2,6 +2,8 @@ import csv
 import json
 import math
 
+import pytest
+
 from monolab import cli, states
 from monolab.cli import EXIT_BRACKET, EXIT_CONFIG, EXIT_MEASURE, EXIT_OK
 
@@ -64,14 +66,13 @@ def test_sweep_w3_lognegativity_nonmonogamous_row(tmp_path):
     assert float(row["delta"]) < 0.0
 
 
-def test_sweep_byte_identical_reruns(tmp_path, monkeypatch):
+def test_sweep_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = [
         "sweep", "--measure", "negativity", "--state", "w3", "--seed", "3",
         "--p-grid", "0:1:6", "--r-grid", "1,2",
     ]
     assert run(*args, "--out", str(a)) == EXIT_OK
-    monkeypatch.setenv("MONOLAB_THREADS", "2")
     assert run(*args, "--out", str(b)) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
 
@@ -110,6 +111,46 @@ def test_sweep_config_errors(tmp_path):
         "sweep", "--measure", "tangle", "--state", "ghz3",
         "--p-grid", "0", "--r-grid", "1",
     ) == EXIT_CONFIG
+
+
+SWEEP_W3 = ("sweep", "--measure", "negativity", "--state", "w3")
+RSTAR_W3 = ("rstar", "--measure", "lognegativity", "--state", "w3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*SWEEP_W3, "--p-grid", "0", "--r-grid", "nan"),
+        (*SWEEP_W3, "--p-grid", "0", "--r-grid", "1,inf"),
+        (*SWEEP_W3, "--p-grid", "0:nan:3", "--r-grid", "1"),
+        (*RSTAR_W3, "--bracket", "1,inf"),
+        (*RSTAR_W3, "--bracket", "1,2", "--tol", "nan"),
+        (*RSTAR_W3, "--bracket", "1,2", "--tol", "inf"),
+        (*RSTAR_W3, "--bracket", "1,2", "--tol", "0"),
+        ("verify", "raising", "--state", "w3", "--r", "1", "--alpha", "2,nan"),
+        ("verify", "raising", "--state", "w3", "--r", "nan"),
+        ("verify", "raising", "--count", "0"),
+        ("verify", "lemmas", "--samples", "0"),
+        ("sweep", "--measure", "negativity", "--state", "random-mixed", "--rank", "0",
+         "--p-grid", "0", "--r-grid", "1"),
+    ],
+)
+def test_config_rejects_non_finite_and_zero_values(argv, tmp_path):
+    # config errors: no NaN output and no substituted default
+    assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*SWEEP_W3, "--focus", "7", "--p-grid", "0", "--r-grid", "1"),
+        (*SWEEP_W3, "--p-grid", "1.5", "--r-grid", "1"),
+    ],
+)
+def test_library_value_errors_exit_2(argv, capsys):
+    assert run(*argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_measure_undefined_exit(tmp_path):
@@ -236,6 +277,38 @@ def test_verify_lowering_harvest_roundtrip(tmp_path):
     ) == EXIT_OK
     summary = json.loads(out.read_text())["summary"]
     assert summary["violations"] == 0 and summary["skipped"] == 0
+
+
+def test_verify_probe_honours_measure(tmp_path):
+    out = tmp_path / "probe.json"
+    assert run(
+        "verify", "probe-high-power", "--measure", "lognegativity", "--dims", "2,2,2",
+        "--count", "3", "--out", str(out),
+    ) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["provenance"]["config"]["measure"] == "lognegativity"
+    assert payload["summary"]["extra"]["measure"] == "lognegativity"
+
+
+def test_verify_mixed_default_ensemble_honours_rank(tmp_path):
+    out = tmp_path / "mixed.json"
+    assert run("verify", "mixed", "--rank", "2", "--count", "3", "--out", str(out)) == EXIT_OK
+    assert json.loads(out.read_text())["summary"]["ensemble"]["ranks"] == [2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "functional", "--measure", "negativity"),
+        ("verify", "lemmas", "--r", "2"),
+        ("verify", "search", "--p-grid", "0,0.5"),
+        ("verify", "raising", "--r-grid", "2,3"),
+        ("verify", "probe-high-power", "--alpha", "2"),
+    ],
+)
+def test_verify_flag_the_suite_does_not_read_exits_2(argv, capsys):
+    assert run(*argv) == EXIT_CONFIG
+    assert "does not take" in capsys.readouterr().err
 
 
 def test_verify_unknown_theorem_is_parse_error():

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monolab
 from monolab import states
 from monolab.measures import Cut, Measure, MeasureKind, evaluate
 from monolab.monogamy import (
@@ -132,6 +137,24 @@ def test_bisection_matches_closed_form():
     assert res.steps  # bisection trace is recorded
     lo, hi, mid, score = res.steps[0]
     assert lo == 4.0 and hi == 8.0 and mid == 6.0
+
+
+def test_bisection_terminates_below_float_spacing():
+    # tol is below the bracket's float spacing; the call runs in a child
+    # process so that a loop that never ends fails by timeout, not by hanging
+    code = (
+        "from monolab.monogamy import bisect_score_crossing as b\n"
+        "res = b(0.9, (0.5, 0.5), (1, 2), 1e-300)\n"
+        "print(repr(res.r_star), len(res.steps))\n"
+    )
+    src = str(Path(monolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    r_star, steps = proc.stdout.split()
+    assert abs(float(r_star) - math.log(2.0) / math.log(1.8)) <= 1e-12  # 0.9^r = 2 * 0.5^r
+    assert int(steps) <= 64
 
 
 # ---------------------------------------------------------------------------
