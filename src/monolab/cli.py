@@ -97,6 +97,8 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
             vals = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} {text!r}") from exc
+    if not vals:
+        raise ConfigError(f"{what} must be nonempty")
     if not all(math.isfinite(v) for v in vals):
         raise ConfigError(f"{what} values must be finite, got {text!r}")
     return vals
@@ -104,8 +106,6 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
 
 def _parse_grid(text: str, what: str) -> tuple[float, ...]:
     grid = _parse_floats(text, what)
-    if not grid:
-        raise ConfigError(f"{what} must be nonempty")
     if list(grid) != sorted(grid):
         raise ConfigError(f"{what} must be sorted ascending")
     return grid
@@ -175,9 +175,12 @@ def _fmt(x: float) -> str:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: str | None, obj: dict) -> None:
@@ -289,7 +292,8 @@ class _Suite:
     suite, named through its module so that it is looked up at call time;
     ``kind`` is --measure or the default ``measure``, and ``r`` is --r or the
     default ``r``. ``reads`` lists the optional flags of _SUITE_FLAGS the tag
-    uses; exploratory tags (``asserts`` false) exit 0 whatever they find."""
+    uses (a tag that reads --measure also reads --normalized); exploratory
+    tags (``asserts`` false) exit 0 whatever they find."""
 
     run: Callable[..., verify.VerificationSummary]
     reads: tuple[str, ...] = ()
@@ -298,14 +302,18 @@ class _Suite:
     asserts: bool = True
 
 
-_SUITE_FLAGS = ("measure", "r", "r_grid", "p_grid", "alpha")
+_SUITE_FLAGS = ("measure", "normalized", "r", "r_grid", "p_grid", "alpha")
 _CONCURRENCE = MeasureKind(measures.Measure.CONCURRENCE, True)
 _NEGATIVITY = MeasureKind(measures.Measure.NEGATIVITY, True)
 
 
 def _alpha(cfg: RunConfig) -> float:
     """The single target exponent of functional, strong and hierarchy."""
-    return cfg.alpha[0] if cfg.alpha else 2.0
+    if cfg.alpha is None:
+        return 2.0
+    if len(cfg.alpha) != 1:
+        raise ConfigError(f"verify {cfg.theorem} takes one --alpha value, got {len(cfg.alpha)}")
+    return cfg.alpha[0]
 
 
 _SUITES = {
@@ -364,7 +372,11 @@ _SUITES = {
 
 def cmd_verify(cfg: RunConfig) -> int:
     suite = _SUITES[cfg.theorem]
-    unread = [f for f in _SUITE_FLAGS if getattr(cfg, f) is not None and f not in suite.reads]
+    reads = suite.reads + (("normalized",) if "measure" in suite.reads else ())
+    unread = [
+        f for f in _SUITE_FLAGS
+        if f not in reads and getattr(cfg, f) is not None and getattr(cfg, f) is not False
+    ]
     if unread:
         flags = ", ".join("--" + f.replace("_", "-") for f in unread)
         raise ConfigError(f"verify {cfg.theorem} does not take {flags}")

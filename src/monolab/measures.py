@@ -9,10 +9,16 @@ Conventions: logarithms are base 2 throughout (values in bits / ebits),
 negativity is stored unnormalized as N = (||rho^T_A||_1 - 1)/2 and doubled
 when the kind is flagged normalized, and measure values below 1e-12 are
 reported as exactly 0 so that small powers Q^alpha stay stable.
+
+Quantum discord and classical correlation work on the Bloch (Fano) form of
+a two-qubit state, its local Bloch vectors a, b and correlation matrix T
+(Luo, PRA 77, 042303 (2008)): a projective measurement along a unit vector
+n costs a few flops, so the measurement optimizer never builds projectors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -130,7 +136,9 @@ def _reduced(state: MultipartiteState, cut: Cut):
     return red, rdims, a_pos, b_pos
 
 
-def _require_two_qubit_density(rho) -> np.ndarray:
+def _require_two_qubit_density(rho):
+    """The checked 4x4 density matrix with its eigenvalues (ascending) and
+    eigenvectors, from the one eigensolve that checks positivity."""
     rho = tensor.as_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit density matrix, got {rho.shape}")
@@ -138,9 +146,10 @@ def _require_two_qubit_density(rho) -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > tensor.TRACE_TOL:
         raise ValueError(f"density matrix trace {tr:.12g} != 1")
-    if float(np.linalg.eigvalsh(rho)[0]) < -POSITIVITY_TOL:
+    evals, evecs = np.linalg.eigh(rho)
+    if float(evals[0]) < -POSITIVITY_TOL:
         raise ValueError("density matrix is not positive semidefinite")
-    return rho
+    return rho, evals, evecs
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +164,7 @@ def concurrence_two_qubit(rho) -> float:
     through the equivalent Hermitian form sqrt(rho) rho~ sqrt(rho) for
     numerical accuracy.
     """
-    rho = _require_two_qubit_density(rho)
-    evals, evecs = np.linalg.eigh(rho)
+    rho, evals, evecs = _require_two_qubit_density(rho)
     sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     m = sqrt_rho @ flipped @ sqrt_rho
@@ -287,35 +295,59 @@ def eof_pure_cut(state: MultipartiteState, cut: Cut) -> float:
 
 # ---------------------------------------------------------------------------
 # classical correlation and quantum discord (two-qubit, projective
-# measurements parametrized by Bloch angles)
+# measurements along Bloch directions, in the Bloch (Fano) form of Luo,
+# PRA 77, 042303 (2008))
 # ---------------------------------------------------------------------------
 
-def _conditional_entropy_sum(t4, measured: str, theta, phi) -> np.ndarray:
-    """sum_k p_k S(other | outcome k) for measurement direction(s) (theta, phi).
+def _bloch_form(rho, measured: str):
+    """(a, b, T) with rho = (I + a.s x I + I x b.s + sum_ij T_ij s_i x s_j)/4,
+    oriented so that b is the measured qubit's Bloch vector, a the other
+    qubit's, and T the correlation matrix with rows on the other qubit."""
+    r = np.real(np.einsum("abxy,mxa,nyb->mn", rho.reshape(2, 2, 2, 2), _PAULI, _PAULI))
+    if measured == "a":
+        r = r.T
+    return r[1:, 0], r[0, 1:], r[1:, 1:]
 
-    t4 is rho reshaped to (2, 2, 2, 2) with indices [a, b, a', b'].
+
+def _conditional_entropy_grid(a, b, t, n) -> np.ndarray:
+    """sum_k p_k S(other | outcome k) for each column of the (3, G) array n of
+    unit measurement directions.
+
+    Outcome +-1 along n has probability p = (1 +- b.n)/2 and leaves the other
+    qubit with Bloch vector (a +- T n)/(2p), whose entropy is h((1 + |.|)/2);
+    outcomes with p <= 1e-18 contribute 0.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    v = np.stack([np.cos(theta / 2.0) + 0j, np.exp(1j * phi) * np.sin(theta / 2.0)])
-    p0 = np.einsum("ag,bg->gab", v, v.conj())
-    projectors = (p0, np.eye(2)[None, :, :] - p0)
-    total = np.zeros(theta.shape[0])
-    for proj in projectors:
-        if measured == "a":
-            # M[b,b'] = sum_{a,x} P[a,x] T[x,b,a,b']
-            m = np.einsum("gax,xbay->gby", proj, t4)
-        else:
-            # M[a,a'] = sum_{b,x} P[b,x] T[a,x,a',b]
-            m = np.einsum("gbx,axyb->gay", proj, t4)
-        tr = np.real(m[:, 0, 0] + m[:, 1, 1])
-        det = np.real(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
-        disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
-        lam = np.stack([0.5 * (tr + disc), 0.5 * (tr - disc)])
-        # p S(M/p) = -sum_i lam_i log2(lam_i / p), safe at lam = 0 or p = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = np.where(lam > 1e-18, lam * np.log2(lam / np.maximum(tr, 1e-300)), 0.0)
-        total -= contrib.sum(axis=0)
+    bn, tn = b @ n, t @ n
+    total = np.zeros(n.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sign in (1.0, -1.0):
+            p = 0.5 * (1.0 + sign * bn)
+            r = np.sqrt(((a[:, None] + sign * tn) ** 2).sum(axis=0))
+            x = 0.5 * (1.0 + np.minimum(r / (2.0 * p), 1.0))
+            y = 1.0 - x
+            h = -x * np.log2(x) - np.where(y > 0.0, y * np.log2(y), 0.0)
+            total += np.where(p > 1e-18, p * h, 0.0)
+    return total
+
+
+def _conditional_entropy(a, b, t, theta: float, phi: float) -> float:
+    """_conditional_entropy_grid at the single direction (theta, phi), in
+    plain float arithmetic on a, b and t given as (nested) lists: on one
+    point this is several times cheaper than numpy."""
+    s = math.sin(theta)
+    n0, n1, n2 = s * math.cos(phi), s * math.sin(phi), math.cos(theta)
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t
+    bn = b0 * n0 + b1 * n1 + b2 * n2
+    tn0 = t00 * n0 + t01 * n1 + t02 * n2
+    tn1 = t10 * n0 + t11 * n1 + t12 * n2
+    tn2 = t20 * n0 + t21 * n1 + t22 * n2
+    total = 0.0
+    for sign in (1.0, -1.0):
+        p = 0.5 * (1.0 + sign * bn)
+        if p > 1e-18:
+            r = math.sqrt((a0 + sign * tn0) ** 2 + (a1 + sign * tn1) ** 2 + (a2 + sign * tn2) ** 2)
+            total += p * tensor.binary_entropy(0.5 * (1.0 + min(r / (2.0 * p), 1.0)))
     return total
 
 
@@ -330,25 +362,29 @@ def classical_correlation(rho, measured: str = "b") -> float:
     """Measurement-maximized classical correlation of a two-qubit state, in bits.
 
     max over projective measurements on the chosen side of
-    S(other) - sum_k p_k S(other | outcome k), optimized on a coarse
-    (theta, phi) grid followed by coordinate-wise golden-section refinement.
+    S(other) - sum_k p_k S(other | outcome k). The state is taken to its
+    Bloch form (a, b, T) once; measuring along the unit vector
+    n = (sin theta cos phi, sin theta sin phi, cos theta) then gives outcome
+    probabilities (1 +- b.n)/2 and conditional Bloch vectors
+    (a +- T n)/(1 +- b.n), so each direction costs a few flops. The optimizer scans a 64 x 64 (theta, phi)
+    grid over the whole sphere, then refines the best grid point by 30
+    alternating golden-section steps in theta and phi.
     """
-    rho = _require_two_qubit_density(rho)
-    measured = _check_measured_side(measured)
-    t4 = rho.reshape(2, 2, 2, 2)
-    other = tensor.partial_trace(rho, (2, 2), [1] if measured == "a" else [0])
-    s_other = tensor.von_neumann_entropy(other)
+    rho = _require_two_qubit_density(rho)[0]
+    a, b, t = _bloch_form(rho, _check_measured_side(measured))
+    s_other = tensor.binary_entropy(0.5 * (1.0 + math.sqrt(float(a @ a))))
 
     thetas = np.linspace(0.0, np.pi, _GRID_POINTS)
     phis = np.linspace(0.0, 2.0 * np.pi, _GRID_POINTS, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    cond = _conditional_entropy_sum(t4, measured, tt.ravel(), pp.ravel())
+    sin_t, cos_t = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+    n = np.stack(
+        [sin_t * np.cos(phis), sin_t * np.sin(phis), np.broadcast_to(cos_t, (_GRID_POINTS,) * 2)]
+    )
+    cond = _conditional_entropy_grid(a, b, t, n.reshape(3, -1))  # row-major (theta, phi)
     k = int(np.argmin(cond))
     best = float(cond[k])
-    th, ph = float(tt.ravel()[k]), float(pp.ravel()[k])
-
-    def f(theta, phi):
-        return float(_conditional_entropy_sum(t4, measured, theta, phi)[0])
+    th, ph = float(thetas[k // _GRID_POINTS]), float(phis[k % _GRID_POINTS])
+    f = functools.partial(_conditional_entropy, a.tolist(), b.tolist(), t.tolist())
 
     lo_t, hi_t = th - np.pi / (_GRID_POINTS - 1), th + np.pi / (_GRID_POINTS - 1)
     lo_p, hi_p = ph - np.pi / _GRID_POINTS, ph + np.pi / _GRID_POINTS
@@ -379,7 +415,7 @@ def discord(rho, measured: str = "b") -> float:
 
     Values within -1e-6 of zero (optimizer shortfall) are clamped to 0.
     """
-    rho = _require_two_qubit_density(rho)
+    rho = _require_two_qubit_density(rho)[0]
     measured = _check_measured_side(measured)
     ra = tensor.partial_trace(rho, (2, 2), [0])
     rb = tensor.partial_trace(rho, (2, 2), [1])

@@ -3,7 +3,8 @@
 Nothing here touches the library's computational path: the eigensolver is a
 hand-rolled cyclic Jacobi iteration (numpy appears only for array storage and
 elementwise arithmetic, never ``np.linalg``), tensor reshuffles are explicit
-index loops, and the measurement optimization is a dense grid scan.
+index loops, and the measurement optimization is a dense grid scan over the
+projector form of the conditional states.
 """
 
 import itertools
@@ -163,42 +164,75 @@ def eof(rho):
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _entropy2(m):
-    # closed-form spectral entropy of an (unnormalized) 2x2 Hermitian matrix
-    tr = float(np.real(m[0, 0] + m[1, 1]))
-    if tr <= 1e-15:
-        return 0.0, 0.0
-    det = float(np.real(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
-    disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    total = 0.0
-    for lam in (0.5 * (tr + disc), 0.5 * (tr - disc)):
-        x = lam / tr
-        if x > 1e-15:
-            total -= x * math.log2(x)
-    return tr, total
+def conditional_entropy_sum(rho, measured, theta, phi):
+    """sum_k p_k S(other | outcome k) for projective measurements on the
+    measured qubit along the direction(s) (theta, phi), built from the
+    projectors |v><v| and I - |v><v| with v = (cos theta/2, e^{i phi} sin theta/2)
+    and the closed-form eigenvalues of each unnormalized 2x2 conditional state.
+    """
+    t4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)  # [a, b, a', b']
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    v = np.stack([np.cos(theta / 2.0) + 0j, np.exp(1j * phi) * np.sin(theta / 2.0)])
+    p0 = np.einsum("ag,bg->gab", v, v.conj())
+    total = np.zeros(theta.shape[0])
+    for proj in (p0, np.eye(2)[None, :, :] - p0):
+        if measured == "a":
+            # M[b,b'] = sum_{a,x} P[a,x] T[x,b,a,b']
+            m = np.einsum("gax,xbay->gby", proj, t4)
+        else:
+            # M[a,a'] = sum_{b,x} P[b,x] T[a,x,a',b]
+            m = np.einsum("gbx,axyb->gay", proj, t4)
+        tr = np.real(m[:, 0, 0] + m[:, 1, 1])
+        det = np.real(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+        disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
+        lam = np.stack([0.5 * (tr + disc), 0.5 * (tr - disc)])
+        # p S(M/p) = -sum_i lam_i log2(lam_i / p), safe at lam = 0 or p = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contrib = np.where(lam > 1e-18, lam * np.log2(lam / np.maximum(tr, 1e-300)), 0.0)
+        total -= contrib.sum(axis=0)
+    return total
 
 
 def classical_correlation(rho, measured, grid=241):
     """Dense-grid maximization of S(other) - sum_k p_k S(other | k)."""
     rho = np.asarray(rho, dtype=complex)
-    t4 = rho.reshape(2, 2, 2, 2)
     other = loops_partial_trace(rho, (2, 2), [1] if measured == "a" else [0])
-    s_other = entropy(other)
-    best = math.inf
-    for theta in np.linspace(0.0, math.pi, grid):
-        for phi in np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False):
-            u = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)])
-            p0 = np.outer(u, u.conj())
-            cond = 0.0
-            for proj in (p0, np.eye(2) - p0):
-                if measured == "a":
-                    m = np.einsum("ax,xbay->by", proj, t4)
-                else:
-                    m = np.einsum("bx,axyb->ay", proj, t4)
-                p, s = _entropy2(m)
-                cond += p * s
-            best = min(best, cond)
-    return max(s_other - best, 0.0)
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, math.pi, grid),
+        np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False),
+        indexing="ij",
+    )
+    best = float(conditional_entropy_sum(rho, measured, theta.ravel(), phi.ravel()).min())
+    return max(entropy(other) - best, 0.0)
+
+
+def _xlog2x(x):
+    return x * math.log2(x) if x > 0.0 else 0.0
+
+
+def bell_diagonal(c):
+    """rho = (I + sum_i c_i sigma_i x sigma_i) / 4 with Luo's closed forms
+    (PRA 77, 042303 (2008)) for its classical correlation and discord, which
+    are the same whichever qubit is measured. Returns (rho, classical, discord).
+    """
+    paulis = (
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1j], [1j, 0.0]]),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    )
+    rho = np.eye(4, dtype=complex)
+    for ci, s in zip(c, paulis):
+        rho = rho + ci * loops_kron(s, s)
+    rho = rho / 4.0
+    c1, c2, c3 = c
+    cmax = max(abs(ci) for ci in c)
+    classical = 0.5 * (_xlog2x(1.0 - cmax) + _xlog2x(1.0 + cmax))
+    mutual = 0.25 * sum(
+        _xlog2x(x)
+        for x in (1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3)
+    )
+    return rho, classical, mutual - classical
 
 
 def tangle_roof_chords(rho, dims, a_index, directions=2000, seed=0):

@@ -133,6 +133,7 @@ RSTAR_W3 = ("rstar", "--measure", "lognegativity", "--state", "w3")
         ("verify", "lemmas", "--samples", "0"),
         ("sweep", "--measure", "negativity", "--state", "random-mixed", "--rank", "0",
          "--p-grid", "0", "--r-grid", "1"),
+        ("verify", "raising", "--state", "w3", "--r", "1", "--alpha", ","),
     ],
 )
 def test_config_rejects_non_finite_and_zero_values(argv, tmp_path):
@@ -151,6 +152,18 @@ def test_config_rejects_non_finite_and_zero_values(argv, tmp_path):
 def test_library_value_errors_exit_2(argv, capsys):
     assert run(*argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("state-export", "--state", "w3"),
+        (*SWEEP_W3, "--p-grid", "0", "--r-grid", "1"),
+    ],
+)
+def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
+    assert run(*argv, "--out", str(tmp_path / "missing-dir" / "x.out")) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
 def test_sweep_measure_undefined_exit(tmp_path):
@@ -304,11 +317,21 @@ def test_verify_mixed_default_ensemble_honours_rank(tmp_path):
         ("verify", "search", "--p-grid", "0,0.5"),
         ("verify", "raising", "--r-grid", "2,3"),
         ("verify", "probe-high-power", "--alpha", "2"),
+        ("verify", "lemmas", "--normalized"),
+        ("verify", "functional", "--normalized"),
     ],
 )
 def test_verify_flag_the_suite_does_not_read_exits_2(argv, capsys):
     assert run(*argv) == EXIT_CONFIG
     assert "does not take" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag", ["functional", "strong", "hierarchy"])
+def test_verify_single_exponent_tags_reject_several_alpha(tag, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run("verify", tag, "--alpha", "2,3", "--count", "2", "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_verify_unknown_theorem_is_parse_error():

@@ -225,10 +225,61 @@ def test_classical_correlation_bell_state():
 
 def test_classical_correlation_against_dense_grid_oracle():
     rho = states.random_mixed((2, 2), 3, seed=17).rho
-    got = classical_correlation(rho, "b")
-    want = oracles.classical_correlation(rho, "b", grid=181)
-    assert got >= want - 1e-6  # refinement can only improve on a coarse scan
-    assert abs(got - want) < 1e-3
+    for side in "ab":
+        got = classical_correlation(rho, side)
+        want = oracles.classical_correlation(rho, side, grid=181)
+        assert got >= want - 1e-6  # refinement can only improve on a coarse scan
+        assert abs(got - want) < 1e-3
+
+
+def bloch_and_projector_sums(rho, side, theta, phi):
+    """The conditional-entropy sum at each direction from the Bloch kernel,
+    vectorised and per point, and from the projector oracle."""
+    a, b, t = measures._bloch_form(rho, side)
+    n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    grid = measures._conditional_entropy_grid(a, b, t, n)
+    lists = (a.tolist(), b.tolist(), t.tolist())
+    point = [measures._conditional_entropy(*lists, th, ph) for th, ph in zip(theta, phi)]
+    return grid, np.array(point), oracles.conditional_entropy_sum(rho, side, theta, phi)
+
+
+@given(seed=seeds, rank=st.integers(min_value=1, max_value=4))
+@settings(max_examples=30, deadline=None)
+def test_bloch_conditional_entropy_matches_projector_oracle(seed, rank):
+    rng = np.random.default_rng(seed)
+    rho = states.random_mixed((2, 2), rank, seed).rho
+    theta = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 8)])
+    phi = rng.uniform(0.0, 2.0 * np.pi, 10)
+    for side in "ab":
+        grid, point, want = bloch_and_projector_sums(rho, side, theta, phi)
+        assert np.max(np.abs(grid - want)) < 1e-12
+        assert np.max(np.abs(point - want)) < 1e-12
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_bloch_conditional_entropy_with_an_impossible_outcome(side):
+    # measuring a pure qubit along its own axis: one outcome has probability 0
+    pure, mixed = np.diag([1.0, 0.0]), np.diag([0.6, 0.4])
+    rho = (np.kron(pure, mixed) if side == "a" else np.kron(mixed, pure)).astype(complex)
+    theta, phi = np.array([0.0, np.pi, 0.5]), np.array([0.0, 0.0, 1.0])
+    grid, point, want = bloch_and_projector_sums(rho, side, theta, phi)
+    assert np.all(np.isfinite(grid))
+    assert np.max(np.abs(grid - want)) < 1e-12
+    assert np.max(np.abs(point - want)) < 1e-12
+
+
+# Bell-diagonal correlations (c1, c2, c3) of the four Bell states
+BELL_CORRELATIONS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+
+
+@given(seed=seeds)
+@settings(max_examples=25, deadline=None)
+def test_bell_diagonal_against_luo_closed_form(seed):
+    c = np.random.default_rng(seed).dirichlet(np.ones(4)) @ BELL_CORRELATIONS
+    rho, classical, disc = oracles.bell_diagonal(c)
+    for side in "ab":
+        assert abs(classical_correlation(rho, side) - classical) < 1e-9
+        assert abs(discord(rho, side) - disc) < 1e-9
 
 
 def test_discord_values():
