@@ -14,6 +14,10 @@ Quantum discord and classical correlation work on the Bloch (Fano) form of
 a two-qubit state, its local Bloch vectors a, b and correlation matrix T
 (Luo, PRA 77, 042303 (2008)): a projective measurement along a unit vector
 n costs a few flops, so the measurement optimizer never builds projectors.
+
+The index bookkeeping of a cut (which subsystems to keep, where each side
+sits in the reduced state, the side dimensions) is cached per (dimensions,
+cut), as are the trace and transpose plans of ``tensor``.
 """
 
 from __future__ import annotations
@@ -119,21 +123,30 @@ def _flush(x: float) -> float:
     return 0.0 if abs(x) < FLUSH_TOL else float(x)
 
 
-def _reduced(state: MultipartiteState, cut: Cut):
-    """Reduced matrix on side_a + side_b plus the positions of each side."""
-    n = state.n_subsystems
-    for i in cut.side_a + cut.side_b:
+@functools.lru_cache(maxsize=256)
+def _cut_plan(dims: tuple[int, ...], side_a: tuple[int, ...], side_b: tuple[int, ...]):
+    """(keep, rdims, a_pos, b_pos, da, db): the subsystems kept, in index
+    order (None when the cut covers them all), their dimensions, the
+    positions of each side among them, and each side's total dimension."""
+    n = len(dims)
+    for i in side_a + side_b:
         if not 0 <= i < n:
             raise ValueError(f"cut index {i} out of range for {n} subsystems")
-    keep = sorted(cut.side_a + cut.side_b)
-    if len(keep) == n:
-        red = state.rho
-    else:
-        red = tensor.partial_trace(state.rho, state.dims, keep)
-    rdims = tuple(state.dims[i] for i in keep)
-    a_pos = sorted(keep.index(i) for i in cut.side_a)
-    b_pos = sorted(keep.index(i) for i in cut.side_b)
-    return red, rdims, a_pos, b_pos
+    keep = tuple(sorted(side_a + side_b))
+    rdims = tuple(dims[i] for i in keep)
+    a_pos = tuple(sorted(keep.index(i) for i in side_a))
+    b_pos = tuple(sorted(keep.index(i) for i in side_b))
+    da = math.prod(rdims[i] for i in a_pos)
+    db = math.prod(rdims[i] for i in b_pos)
+    return (None if len(keep) == n else keep), rdims, a_pos, b_pos, da, db
+
+
+def _reduced(state: MultipartiteState, cut: Cut):
+    """Reduced matrix on side_a + side_b, then the rest of the cut's plan:
+    (red, rdims, a_pos, b_pos, da, db)."""
+    keep, *plan = _cut_plan(state.dims, cut.side_a, cut.side_b)
+    red = state.rho if keep is None else tensor.partial_trace(state.rho, state.dims, keep)
+    return red, *plan
 
 
 def _require_two_qubit_density(rho):
@@ -188,7 +201,7 @@ def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     Requires the state restricted to the cut to be pure and side A to be a
     single qubit.
     """
-    red, rdims, a_pos, _ = _reduced(state, cut)
+    red, rdims, a_pos, *_ = _reduced(state, cut)
     if tensor.purity(red) < 1.0 - PURITY_TOL:
         raise ValueError("state on the cut is not pure")
     if len(a_pos) != 1 or rdims[a_pos[0]] != 2:
@@ -258,14 +271,14 @@ def negativity(state: MultipartiteState, cut: Cut, normalized: bool = False) -> 
     With ``normalized`` the value is doubled so a maximally entangled qubit
     pair scores 1.
     """
-    red, rdims, a_pos, _ = _reduced(state, cut)
+    red, rdims, a_pos, *_ = _reduced(state, cut)
     n = _negativity_core(red, rdims, a_pos)
     return _flush(2.0 * n if normalized else n)
 
 
 def log_negativity(state: MultipartiteState, cut: Cut) -> float:
     """Logarithmic negativity log2(2N + 1) in ebits (N unnormalized)."""
-    red, rdims, a_pos, _ = _reduced(state, cut)
+    red, rdims, a_pos, *_ = _reduced(state, cut)
     return _flush(math.log2(2.0 * _negativity_core(red, rdims, a_pos) + 1.0))
 
 
@@ -286,7 +299,7 @@ def eof_two_qubit(rho) -> float:
 
 def eof_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     """Entanglement entropy of side A for a pure cut, in ebits."""
-    red, rdims, a_pos, _ = _reduced(state, cut)
+    red, rdims, a_pos, *_ = _reduced(state, cut)
     if tensor.purity(red) < 1.0 - PURITY_TOL:
         raise ValueError("state on the cut is not pure")
     ra = tensor.partial_trace(red, rdims, a_pos)
@@ -413,16 +426,18 @@ def classical_correlation(rho, measured: str = "b") -> float:
 def discord(rho, measured: str = "b") -> float:
     """Quantum discord I(rho) - classical_correlation(rho), in bits.
 
-    Values within -1e-6 of zero (optimizer shortfall) are clamped to 0.
+    The mutual information S(rho_A) + S(rho_B) - S(rho) takes the marginal
+    entropies from the Bloch vectors, S = h((1 + |a|)/2), and S(rho) from
+    the spectrum of the eigensolve that checks the state. Values within -1e-6
+    of zero (optimizer shortfall) are clamped to 0.
     """
-    rho = _require_two_qubit_density(rho)[0]
+    rho, evals, _ = _require_two_qubit_density(rho)
     measured = _check_measured_side(measured)
-    ra = tensor.partial_trace(rho, (2, 2), [0])
-    rb = tensor.partial_trace(rho, (2, 2), [1])
+    a, b, _ = _bloch_form(rho, measured)
     mutual = (
-        tensor.von_neumann_entropy(ra)
-        + tensor.von_neumann_entropy(rb)
-        - tensor.von_neumann_entropy(rho)
+        tensor.binary_entropy(0.5 * (1.0 + math.sqrt(float(a @ a))))
+        + tensor.binary_entropy(0.5 * (1.0 + math.sqrt(float(b @ b))))
+        - tensor._spectral_entropy(evals)
     )
     d = mutual - classical_correlation(rho, measured)
     if -1e-6 <= d < 0.0:
@@ -450,9 +465,7 @@ def evaluate(kind, state: MultipartiteState, cut: Cut) -> float:
     the requested cut dimensions.
     """
     kind = as_kind(kind)
-    red, rdims, a_pos, b_pos = _reduced(state, cut)
-    da = math.prod(rdims[i] for i in a_pos)
-    db = math.prod(rdims[i] for i in b_pos)
+    red, rdims, a_pos, b_pos, da, db = _reduced(state, cut)
     tag = kind.tag
 
     if tag is Measure.NEGATIVITY:

@@ -13,6 +13,7 @@ accumulated eigensolver error budget).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,21 +73,25 @@ def _delta(whole: float, parts, r: float) -> float:
     return _pow(whole, r) - math.fsum(_pow(p, r) for p in parts)
 
 
-def _others(state: MultipartiteState, focus: int) -> list[int]:
-    n = state.n_subsystems
+@functools.lru_cache(maxsize=64)
+def _focus_cuts(n: int, focus: int) -> tuple[tuple[int, ...], Cut | None, tuple[Cut, ...]]:
+    """The other parties of an n-party state in index order, the whole cut
+    focus : others (None if there are none) and the pair cuts focus : j."""
     if not 0 <= focus < n:
         raise ValueError(f"focus {focus} out of range for {n} subsystems")
-    return [i for i in range(n) if i != focus]
+    others = tuple(i for i in range(n) if i != focus)
+    whole = Cut((focus,), others) if others else None
+    return others, whole, tuple(Cut((focus,), (j,)) for j in others)
 
 
 def base_values(kind, state: MultipartiteState, focus: int) -> tuple[float, tuple[float, ...]]:
     """Unexponentiated measure values: whole cut and every pair cut."""
     kind = as_kind(kind)
-    others = _others(state, focus)
-    if len(others) < 2:
+    _, whole_cut, pair_cuts = _focus_cuts(state.n_subsystems, focus)
+    if len(pair_cuts) < 2:
         raise ValueError("monogamy needs at least 3 subsystems")
-    whole = evaluate(kind, state, Cut((focus,), tuple(others)))
-    parts = tuple(evaluate(kind, state, Cut((focus,), (j,))) for j in others)
+    whole = evaluate(kind, state, whole_cut)
+    parts = tuple(evaluate(kind, state, cut) for cut in pair_cuts)
     return whole, parts
 
 
@@ -183,11 +188,11 @@ def strong_monogamy_report(kind, state: MultipartiteState, focus: int, alpha: fl
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     kind = as_kind(kind)
-    others = _others(state, focus)
+    others, whole_cut, _ = _focus_cuts(state.n_subsystems, focus)
     n = len(others)
     if n < 2:
         raise ValueError("strong monogamy needs at least 2 non-focus parties")
-    whole = _pow(evaluate(kind, state, Cut((focus,), tuple(others))), alpha)
+    whole = _pow(evaluate(kind, state, whole_cut), alpha)
     terms = []
     for mask in range(1, 2**n - 1):
         members = tuple(others[i] for i in range(n) if mask >> i & 1)
@@ -223,5 +228,5 @@ def share_sum(kind, state: MultipartiteState, focus: int) -> float:
     """Sum of normalized pair-cut values around the focus party (the quantity
     whose empirical maxima bound how much correlation the focus can share)."""
     kind = MeasureKind(as_kind(kind).tag, normalized=True)
-    others = _others(state, focus)
-    return math.fsum(evaluate(kind, state, Cut((focus,), (j,))) for j in others)
+    pair_cuts = _focus_cuts(state.n_subsystems, focus)[2]
+    return math.fsum(evaluate(kind, state, cut) for cut in pair_cuts)

@@ -4,10 +4,17 @@ States and operators are plain ``numpy`` complex128 square matrices; the
 subsystem structure travels separately as a tuple of dimensions. Subsystem 0
 is the leftmost tensor factor, i.e. the most significant digit of the basis
 index (the standard Kronecker-product convention).
+
+Index plans are cached per shape: the dimension check, and the reshape and
+axis bookkeeping of the partial trace and transpose, are worked out once per
+(dimensions, subsystem set) and reused, so repeated calls on one shape do only
+the array work. A plan holds tuples of ints, never arrays, and invalid input
+raises on every call, because a plan is cached only once it is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,8 +32,8 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def check_dims(dim: int, dims) -> tuple[int, ...]:
-    """Validate subsystem dimensions against the total Hilbert-space dimension."""
+@functools.lru_cache(maxsize=256)
+def _checked_dims(dim: int, dims: tuple) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out or any(d < 2 for d in out):
         raise ValueError(f"subsystem dimensions must all be >= 2, got {out}")
@@ -35,23 +42,40 @@ def check_dims(dim: int, dims) -> tuple[int, ...]:
     return out
 
 
-def hermiticity_defect(m) -> float:
-    m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
+def check_dims(dim: int, dims) -> tuple[int, ...]:
+    """Validate subsystem dimensions against the total Hilbert-space dimension."""
+    return _checked_dims(dim, tuple(dims))
 
 
 def require_hermitian(m, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
     """Check Hermiticity within ``tol`` and return the symmetrized matrix."""
     m = as_matrix(m)
-    defect = hermiticity_defect(m)
+    m_dag = m.conj().T
+    defect = float(np.abs(m - m_dag).max())
     if defect > tol:
         raise ValueError(f"{what} is not Hermitian: max|M - M^dag| = {defect:.3e}")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m_dag)
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product; the left factor becomes the more significant subsystem."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+@functools.lru_cache(maxsize=256)
+def _trace_plan(dim: int, dims: tuple, keep: tuple):
+    """(tensor shape, axis pairs to trace in order, output dimension): the
+    traced subsystems go one at a time, highest index first."""
+    dims = _checked_dims(dim, dims)
+    n = len(dims)
+    keep_idx = sorted({int(k) for k in keep})
+    if not keep_idx:
+        raise ValueError("keep set must be nonempty")
+    if keep_idx[0] < 0 or keep_idx[-1] >= n:
+        raise ValueError(f"keep indices {keep_idx} out of range for {n} subsystems")
+    traced = sorted(set(range(n)) - set(keep_idx), reverse=True)
+    axes = tuple((i, i + n - k) for k, i in enumerate(traced))  # n - k subsystems left
+    return dims + dims, axes, math.prod(dims[i] for i in keep_idx)
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
@@ -61,32 +85,33 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     the input is preserved.
     """
     rho = as_matrix(rho)
-    dims = check_dims(rho.shape[0], dims)
-    n = len(dims)
-    keep_idx = sorted({int(k) for k in keep})
-    if not keep_idx:
-        raise ValueError("keep set must be nonempty")
-    if keep_idx[0] < 0 or keep_idx[-1] >= n:
-        raise ValueError(f"keep indices {keep_idx} out of range for {n} subsystems")
-    t = rho.reshape(dims + dims)
-    for i in sorted(set(range(n)) - set(keep_idx), reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
-    d = math.prod(dims[i] for i in keep_idx)
+    shape, axes, d = _trace_plan(rho.shape[0], tuple(dims), tuple(keep))
+    t = rho.reshape(shape)
+    for i, j in axes:
+        t = t.trace(0, i, j)
     return np.ascontiguousarray(t.reshape(d, d))
+
+
+@functools.lru_cache(maxsize=256)
+def _transpose_plan(dim: int, dims: tuple, transposed: tuple):
+    """(tensor shape, axis permutation swapping row and column index of
+    every transposed subsystem)."""
+    dims = _checked_dims(dim, dims)
+    n = len(dims)
+    tset = sorted({int(i) for i in transposed})
+    if tset and (tset[0] < 0 or tset[-1] >= n):
+        raise ValueError(f"transpose indices {tset} out of range for {n} subsystems")
+    perm = list(range(2 * n))
+    for i in tset:
+        perm[i], perm[i + n] = i + n, i
+    return dims + dims, tuple(perm)
 
 
 def partial_transpose(rho, dims, transposed) -> np.ndarray:
     """Transpose the listed subsystems only. Applying it twice is the identity."""
     rho = as_matrix(rho)
-    dims = check_dims(rho.shape[0], dims)
-    n = len(dims)
-    tset = sorted({int(i) for i in transposed})
-    if tset and (tset[0] < 0 or tset[-1] >= n):
-        raise ValueError(f"transpose indices {tset} out of range for {n} subsystems")
-    t = rho.reshape(dims + dims)
-    for i in tset:
-        t = np.swapaxes(t, i, i + n)
-    return np.ascontiguousarray(t.reshape(rho.shape))
+    shape, perm = _transpose_plan(rho.shape[0], tuple(dims), tuple(transposed))
+    return np.ascontiguousarray(rho.reshape(shape).transpose(perm).reshape(rho.shape))
 
 
 def eig_hermitian(h, tol: float = HERMITICITY_TOL):
@@ -125,7 +150,12 @@ def von_neumann_entropy(rho) -> float:
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"not unit trace: tr = {tr:.12g}")
-    lam = eigvals_hermitian(rho)
+    return _spectral_entropy(eigvals_hermitian(rho))
+
+
+def _spectral_entropy(lam: np.ndarray) -> float:
+    """-sum(lam log2 lam) of an ascending spectrum, with von_neumann_entropy's
+    clamp of [-1e-10, 0) to zero and error below it."""
     if lam[0] < -EIGENVALUE_CLAMP:
         raise ValueError(f"not positive semidefinite: min eigenvalue {lam[0]:.3e}")
     lam = lam[lam > 0.0]

@@ -222,6 +222,11 @@ def _normalized(kind) -> MeasureKind:
     return MeasureKind(as_kind(kind).tag, normalized=True)
 
 
+def _measure_extra(kind: MeasureKind) -> dict:
+    """The measure a suite ran, as recorded in its summary's extra."""
+    return {"measure": kind.label(), "normalized": kind.normalized}
+
+
 def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationSummary:
     """States monogamous at exponent r must stay monogamous at every alpha >= r.
 
@@ -235,7 +240,7 @@ def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationS
     if any(a < r for a in alphas):
         raise ValueError(f"all alphas must be >= r = {r}")
     summary = VerificationSummary("power-raising", _describe(ensemble, seed))
-    summary.extra.update({"measure": kind.label(), "r": r, "alphas": list(alphas)})
+    summary.extra.update(_measure_extra(kind), r=r, alphas=list(alphas))
 
     def slack(state):
         whole, parts = base_values(kind, state, 0)
@@ -260,7 +265,7 @@ def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> Verification
     if any(a <= 0.0 for a in alphas):
         raise ValueError("alphas must be positive")
     summary = VerificationSummary("power-lowering", _describe(ensemble, seed))
-    summary.extra.update({"measure": kind.label(), "r": r, "alphas": list(alphas)})
+    summary.extra.update(_measure_extra(kind), r=r, alphas=list(alphas))
 
     def slack(state):
         whole, parts = base_values(kind, state, 0)
@@ -335,7 +340,7 @@ def verify_mixed_lifting(kind, ensemble, seed: int) -> VerificationSummary:
             f"mixed-state lifting needs a mixed-computable measure, got {kind.label()}"
         )
     summary = VerificationSummary("mixed-lifting", _describe(ensemble, seed))
-    summary.extra["measure"] = kind.label()
+    summary.extra.update(_measure_extra(kind))
     r1 = []
 
     def slack(state):
@@ -369,7 +374,7 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
     if kind.tag not in _MIXED_COMPUTABLE:
         raise ValueError("probe needs a mixed-computable measure")
     summary = VerificationSummary("probe-high-power", _describe(ensemble, seed))
-    summary.extra.update({"measure": kind.label(), "r_values": list(rs)})
+    summary.extra.update(_measure_extra(kind), r_values=list(rs))
     per_r = {r: math.inf for r in rs}
     implication_violations = 0
     for state in _materialize(ensemble, seed):
@@ -396,8 +401,9 @@ def verify_strong_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0)
     """Both gaps of the strong monogamy chain on every sampled state."""
     from .monogamy import strong_monogamy_report
 
+    kind = as_kind(kind)
     summary = VerificationSummary("strong-monogamy", _describe(ensemble, seed))
-    summary.extra.update({"measure": as_kind(kind).label(), "alpha": float(alpha)})
+    summary.extra.update(_measure_extra(kind), alpha=float(alpha))
 
     def slack(state):
         rep = strong_monogamy_report(kind, state, focus, alpha)
@@ -411,8 +417,9 @@ def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int =
     """Every hierarchy level must stay below the whole-cut value."""
     from .monogamy import hierarchy_chain, monogamy_score as _score
 
+    kind = as_kind(kind)
     summary = VerificationSummary("hierarchy", _describe(ensemble, seed))
-    summary.extra.update({"measure": as_kind(kind).label(), "alpha": float(alpha)})
+    summary.extra.update(_measure_extra(kind), alpha=float(alpha))
 
     def slack(state):
         p = partner if partner is not None else next(

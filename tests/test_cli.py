@@ -303,6 +303,23 @@ def test_verify_probe_honours_measure(tmp_path):
     assert payload["summary"]["extra"]["measure"] == "lognegativity"
 
 
+@pytest.mark.parametrize(
+    "args,measure",
+    [
+        (("mixed",), "negativity"),
+        (("raising", "--measure", "concurrence"), "concurrence"),
+    ],
+    ids=["mixed", "raising-concurrence"],
+)
+def test_verify_reports_the_normalisation_that_ran(tmp_path, args, measure):
+    """Both suites coerce the measure to its normalized variant, whatever
+    --normalized says."""
+    out = tmp_path / "suite.json"
+    assert run("verify", *args, "--count", "2", "--out", str(out)) == EXIT_OK
+    extra = json.loads(out.read_text())["summary"]["extra"]
+    assert (extra["measure"], extra["normalized"]) == (measure, True)
+
+
 def test_verify_mixed_default_ensemble_honours_rank(tmp_path):
     out = tmp_path / "mixed.json"
     assert run("verify", "mixed", "--rank", "2", "--count", "3", "--out", str(out)) == EXIT_OK

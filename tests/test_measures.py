@@ -167,6 +167,16 @@ def test_negativity_convexity(seed):
     assert lhs <= rhs + 1e-9
 
 
+@given(seed=seeds)
+@settings(max_examples=15, deadline=None)
+def test_negativity_matches_oracle_on_mixed_qutrit_cuts(seed):
+    for dims in ((2, 3), (3, 3)):
+        s = states.random_mixed(dims, 2 + seed % 5, seed)
+        for side_a, side_b in ((0, 1), (1, 0)):
+            got = negativity(s, Cut((side_a,), (side_b,)))
+            assert abs(got - oracles.negativity(s.rho, dims, [side_a])) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # entanglement of formation
 # ---------------------------------------------------------------------------
@@ -288,6 +298,23 @@ def test_discord_values():
     assert abs(discord(states.ghz(2).rho, "b") - 1.0) < 1e-4
     product = np.kron(np.diag([0.7, 0.3]), np.diag([0.2, 0.8])).astype(complex)
     assert discord(product, "a") == 0.0
+
+
+@given(seed=seeds)
+@settings(max_examples=20, deadline=None)
+def test_discord_matches_mutual_information_formula(seed):
+    """discord takes S(rho_A), S(rho_B) from the Bloch form and S(rho) from
+    its checking eigensolve; the marginal-entropy formula is the reference."""
+    rho = states.random_mixed((2, 2), 1 + seed % 4, seed).rho
+    mutual = (
+        tensor.von_neumann_entropy(tensor.partial_trace(rho, (2, 2), [0]))
+        + tensor.von_neumann_entropy(tensor.partial_trace(rho, (2, 2), [1]))
+        - tensor.von_neumann_entropy(rho)
+    )
+    for side in "ab":
+        d = mutual - classical_correlation(rho, side)
+        want = 0.0 if -1e-6 <= d < 1e-12 else d
+        assert abs(discord(rho, side) - want) < 1e-12
 
 
 def test_discord_rejects_bad_side():

@@ -82,6 +82,29 @@ def test_score_rejects_bad_input():
         monogamy_score(NEG, states.ghz(3), 5, 1.0)
 
 
+def permute_parties(state, order):
+    """The state with party k of the result being party order[k] of ``state``."""
+    n = state.n_subsystems
+    t = state.rho.reshape(state.dims * 2).transpose(list(order) + [n + i for i in order])
+    return states.MultipartiteState(t.reshape(state.rho.shape), tuple(state.dims[i] for i in order))
+
+
+@given(seed=seeds, perm=st.permutations([1, 2, 3]),
+       tag=st.sampled_from([Measure.NEGATIVITY, Measure.LOG_NEGATIVITY, Measure.CONCURRENCE, Measure.EOF]))
+@settings(max_examples=20, deadline=None)
+def test_score_invariant_under_permuting_non_focus_parties(seed, perm, tag):
+    base = states.haar_pure((2, 2, 2, 2), seed)
+    mixed = states.random_mixed((2, 2, 3, 2), 3, seed)
+    cases = [base] + ([mixed] if tag in (Measure.NEGATIVITY, Measure.LOG_NEGATIVITY) else [])
+    order = (0, *perm)
+    for state in cases:
+        a = monogamy_score(MeasureKind(tag), state, 0, 2.0)
+        b = monogamy_score(MeasureKind(tag), permute_parties(state, order), 0, 2.0)
+        assert abs(a.whole - b.whole) < 1e-10
+        assert all(abs(b.parts[k] - a.parts[order[k + 1] - 1]) < 1e-10 for k in range(3))
+        assert abs(a.score - b.score) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # power_sweep
 # ---------------------------------------------------------------------------

@@ -19,6 +19,31 @@ def random_density(dim, rng, rank=None):
     return rho / np.trace(rho)
 
 
+PLAN_DIMS = [(2, 3), (3, 3), (2, 3, 2), (2, 2, 2, 2)]
+
+
+def index_forms(idx):
+    """One index set as an unsorted list, a set, a tuple with duplicates and
+    numpy integers: every form must select the same plan."""
+    return [
+        list(reversed(idx)),
+        set(idx),
+        tuple(idx) + tuple(idx[:1]),
+        np.array(idx, dtype=np.int64),
+        [np.int32(i) for i in idx],
+    ]
+
+
+def sequential_loops_trace(rho, dims, keep):
+    """oracles.loops_partial_trace run one traced subsystem at a time, highest
+    index first: the summation order partial_trace keeps."""
+    dims = list(dims)
+    for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        rho = oracles.loops_partial_trace(rho, dims, [j for j in range(len(dims)) if j != i])
+        del dims[i]
+    return rho
+
+
 # ---------------------------------------------------------------------------
 # kron
 # ---------------------------------------------------------------------------
@@ -67,16 +92,17 @@ def test_partial_trace_ghz_single_qubit():
     assert np.abs(got - np.eye(2) / 2).max() < 1e-15
 
 
-@given(seed=seeds)
-@settings(max_examples=20, deadline=None)
-def test_partial_trace_matches_loop_oracle(seed):
+@given(seed=seeds, dims=st.sampled_from(PLAN_DIMS), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_partial_trace_matches_loop_oracle(seed, dims, data):
     rng = np.random.default_rng(seed)
-    dims = (2, 3, 2)
-    rho = random_density(12, rng)
-    for keep in ([0], [1], [2], [0, 2], [1, 2], [0, 1]):
-        got = tensor.partial_trace(rho, dims, keep)
-        want = oracles.loops_partial_trace(rho, dims, keep)
-        assert np.abs(got - want).max() < 1e-13
+    d = int(np.prod(dims))
+    rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    keep = data.draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, unique=True))
+    want = sequential_loops_trace(rho, dims, keep)
+    assert np.abs(want - oracles.loops_partial_trace(rho, dims, keep)).max() < 1e-13
+    for form in index_forms(keep):
+        assert np.array_equal(tensor.partial_trace(rho, dims, form), want)
 
 
 @given(seed=seeds)
@@ -143,16 +169,43 @@ def test_partial_transpose_singlet_spectrum():
     assert np.abs(lam - np.array([-0.5, 0.5, 0.5, 0.5])).max() < 1e-14
 
 
-@given(seed=seeds)
-@settings(max_examples=15, deadline=None)
-def test_partial_transpose_matches_loop_oracle(seed):
+@given(seed=seeds, dims=st.sampled_from(PLAN_DIMS + [(2, 2, 3)]), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_partial_transpose_matches_loop_oracle(seed, dims, data):
     rng = np.random.default_rng(seed)
-    dims = (2, 2, 3)
-    rho = random_density(12, rng)
-    for tset in ([0], [1], [2], [0, 2]):
-        got = tensor.partial_transpose(rho, dims, tset)
-        want = oracles.loops_partial_transpose(rho, dims, tset)
-        assert np.abs(got - want).max() == 0.0
+    d = int(np.prod(dims))
+    rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    tset = data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True))
+    want = oracles.loops_partial_transpose(rho, dims, tset)
+    for form in index_forms(tset):
+        assert np.array_equal(tensor.partial_transpose(rho, dims, form), want)
+
+
+@pytest.mark.parametrize(
+    "fn,dims,idx",
+    [
+        (tensor.partial_trace, (2, 3), []),
+        (tensor.partial_trace, (2, 3), [2]),
+        (tensor.partial_trace, (2, 3), [-1, 0]),
+        (tensor.partial_trace, (2, 2), [0]),
+        (tensor.partial_transpose, (2, 3), [2]),
+        (tensor.partial_transpose, (2, 3), {0, -1}),
+        (tensor.partial_transpose, (3, 3), [0]),
+    ],
+)
+def test_invalid_input_raises_on_every_call(fn, dims, idx):
+    """Plans are cached only once built, so bad input never becomes a hit."""
+    rho = np.eye(6) / 6
+
+    def message():
+        with pytest.raises(ValueError) as exc:
+            fn(rho, dims, idx)
+        return str(exc.value)
+
+    first = message()
+    assert message() == first
+    fn(rho, (2, 3), [0])
+    assert message() == first
 
 
 # ---------------------------------------------------------------------------
