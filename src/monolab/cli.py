@@ -124,37 +124,40 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 def _measure_kind(cfg: RunConfig) -> MeasureKind:
     if cfg.measure is None:
         raise ConfigError("--measure is required for this command")
-    try:
-        return MeasureKind(measures.Measure.from_string(cfg.measure), cfg.normalized)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MeasureKind(measures.Measure.from_string(cfg.measure), cfg.normalized)
+
+
+def _check_random_flags(cfg: RunConfig, source: str) -> None:
+    """--dims goes with random-pure and random-mixed only, --rank with random-mixed."""
+    if cfg.dims is not None and source not in ("random-pure", "random-mixed"):
+        raise ConfigError(f"--dims applies to random-pure or random-mixed only, not {source}")
+    if cfg.rank is not None and source != "random-mixed":
+        raise ConfigError(f"--rank applies to random-mixed only, not {source}")
 
 
 def _resolve_state(cfg: RunConfig) -> states.MultipartiteState:
     if (cfg.state is None) == (cfg.state_file is None):
         raise ConfigError("exactly one of --state or --state-file is required")
+    name = "--state-file" if cfg.state is None else cfg.state.strip().lower()
+    _check_random_flags(cfg, name)
     if cfg.state_file is not None:
         try:
             return states.load_state(cfg.state_file)
         except (OSError, KeyError, ValueError) as exc:
             raise ConfigError(f"cannot load state file {cfg.state_file}: {exc}") from exc
-    name = cfg.state.strip().lower()
-    if name in ("random-pure", "random-mixed"):
-        dims = cfg.dims or (2, 2, 2)
-        if name == "random-pure":
-            return states.haar_pure(dims, cfg.seed)
-        rank = math.prod(dims) if cfg.rank is None else cfg.rank
-        return states.random_mixed(dims, rank, cfg.seed)
-    try:
-        return states.named_state(name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    dims = cfg.dims or (2, 2, 2)
+    if name == "random-pure":
+        return states.haar_pure(dims, cfg.seed)
+    if name == "random-mixed":
+        return states.random_mixed(dims, math.prod(dims) if cfg.rank is None else cfg.rank, cfg.seed)
+    return states.named_state(name)
 
 
 def _resolve_ensemble(cfg: RunConfig, default: str = "random-pure") -> states.EnsembleSpec:
     if cfg.state_file is not None:
         raise ConfigError("verification ensembles use --state, not --state-file")
     name = (cfg.state or default).strip().lower()
+    _check_random_flags(cfg, name)
     dims = cfg.dims or (2, 2, 2)
     if name == "random-pure":
         return states.EnsembleSpec("haar_pure", dims, cfg.count, p_grid=cfg.p_grid)
@@ -222,17 +225,7 @@ def _rows_to_csv(rows: list[dict], n_parts: int) -> str:
 def _rows_to_json(rows: list[dict], cfg: RunConfig) -> dict:
     return {
         "provenance": cfg.provenance(),
-        "rows": [
-            {
-                "p": row["p"],
-                "r": row["r"],
-                "measure": row["measure"],
-                "whole": row["whole"],
-                "parts": list(row["parts"]),
-                "delta": row["delta"],
-            }
-            for row in rows
-        ],
+        "rows": [dict(row, parts=list(row["parts"])) for row in rows],
     }
 
 
@@ -426,9 +419,7 @@ def cmd_figure(cfg: RunConfig) -> int:
 
 
 def cmd_state_export(cfg: RunConfig) -> int:
-    state = _resolve_state(cfg)
-    payload = states.state_to_json(state)
-    _write_json(cfg.out, payload)
+    _write_json(cfg.out, states.state_to_json(_resolve_state(cfg)))
     return EXIT_OK
 
 
@@ -436,16 +427,16 @@ def cmd_state_export(cfg: RunConfig) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *, state: bool = True) -> None:
-    if state:
-        p.add_argument("--state", help="named state (ghzN, wN, classical) or random-pure/random-mixed")
-        p.add_argument("--state-file", help="JSON state file {dims, rho_re, rho_im}")
-        p.add_argument("--dims", help="subsystem dimensions, e.g. 2,2,2")
-        p.add_argument("--rank", type=int, help="rank for random-mixed states")
-        p.add_argument("--focus", type=int, default=0, help="focus subsystem index (default 0)")
-    p.add_argument("--seed", type=int, default=0, help="ensemble seed (default 0)")
+# No flag declares a default: an absent flag stays None, so RunConfig's applies.
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--state", help="named state (ghzN, wN, classical) or random-pure/random-mixed")
+    p.add_argument("--state-file", help="JSON state file {dims, rho_re, rho_im}")
+    p.add_argument("--dims", help="subsystem dimensions of a random state, e.g. 2,2,2")
+    p.add_argument("--rank", type=int, help="rank for random-mixed states")
+    p.add_argument("--focus", type=int, help="focus subsystem index (default 0)")
+    p.add_argument("--seed", type=int, help="ensemble seed (default 0)")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,13 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-grid", required=True, help="exponents, e.g. 1,2 or 1:2:11")
     p.add_argument("--p-grid", required=True, help="noise weights, e.g. 0:1:51")
     _add_common(p)
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
     p = sub.add_parser("rstar", help="bisect the critical exponent of the monogamy score")
     p.add_argument("--measure", required=True)
     p.add_argument("--normalized", action="store_true")
     p.add_argument("--bracket", required=True, help="exponent bracket lo,hi")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float)
     _add_common(p)
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("theorem", choices=tuple(_SUITES))
@@ -479,16 +472,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-grid", help="exponent list for the high-power probe")
     p.add_argument("--p-grid", help="optional white-noise grid for the ensemble")
     p.add_argument("--alpha", help="target exponent(s), e.g. 2 or 2.5,3,4")
-    p.add_argument("--count", type=int, default=100, help="ensemble size / search restarts")
-    p.add_argument("--samples", type=int, default=1_000_000, help="scalar-lemma draws")
+    p.add_argument("--count", type=int, help="ensemble size / search restarts")
+    p.add_argument("--samples", type=int, help="scalar-lemma draws")
+    p.set_defaults(fmt="json")  # summaries are always JSON
     _add_common(p)
 
     p = sub.add_parser("figure", help="emit the data grid behind one of the figures")
     p.add_argument("figure", type=int, choices=(1, 2, 3))
     p.add_argument("--p-grid", help="override the default 51-point noise grid")
     p.add_argument("--r-grid", help="override the default 101-point exponent grid")
-    p.add_argument("--focus", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--focus", type=int)
     p.add_argument("--out", help="CSV path (default figureN.csv; sidecar .meta.json)")
 
     p = sub.add_parser("state-export", help="write a state as a JSON file")
@@ -496,41 +489,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    fmt = get("fmt") or "csv"
-    if get("command") == "verify" and get("fmt") is None:
-        fmt = "json"
-    return RunConfig(
-        command=args.command,
-        measure=get("measure"),
-        normalized=bool(get("normalized", False)),
-        state=get("state"),
-        state_file=get("state_file"),
-        dims=_parse_dims(args.dims) if get("dims") else None,
-        rank=get("rank"),
-        focus=get("focus", 0),
-        r=get("r"),
-        r_grid=_parse_grid(args.r_grid, "--r-grid") if get("r_grid") else None,
-        p_grid=_parse_grid(args.p_grid, "--p-grid") if get("p_grid") else None,
-        bracket=_parse_bracket(args.bracket) if get("bracket") else None,
-        tol=get("tol", 1e-4),
-        alpha=_parse_floats(args.alpha, "--alpha") if get("alpha") else None,
-        seed=get("seed", 0),
-        count=get("count", 100),
-        samples=get("samples", 1_000_000),
-        theorem=get("theorem"),
-        figure=get("figure"),
-        out=get("out"),
-        fmt=fmt,
-    )
-
-
 def _parse_bracket(text: str) -> tuple[float, float]:
     vals = _parse_floats(text, "--bracket")
     if len(vals) != 2 or not vals[0] < vals[1]:
         raise ConfigError(f"--bracket needs lo,hi with lo < hi, got {text!r}")
     return (vals[0], vals[1])
+
+
+_PARSERS = {
+    "dims": _parse_dims,
+    "r_grid": lambda text: _parse_grid(text, "--r-grid"),
+    "p_grid": lambda text: _parse_grid(text, "--p-grid"),
+    "bracket": _parse_bracket,
+    "alpha": lambda text: _parse_floats(text, "--alpha"),
+}
+
+
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Every flag given, through its parser if it has one (so "" fails there)."""
+    return RunConfig(**{
+        name: _PARSERS[name](value) if name in _PARSERS else value
+        for name, value in vars(args).items() if value is not None
+    })
 
 
 _COMMANDS = {
@@ -551,15 +531,11 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
-    except MeasureUndefinedError as exc:
+    except ValueError as exc:  # config, library argument, measure and bracket errors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MEASURE
-    except BracketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BRACKET
-    except ValueError as exc:  # ConfigError and library argument checks
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, MeasureUndefinedError):
+            return EXIT_MEASURE
+        return EXIT_BRACKET if isinstance(exc, BracketError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

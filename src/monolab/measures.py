@@ -67,16 +67,8 @@ class Measure(str, Enum):
     @classmethod
     def from_string(cls, name: str) -> "Measure":
         key = name.strip().lower().replace("-", "").replace("_", "")
-        aliases = {
-            "concurrence": cls.CONCURRENCE,
-            "negativity": cls.NEGATIVITY,
-            "lognegativity": cls.LOG_NEGATIVITY,
-            "logneg": cls.LOG_NEGATIVITY,
-            "eof": cls.EOF,
-            "discord": cls.DISCORD,
-            "classical": cls.CLASSICAL_CORRELATION,
-            "classicalcorrelation": cls.CLASSICAL_CORRELATION,
-        }
+        aliases = {m.value: m for m in cls}
+        aliases.update(logneg=cls.LOG_NEGATIVITY, classicalcorrelation=cls.CLASSICAL_CORRELATION)
         if key not in aliases:
             raise ValueError(f"unknown measure {name!r}")
         return aliases[key]
@@ -155,10 +147,7 @@ def _require_two_qubit_density(rho):
     rho = tensor.as_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit density matrix, got {rho.shape}")
-    rho = tensor.require_hermitian(rho, what="density matrix")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > tensor.TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr:.12g} != 1")
+    rho = tensor.require_density(rho)
     evals, evecs = np.linalg.eigh(rho)
     if float(evals[0]) < -POSITIVITY_TOL:
         raise ValueError("density matrix is not positive semidefinite")
@@ -271,15 +260,12 @@ def negativity(state: MultipartiteState, cut: Cut, normalized: bool = False) -> 
     With ``normalized`` the value is doubled so a maximally entangled qubit
     pair scores 1.
     """
-    red, rdims, a_pos, *_ = _reduced(state, cut)
-    n = _negativity_core(red, rdims, a_pos)
-    return _flush(2.0 * n if normalized else n)
+    return evaluate(MeasureKind(Measure.NEGATIVITY, normalized), state, cut)
 
 
 def log_negativity(state: MultipartiteState, cut: Cut) -> float:
     """Logarithmic negativity log2(2N + 1) in ebits (N unnormalized)."""
-    red, rdims, a_pos, *_ = _reduced(state, cut)
-    return _flush(math.log2(2.0 * _negativity_core(red, rdims, a_pos) + 1.0))
+    return evaluate(MeasureKind(Measure.LOG_NEGATIVITY), state, cut)
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,7 @@ class MultipartiteState:
     def __post_init__(self):
         rho = tensor.as_matrix(self.rho)
         dims = tensor.check_dims(rho.shape[0], self.dims)
-        rho_dag = rho.conj().T
-        defect = float(np.abs(rho - rho_dag).max())
-        if defect > tensor.HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
-        tr = np.trace(rho)
-        if abs(tr - 1.0) > tensor.TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr:.12g} != 1")
-        lam_min = float(np.linalg.eigvalsh(0.5 * (rho + rho_dag))[0])
+        lam_min = float(np.linalg.eigvalsh(tensor.require_density(rho))[0])
         if lam_min < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} < -1e-9")
         if self.labels is not None and len(self.labels) != len(dims):

@@ -47,19 +47,24 @@ def check_dims(dim: int, dims) -> tuple[int, ...]:
     return _checked_dims(dim, tuple(dims))
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
-    """Check Hermiticity within ``tol`` and return the symmetrized matrix."""
+def require_hermitian(m, what: str = "matrix") -> np.ndarray:
+    """Check Hermiticity within 1e-10 and return the symmetrized matrix."""
     m = as_matrix(m)
     m_dag = m.conj().T
     defect = float(np.abs(m - m_dag).max())
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian: max|M - M^dag| = {defect:.3e}")
     return 0.5 * (m + m_dag)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the left factor becomes the more significant subsystem."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+def require_density(m) -> np.ndarray:
+    """Check Hermiticity within 1e-10 and unit trace within 1e-9, and return
+    the symmetrized matrix; positivity is left to the caller's eigensolve."""
+    h = require_hermitian(m, "density matrix")
+    tr = np.trace(h)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr:.12g} != 1")
+    return h
 
 
 @functools.lru_cache(maxsize=256)
@@ -114,19 +119,10 @@ def partial_transpose(rho, dims, transposed) -> np.ndarray:
     return np.ascontiguousarray(rho.reshape(shape).transpose(perm).reshape(rho.shape))
 
 
-def eig_hermitian(h, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input is symmetrized as (H + H^dag)/2 after the Hermiticity check.
-    Returns (eigenvalues ascending, matrix of eigenvector columns).
-    """
-    h = require_hermitian(h, tol)
-    return np.linalg.eigh(h)
-
-
-def eigvals_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix."""
-    return np.linalg.eigvalsh(require_hermitian(h, tol))
+def eigvals_hermitian(h) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, symmetrized as
+    (H + H^dag)/2 after the Hermiticity check."""
+    return np.linalg.eigvalsh(require_hermitian(h))
 
 
 def trace_norm_hermitian(h) -> float:
@@ -146,11 +142,7 @@ def von_neumann_entropy(rho) -> float:
     -1e-10. Eigenvalues in [-1e-10, 0) are clamped to zero; anything more
     negative is an error, not a clamp.
     """
-    rho = as_matrix(rho)
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"not unit trace: tr = {tr:.12g}")
-    return _spectral_entropy(eigvals_hermitian(rho))
+    return _spectral_entropy(np.linalg.eigvalsh(require_density(rho)))
 
 
 def _spectral_entropy(lam: np.ndarray) -> float:

@@ -10,7 +10,7 @@ state are kept so a reported failure can be reproduced from its JSON alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .measures import (
     concurrence_two_qubit,
     eof_from_concurrence,
 )
-from .monogamy import _delta, _pow, base_values, monogamy_score
+from .monogamy import (_delta, _pow, base_values, hierarchy_chain, monogamy_score,
+                       strong_monogamy_report)
 from .states import (
     EnsembleSpec,
     MultipartiteState,
@@ -61,17 +62,7 @@ class VerificationSummary:
         return self
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "ensemble": self.ensemble,
-            "count": self.count,
-            "passes": self.passes,
-            "skipped": self.skipped,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "offender": self.offender,
-            "extra": self.extra,
-        }
+        return asdict(self)
 
 
 def _describe(ensemble, seed: int) -> dict:
@@ -399,8 +390,6 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
 
 def verify_strong_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0) -> VerificationSummary:
     """Both gaps of the strong monogamy chain on every sampled state."""
-    from .monogamy import strong_monogamy_report
-
     kind = as_kind(kind)
     summary = VerificationSummary("strong-monogamy", _describe(ensemble, seed))
     summary.extra.update(_measure_extra(kind), alpha=float(alpha))
@@ -415,8 +404,6 @@ def verify_strong_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0)
 def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0,
                            partner: int | None = None) -> VerificationSummary:
     """Every hierarchy level must stay below the whole-cut value."""
-    from .monogamy import hierarchy_chain, monogamy_score as _score
-
     kind = as_kind(kind)
     summary = VerificationSummary("hierarchy", _describe(ensemble, seed))
     summary.extra.update(_measure_extra(kind), alpha=float(alpha))
@@ -425,7 +412,7 @@ def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int =
         p = partner if partner is not None else next(
             i for i in range(state.n_subsystems) if i != focus
         )
-        whole = _score(kind, state, focus, alpha).whole
+        whole = monogamy_score(kind, state, focus, alpha).whole
         rep = hierarchy_chain(kind, state, focus, p, alpha)
         return min(whole - lvl for lvl in rep.levels)
 

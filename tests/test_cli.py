@@ -134,6 +134,14 @@ RSTAR_W3 = ("rstar", "--measure", "lognegativity", "--state", "w3")
         ("sweep", "--measure", "negativity", "--state", "random-mixed", "--rank", "0",
          "--p-grid", "0", "--r-grid", "1"),
         ("verify", "raising", "--state", "w3", "--r", "1", "--alpha", ","),
+        # an empty value reaches its parser instead of falling back to the default
+        ("verify", "functional", "--alpha=", "--count", "2"),
+        ("verify", "search", "--dims=", "--count", "1"),
+        ("verify", "search", "--count", "1", "--p-grid="),
+        # --format only where it is read, and no seed for the figures
+        ("verify", "lemmas", "--samples", "10", "--format", "csv"),
+        ("state-export", "--state", "ghz3", "--format", "csv"),
+        ("figure", "1", "--seed", "7"),
     ],
 )
 def test_config_rejects_non_finite_and_zero_values(argv, tmp_path):
@@ -164,6 +172,28 @@ def test_library_value_errors_exit_2(argv, capsys):
 def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
     assert run(*argv, "--out", str(tmp_path / "missing-dir" / "x.out")) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "raising", "--state", "w3", "--dims", "2,2,2,2", "--count", "3"),
+        ("verify", "raising", "--rank", "2", "--count", "2"),
+        ("verify", "mixed", "--state", "classical", "--rank", "2"),
+        (*SWEEP_W3, "--dims", "2,2,2", "--p-grid", "0", "--r-grid", "1"),
+        ("sweep", "--measure", "negativity", "--state", "random-pure", "--rank", "2",
+         "--p-grid", "0", "--r-grid", "1"),
+        ("state-export", "--state-file", "w3.json", "--dims", "2,2,2"),
+        ("state-export", "--state-file", "w3.json", "--rank", "2"),
+    ],
+)
+def test_dims_and_rank_rejected_where_ignored(argv, tmp_path, capsys):
+    """--dims goes with random-pure and random-mixed, --rank with random-mixed."""
+    states.save_state(states.w(3), tmp_path / "w3.json")
+    argv = [str(tmp_path / a) if a == "w3.json" else a for a in argv]
+    assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert "applies to random-" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_measure_undefined_exit(tmp_path):
@@ -231,8 +261,9 @@ def test_rstar_bad_bracket():
 def test_verify_lemmas(tmp_path):
     out = tmp_path / "lemmas.json"
     assert run("verify", "lemmas", "--samples", "20000", "--out", str(out)) == EXIT_OK
-    summary = json.loads(out.read_text())["summary"]
-    assert summary["violations"] == 0
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["violations"] == 0
+    assert payload["provenance"]["config"]["fmt"] == "json"  # summaries are always JSON
 
 
 def test_verify_raising_w3_vacuous(tmp_path):
