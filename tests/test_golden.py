@@ -1,5 +1,5 @@
-"""Golden SHA-256 digests of the figure outputs, a 5-qubit sweep and the
-counterexample search.
+"""Golden SHA-256 digests of the figure outputs, a 5-qubit sweep, the
+counterexample search and every verification summary.
 
 Any change to these bytes is a change to the published figure data and must
 be explained, never hidden by re-pinning. The CLI runs with the test's
@@ -12,8 +12,9 @@ import json
 
 import pytest
 
-from monolab import cli, verify
+from monolab import cli, states, verify
 from monolab.measures import Measure, MeasureKind
+from monolab.states import EnsembleSpec
 
 GOLDEN = {
     1: {
@@ -70,4 +71,46 @@ SEARCH = [
                          ids=[f"{t.value}-r{r:g}-{len(d)}q" for t, r, d, _ in SEARCH])
 def test_counterexample_search_matches_golden_digest(tag, r, dims, golden):
     summary = verify.counterexample_search(MeasureKind(tag), r, dims, 2, 5, 60).to_json()
+    assert hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest() == golden
+
+
+
+# every sampled suite, both scalar audits and the probe's empty edges, on
+# small seeded ensembles; each digest covers the whole summary
+_CONC = MeasureKind(Measure.CONCURRENCE, True)
+_PURE3 = EnsembleSpec("haar_pure", (2, 2, 2), 6)
+_MIXED3 = EnsembleSpec("random_mixed", (2, 2, 2), 6)
+_RANK2 = EnsembleSpec("random_mixed", (2, 2, 2), 6, ranks=(2,))
+_PURE4 = EnsembleSpec("haar_pure", (2, 2, 2, 2), 3)
+_W3_NOISE = EnsembleSpec("named", name="w3", p_grid=(0.0, 0.5))
+
+SUITES = {
+    "lemmas": (lambda: verify.check_scalar_lemmas(1000, 3), "f13d906d0c2ae57425f286bcc5afcabfd35a881c133829314a3f0f27f4fb5618"),
+    "decreasing-concave": (lambda: verify.check_decreasing_concave_family(1000, 3), "4ecd347b3ca7b22f3ca475648181d703e919ac5ff529e422af4a72210be58fc0"),
+    "raising": (lambda: verify.verify_raising(_CONC, _PURE3, 2.0, (2.5, 3.0), 3), "f18647dbed88f17887ec0c6033d0bb6a2624b08b8f04d1b4baf8876dc670cbd8"),
+    "raising-rank2": (lambda: verify.verify_raising(_CONC, _RANK2, 2.0, (2.5, 4.0), 3), "5338de2952864c102394273310ca04934660901c55656fce4246ec3dc46468dc"),
+    "lowering": (
+        lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _MIXED3, 1.0, (0.5, 0.8), 3), "a4d27bc22eb09c0d997ebbb15b1fd30a25f6b40dc8de3d63aaa4ad7d11ae9b37"
+    ),
+    "lowering-w3-noise": (
+        lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _W3_NOISE, 1.0, (0.5,), 3), "210a716de7717b1cc88f2c91ca7882dc7b1128a5e7232022e2512608eeeef8d6"
+    ),
+    "functional-pure": (lambda: verify.verify_functional_lift(_PURE3, 2.0, 3), "ec24a9d841a816965788f1a491d0619ef5815de563962d5841281c36962c4fff"),
+    "functional-rank2": (lambda: verify.verify_functional_lift(_RANK2, 2.0, 3), "9a7885f472c764d1df4059fd9cb2e138822f827ec916d60ebc6c324c78086767"),
+    "functional-explicit": (
+        lambda: verify.verify_functional_lift([states.ghz(3), states.w(3)], 2.0, 3), "4e730f643532c45935c6cbbcfd5355b758b90d91ae9b61f09bdeb7686883cbe4"
+    ),
+    "mixed": (lambda: verify.verify_mixed_lifting(Measure.NEGATIVITY, _MIXED3, 3), "003468781b306b600dc77a0b1dc56bfaab76104211ba18066106aed5eebe5f15"),
+    "probe": (lambda: verify.probe_high_power_mixed((2.0, 3.0, 4.0), _MIXED3, 3), "115f4c6727235c5a2c7942ee1c123e8258175429bd541dbb0478bc2952ad4302"),
+    "probe-no-exponents": (lambda: verify.probe_high_power_mixed((), _MIXED3, 3), "8cb93961cfa0c48b6885fb663780361fb2e1df427efc11f680cdb57e9d6f607d"),
+    "probe-empty-ensemble": (lambda: verify.probe_high_power_mixed((2.0, 3.0), [], 3), "90f2d018320bb45c1d292dc7d9bc22698c2fe1840753b5d5315f466fcc6232cc"),
+    "strong": (lambda: verify.verify_strong_chain(_CONC, _PURE4, 2.0, 3), "c1c86b0f1e57933088215bb4328124b33d63a05d57c4c087b32bf4a568cef229"),
+    "hierarchy": (lambda: verify.verify_hierarchy_chain(_CONC, _PURE4, 2.0, 3), "32bcddf77b0b4c3be8592ba6b7a655ac024752f98c5dfcfcf024090f5a358dd7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_verification_summaries_match_golden_digests(name):
+    run, golden = SUITES[name]
+    summary = run().to_json()
     assert hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest() == golden

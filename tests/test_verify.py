@@ -161,6 +161,11 @@ def test_functional_lift_mixed_states_restricted():
     assert summary.extra["mixed_restricted"] == 40  # no exact mixed whole-cut EoF
 
 
+def test_functional_lift_rejects_non_qubit_parties():
+    with pytest.raises(ValueError):
+        verify_functional_lift(EnsembleSpec("haar_pure", (2, 3, 2), 2), 2.0, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # mixed lifting and the high-power probe
 # ---------------------------------------------------------------------------
