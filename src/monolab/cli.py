@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 from . import __version__, measures, monogamy, states, verify
@@ -154,8 +154,6 @@ def _resolve_state(cfg: RunConfig) -> states.MultipartiteState:
 
 
 def _resolve_ensemble(cfg: RunConfig, default: str = "random-pure") -> states.EnsembleSpec:
-    if cfg.state_file is not None:
-        raise ConfigError("verification ensembles use --state, not --state-file")
     name = (cfg.state or default).strip().lower()
     _check_random_flags(cfg, name)
     dims = cfg.dims or (2, 2, 2)
@@ -166,9 +164,8 @@ def _resolve_ensemble(cfg: RunConfig, default: str = "random-pure") -> states.En
         return states.EnsembleSpec(
             "random_mixed", dims, cfg.count, ranks=ranks, p_grid=cfg.p_grid
         )
-    spec = states.EnsembleSpec("named", dims, 1, name=name, p_grid=cfg.p_grid)
-    states.named_state(name)  # fail fast on unknown names
-    return spec
+    return states.EnsembleSpec("named", states.named_state(name).dims, 1, name=name,
+                               p_grid=cfg.p_grid)
 
 
 def _fmt(x: float) -> str:
@@ -284,18 +281,20 @@ class _Suite:
     """How ``verify <tag>`` runs. ``run(cfg, kind, r)`` calls the library
     suite, named through its module so that it is looked up at call time;
     ``kind`` is --measure or the default ``measure``, and ``r`` is --r or the
-    default ``r``. ``reads`` lists the optional flags of _SUITE_FLAGS the tag
-    uses (a tag that reads --measure also reads --normalized); exploratory
-    tags (``asserts`` false) exit 0 whatever they find."""
+    default ``r``. ``reads`` lists the flags of _SUITE_FLAGS the tag uses (a
+    tag that reads --measure also reads --normalized); any other of them set
+    to a value other than its RunConfig default exits 2."""
 
     run: Callable[..., verify.VerificationSummary]
     reads: tuple[str, ...] = ()
     measure: MeasureKind | None = None
     r: float | None = None
-    asserts: bool = True
 
 
-_SUITE_FLAGS = ("measure", "normalized", "r", "r_grid", "p_grid", "alpha")
+_SUITE_FLAGS = ("measure", "normalized", "r", "r_grid", "p_grid", "alpha", "focus", "count",
+                "samples", "state", "state_file", "dims", "rank")
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_ENSEMBLE = ("p_grid", "count", "state", "dims", "rank")  # read by _resolve_ensemble
 _CONCURRENCE = MeasureKind(measures.Measure.CONCURRENCE, True)
 _NEGATIVITY = MeasureKind(measures.Measure.NEGATIVITY, True)
 
@@ -310,55 +309,57 @@ def _alpha(cfg: RunConfig) -> float:
 
 
 _SUITES = {
-    "lemmas": _Suite(lambda cfg, kind, r: verify.check_scalar_lemmas(cfg.samples, cfg.seed)),
+    "lemmas": _Suite(
+        lambda cfg, kind, r: verify.check_scalar_lemmas(cfg.samples, cfg.seed), ("samples",)
+    ),
     "raising": _Suite(
         lambda cfg, kind, r: verify.verify_raising(
             kind, _resolve_ensemble(cfg), r, cfg.alpha or (r + 0.5, r + 1.0, 2.0 * r), cfg.seed
         ),
-        ("measure", "r", "p_grid", "alpha"), _CONCURRENCE, 2.0,
+        ("measure", "r", "alpha", *_ENSEMBLE), _CONCURRENCE, 2.0,
     ),
     "lowering": _Suite(
         lambda cfg, kind, r: verify.verify_lowering(
             kind, _resolve_ensemble(cfg), r, cfg.alpha or (0.5 * r, 0.8 * r), cfg.seed
         ),
-        ("measure", "r", "p_grid", "alpha"),
+        ("measure", "r", "alpha", *_ENSEMBLE),
         MeasureKind(measures.Measure.LOG_NEGATIVITY, True), 1.0,
     ),
     "functional": _Suite(
         lambda cfg, kind, r: verify.verify_functional_lift(
             _resolve_ensemble(cfg), _alpha(cfg), cfg.seed
         ),
-        ("p_grid", "alpha"),
+        ("alpha", *_ENSEMBLE),
     ),
     "mixed": _Suite(
         lambda cfg, kind, r: verify.verify_mixed_lifting(
             kind, _resolve_ensemble(cfg, "random-mixed"), cfg.seed
         ),
-        ("measure", "p_grid"), _NEGATIVITY,
+        ("measure", *_ENSEMBLE), _NEGATIVITY,
     ),
     "strong": _Suite(
         lambda cfg, kind, r: verify.verify_strong_chain(
             kind, _resolve_ensemble(cfg), _alpha(cfg), cfg.seed, cfg.focus
         ),
-        ("measure", "p_grid", "alpha"), _CONCURRENCE,
+        ("measure", "alpha", "focus", *_ENSEMBLE), _CONCURRENCE,
     ),
     "hierarchy": _Suite(
         lambda cfg, kind, r: verify.verify_hierarchy_chain(
             kind, _resolve_ensemble(cfg), _alpha(cfg), cfg.seed, cfg.focus
         ),
-        ("measure", "p_grid", "alpha"), _CONCURRENCE,
+        ("measure", "alpha", "focus", *_ENSEMBLE), _CONCURRENCE,
     ),
     "probe-high-power": _Suite(
         lambda cfg, kind, r: verify.probe_high_power_mixed(
             cfg.r_grid or (2.0, 3.0, 4.0), _resolve_ensemble(cfg, "random-mixed"), cfg.seed, kind
         ),
-        ("measure", "r_grid", "p_grid"), _NEGATIVITY, asserts=False,
+        ("measure", "r_grid", *_ENSEMBLE), _NEGATIVITY,
     ),
     "search": _Suite(
         lambda cfg, kind, r: verify.counterexample_search(
             kind, r, cfg.dims or (2, 2, 2), cfg.count, cfg.seed
         ),
-        ("measure", "r"), MeasureKind(measures.Measure.LOG_NEGATIVITY), 1.0, asserts=False,
+        ("measure", "r", "count", "dims"), MeasureKind(measures.Measure.LOG_NEGATIVITY), 1.0,
     ),
 }
 
@@ -366,10 +367,7 @@ _SUITES = {
 def cmd_verify(cfg: RunConfig) -> int:
     suite = _SUITES[cfg.theorem]
     reads = suite.reads + (("normalized",) if "measure" in suite.reads else ())
-    unread = [
-        f for f in _SUITE_FLAGS
-        if f not in reads and getattr(cfg, f) is not None and getattr(cfg, f) is not False
-    ]
+    unread = [f for f in _SUITE_FLAGS if f not in reads and getattr(cfg, f) != _DEFAULTS[f]]
     if unread:
         flags = ", ".join("--" + f.replace("_", "-") for f in unread)
         raise ConfigError(f"verify {cfg.theorem} does not take {flags}")
@@ -377,7 +375,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     r = suite.r if cfg.r is None else cfg.r
     summary = suite.run(cfg, kind, r)
     _write_json(cfg.out, {"provenance": cfg.provenance(), "summary": summary.to_json()})
-    return EXIT_VIOLATION if suite.asserts and not summary.ok else EXIT_OK
+    return EXIT_OK if summary.ok else EXIT_VIOLATION  # exploratory suites never count violations
 
 
 def cmd_figure(cfg: RunConfig) -> int:
@@ -462,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket", required=True, help="exponent bracket lo,hi")
     p.add_argument("--tol", type=float)
     _add_common(p)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    p.add_argument("--format", dest="fmt", choices=("json",), help="JSON instead of text")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("theorem", choices=tuple(_SUITES))

@@ -33,7 +33,6 @@ class MultipartiteState:
 
     rho: np.ndarray
     dims: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         rho = tensor.as_matrix(self.rho)
@@ -41,8 +40,6 @@ class MultipartiteState:
         lam_min = float(np.linalg.eigvalsh(tensor.require_density(rho))[0])
         if lam_min < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} < -1e-9")
-        if self.labels is not None and len(self.labels) != len(dims):
-            raise ValueError("labels length must match dims")
         rho = rho.copy()
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
@@ -75,11 +72,7 @@ class MultipartiteState:
     def marginal(self, keep) -> "MultipartiteState":
         keep_idx = sorted({int(k) for k in keep})
         rho = tensor.partial_trace(self.rho, self.dims, keep_idx)
-        dims = tuple(self.dims[i] for i in keep_idx)
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[i] for i in keep_idx)
-        return MultipartiteState(rho, dims, labels)
+        return MultipartiteState(rho, tuple(self.dims[i] for i in keep_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +132,7 @@ def white_noise_mix(state: MultipartiteState, p: float) -> MultipartiteState:
         raise ValueError(f"noise weight p = {p} outside [0, 1]")
     d = state.dim
     rho = (1.0 - p) * state.rho + p * np.eye(d) / d
-    return MultipartiteState(rho, state.dims, state.labels)
+    return MultipartiteState(rho, state.dims)
 
 
 def classical_corr_state() -> MultipartiteState:

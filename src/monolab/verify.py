@@ -14,16 +14,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import tensor
 from .measures import (
     Measure,
     MeasureKind,
     as_kind,
-    concurrence_two_qubit,
     eof_from_concurrence,
+    eof_pure_cut,
+    evaluate,
 )
-from .monogamy import (_delta, _pow, base_values, hierarchy_chain, monogamy_score,
-                       strong_monogamy_report)
+from .monogamy import (_delta, _focus_cuts, _pow, base_values, hierarchy_chain,
+                       monogamy_score, strong_monogamy_report)
 from .states import (
     EnsembleSpec,
     MultipartiteState,
@@ -65,36 +65,29 @@ class VerificationSummary:
         return asdict(self)
 
 
-def _describe(ensemble, seed: int) -> dict:
-    if isinstance(ensemble, EnsembleSpec):
-        desc = ensemble.describe()
-    else:
-        states = list(ensemble)
-        desc = {
-            "family": "explicit",
-            "count": len(states),
-            "dims": list(states[0].dims) if states else [],
-        }
-    desc["seed"] = int(seed)
-    return desc
-
-
-def _materialize(ensemble, seed: int) -> list[MultipartiteState]:
-    if isinstance(ensemble, EnsembleSpec):
-        return sample_states(ensemble, seed)
-    return list(ensemble)
-
-
-def _run_suite(summary: VerificationSummary, ensemble, seed: int, slack_fn) -> VerificationSummary:
-    """Score every state of the ensemble with ``slack_fn`` and tally the result.
+def _run_suite(theorem: str, ensemble, seed: int, extra: dict, slack_fn,
+               tol: float = STATE_TOL) -> VerificationSummary:
+    """Score every state of the ensemble (an EnsembleSpec sampled with
+    ``seed``, or explicit states) with ``slack_fn`` and tally the result.
 
     ``slack_fn(state)`` returns the state's slack, or None when the state does
     not meet the suite's hypothesis (counted as skipped). The most negative
-    slack becomes the worst margin; the first state reaching it is reported
-    as the offender when any slack falls below -STATE_TOL.
+    slack becomes the worst margin; a slack below -tol is a violation, and
+    the first state reaching the worst margin is reported as the offender
+    when there is any. ``extra`` becomes the summary's extra as is, so
+    ``slack_fn`` may keep counters in it. Exploratory suites pass
+    ``tol = math.inf`` and so never count a violation.
     """
+    if isinstance(ensemble, EnsembleSpec):
+        desc, states = ensemble.describe(), sample_states(ensemble, seed)
+    else:
+        states = list(ensemble)
+        desc = {"family": "explicit", "count": len(states),
+                "dims": list(states[0].dims) if states else []}
+    desc["seed"] = int(seed)
+    summary = VerificationSummary(theorem, desc, extra=extra)
     worst_state = None
-    for state in _materialize(ensemble, seed):
+    for state in states:
         summary.count += 1
         slack = slack_fn(state)
         if slack is None:
@@ -103,7 +96,7 @@ def _run_suite(summary: VerificationSummary, ensemble, seed: int, slack_fn) -> V
         if slack < summary.worst_margin:
             summary.worst_margin = slack
             worst_state = state
-        if slack < -STATE_TOL:
+        if slack < -tol:
             summary.violations += 1
         else:
             summary.passes += 1
@@ -115,6 +108,27 @@ def _run_suite(summary: VerificationSummary, ensemble, seed: int, slack_fn) -> V
 # ---------------------------------------------------------------------------
 # scalar proof lemmas
 # ---------------------------------------------------------------------------
+
+def _scalar_audit(theorem: str, samples: int, seed: int):
+    """The empty summary of a scalar audit, its sample count and its generator."""
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    summary = VerificationSummary(theorem, {"samples": samples, "seed": int(seed)})
+    return summary, samples, generator(seed)
+
+
+def _tally(summary: VerificationSummary, slack: np.ndarray) -> dict:
+    """Add an array of scalar slacks to the summary; returns its worst margin
+    and its violation count."""
+    worst = float(slack.min())
+    violations = int((slack < -SCALAR_TOL).sum())
+    summary.count += len(slack)
+    summary.violations += violations
+    summary.passes += len(slack) - violations
+    summary.worst_margin = min(summary.worst_margin, worst)
+    return {"worst_margin": worst, "violations": violations}
+
 
 def check_scalar_lemmas(samples: int, seed: int) -> VerificationSummary:
     """Random audit of the scalar inequalities behind the power theorems.
@@ -128,44 +142,27 @@ def check_scalar_lemmas(samples: int, seed: int) -> VerificationSummary:
       3. (1+x)^t <= 1 + x^t          for x > 0, t <= 1
       4. sum a_i b_i <= sqrt(sum a_i^2 sum b_i^2)   (Cauchy-Schwarz)
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    summary = VerificationSummary("scalar-lemmas", {"samples": samples, "seed": int(seed)})
-    rng = generator(seed)
-    per_family = {}
+    summary, samples, rng = _scalar_audit("scalar-lemmas", samples, seed)
+    extra = summary.extra
 
     x = rng.random(samples)
     t = 1.0 + 4.0 * rng.random(samples)
-    slack = (1.0 + x) ** t - (1.0 + x**t)
-    per_family["raise_binomial"] = slack
+    extra["raise_binomial"] = _tally(summary, (1.0 + x) ** t - (1.0 + x**t))
 
     xs = rng.random((samples, 4))
     t = 1.0 + 4.0 * rng.random(samples)
     s = t + 4.0 * rng.random(samples)
     slack = (xs**t[:, None]).sum(axis=1) ** (s / t) - (xs ** s[:, None]).sum(axis=1)
-    per_family["raise_power_sum"] = slack
+    extra["raise_power_sum"] = _tally(summary, slack)
 
     x = 10.0 * (1.0 - rng.random(samples))  # in (0, 10]
     t = 1.0 - rng.random(samples)  # in (0, 1]
-    slack = (1.0 + x**t) - (1.0 + x) ** t
-    per_family["lower_binomial"] = slack
+    extra["lower_binomial"] = _tally(summary, (1.0 + x**t) - (1.0 + x) ** t)
 
     a = rng.random((samples, 4))
     b = rng.random((samples, 4))
     slack = np.sqrt((a**2).sum(axis=1) * (b**2).sum(axis=1)) - (a * b).sum(axis=1)
-    per_family["cauchy_schwarz"] = slack
-
-    worst = math.inf
-    for name, sl in per_family.items():
-        fam_min = float(sl.min())
-        fam_viol = int((sl < -SCALAR_TOL).sum())
-        summary.extra[name] = {"worst_margin": fam_min, "violations": fam_viol}
-        summary.count += samples
-        summary.violations += fam_viol
-        summary.passes += samples - fam_viol
-        worst = min(worst, fam_min)
-    summary.worst_margin = worst
+    extra["cauchy_schwarz"] = _tally(summary, slack)
     return summary._finalize()
 
 
@@ -178,13 +175,7 @@ def check_decreasing_concave_family(samples: int, seed: int) -> VerificationSumm
     side condition f^m(sum x_j) >= sum f^m(x_j) is tabulated but not
     asserted, since it fails on most of the domain.
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    summary = VerificationSummary(
-        "decreasing-concave-family", {"samples": samples, "seed": int(seed)}
-    )
-    rng = generator(seed)
+    summary, samples, rng = _scalar_audit("decreasing-concave-family", samples, seed)
     w = rng.random(samples)
     raw = rng.random((samples, 3))
     scale = w * rng.random(samples) / np.maximum(raw.sum(axis=1), 1e-300)
@@ -197,10 +188,7 @@ def check_decreasing_concave_family(samples: int, seed: int) -> VerificationSumm
     slack = (f_xs ** m[:, None]).sum(axis=1) - f_w**m
     side = (1.0 - xs.sum(axis=1) ** c) ** m - (f_xs ** m[:, None]).sum(axis=1)
 
-    summary.count = samples
-    summary.violations = int((slack < -SCALAR_TOL).sum())
-    summary.passes = samples - summary.violations
-    summary.worst_margin = float(slack.min())
+    _tally(summary, slack)
     summary.extra["side_condition_holds_fraction"] = float((side >= -SCALAR_TOL).mean())
     return summary._finalize()
 
@@ -230,8 +218,6 @@ def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationS
     alphas = tuple(float(a) for a in alphas)
     if any(a < r for a in alphas):
         raise ValueError(f"all alphas must be >= r = {r}")
-    summary = VerificationSummary("power-raising", _describe(ensemble, seed))
-    summary.extra.update(_measure_extra(kind), r=r, alphas=list(alphas))
 
     def slack(state):
         whole, parts = base_values(kind, state, 0)
@@ -239,7 +225,8 @@ def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationS
             return None
         return min(_delta(whole, parts, a) for a in alphas)
 
-    return _run_suite(summary, ensemble, seed, slack)
+    return _run_suite("power-raising", ensemble, seed,
+                      dict(_measure_extra(kind), r=r, alphas=list(alphas)), slack)
 
 
 def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> VerificationSummary:
@@ -255,8 +242,6 @@ def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> Verification
         raise ValueError(f"all alphas must be <= r = {r}")
     if any(a <= 0.0 for a in alphas):
         raise ValueError("alphas must be positive")
-    summary = VerificationSummary("power-lowering", _describe(ensemble, seed))
-    summary.extra.update(_measure_extra(kind), r=r, alphas=list(alphas))
 
     def slack(state):
         whole, parts = base_values(kind, state, 0)
@@ -264,7 +249,8 @@ def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> Verification
             return None
         return min(math.fsum(_pow(p, a) for p in parts) - _pow(whole, a) for a in alphas)
 
-    return _run_suite(summary, ensemble, seed, slack)
+    return _run_suite("power-lowering", ensemble, seed,
+                      dict(_measure_extra(kind), r=r, alphas=list(alphas)), slack)
 
 
 # ---------------------------------------------------------------------------
@@ -280,42 +266,48 @@ def verify_functional_lift(ensemble, m: float, seed: int) -> VerificationSummary
     exact whole-cut E, so only the scalar side condition
     E(sqrt(sum c_j^2))^m >= sum E(c_j)^m on the sampled pair concurrences is
     asserted for them; configurations with sum c_j^2 > 1 are flagged as out
-    of range rather than failed.
+    of range rather than failed. Every state must have two or more parties,
+    all qubits.
     """
     m = float(m)
-    summary = VerificationSummary("functional-lift-eof", _describe(ensemble, seed))
-    summary.extra.update({"m": m, "out_of_range": 0, "mixed_restricted": 0})
+    extra = {"m": m, "out_of_range": 0, "mixed_restricted": 0}
 
     def slack(state):
-        others = [i for i in range(state.n_subsystems) if i != 0]
-        pairs = [
-            tensor.partial_trace(state.rho, state.dims, [0, j]) for j in others
-        ]
-        cs = [concurrence_two_qubit(p) for p in pairs]
+        if state.n_subsystems < 2 or any(d != 2 for d in state.dims):
+            raise ValueError(
+                f"functional lift needs two or more qubits, got dims {list(state.dims)}"
+            )
+        _, whole_cut, pair_cuts = _focus_cuts(state.n_subsystems, 0)
+        cs = [evaluate(Measure.CONCURRENCE, state, cut) for cut in pair_cuts]
         eofs = [eof_from_concurrence(c) for c in cs]
         slacks = []
-        if state.is_pure():
-            whole = tensor.von_neumann_entropy(
-                tensor.partial_trace(state.rho, state.dims, [0])
-            )
-            slacks.append(_delta(whole, eofs, m))
+        if state.is_pure():  # entanglement entropy: evaluate(EOF) runs Wootters on 2 qubits
+            slacks.append(_delta(eof_pure_cut(state, whole_cut), eofs, m))
         else:
-            summary.extra["mixed_restricted"] += 1
+            extra["mixed_restricted"] += 1
         y = math.fsum(c * c for c in cs)
         if y <= 1.0 + SCALAR_TOL:
             slacks.append(_delta(eof_from_concurrence(math.sqrt(min(y, 1.0))), eofs, m))
         else:
-            summary.extra["out_of_range"] += 1
+            extra["out_of_range"] += 1
         return min(slacks) if slacks else 0.0
 
-    return _run_suite(summary, ensemble, seed, slack)
+    return _run_suite("functional-lift-eof", ensemble, seed, extra, slack)
 
 
 # ---------------------------------------------------------------------------
 # mixed-state lifting (squared negativity) and the high-power probe
 # ---------------------------------------------------------------------------
 
-_MIXED_COMPUTABLE = (Measure.NEGATIVITY, Measure.LOG_NEGATIVITY)
+def _mixed_computable(kind) -> MeasureKind:
+    """The normalized measure, which must be computable on mixed cuts: only
+    the negativity family is."""
+    kind = _normalized(kind)
+    if kind.tag not in (Measure.NEGATIVITY, Measure.LOG_NEGATIVITY):
+        raise ValueError(
+            f"mixed-state suites need a mixed-computable measure, got {kind.label()}"
+        )
+    return kind
 
 
 def verify_mixed_lifting(kind, ensemble, seed: int) -> VerificationSummary:
@@ -325,13 +317,7 @@ def verify_mixed_lifting(kind, ensemble, seed: int) -> VerificationSummary:
     measure is restricted to it. delta at r = 2 is asserted; delta at r = 1
     is tabulated in extra without assertion.
     """
-    kind = _normalized(kind)
-    if kind.tag not in _MIXED_COMPUTABLE:
-        raise ValueError(
-            f"mixed-state lifting needs a mixed-computable measure, got {kind.label()}"
-        )
-    summary = VerificationSummary("mixed-lifting", _describe(ensemble, seed))
-    summary.extra.update(_measure_extra(kind))
+    kind = _mixed_computable(kind)
     r1 = []
 
     def slack(state):
@@ -339,7 +325,7 @@ def verify_mixed_lifting(kind, ensemble, seed: int) -> VerificationSummary:
         r1.append(whole - math.fsum(parts))
         return _delta(whole, parts, 2.0)
 
-    _run_suite(summary, ensemble, seed, slack)
+    summary = _run_suite("mixed-lifting", ensemble, seed, _measure_extra(kind), slack)
     if r1:
         summary.extra["r1_scores"] = {
             "min": float(min(r1)),
@@ -354,34 +340,30 @@ def verify_mixed_lifting(kind, ensemble, seed: int) -> VerificationSummary:
 def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVITY) -> VerificationSummary:
     """Exploratory scores delta(r) for r >= 2 on mixed ensembles.
 
-    Asserts nothing (the high-power mixed case is open); records worst
-    margins per exponent and cross-checks the implication that delta(2) >= 0
-    with values in [0, 1] forces delta(r) >= 0 for r > 2.
+    Asserts nothing (the high-power mixed case is open), so it never counts
+    a violation; records worst margins per exponent and cross-checks the
+    implication that delta(2) >= 0 with values in [0, 1] forces delta(r) >= 0
+    for r > 2.
     """
     rs = tuple(float(r) for r in r_values)
     if any(r < 2.0 for r in rs):
         raise ValueError("probe exponents must be >= 2 (r = 2 allowed as control)")
-    kind = _normalized(kind)
-    if kind.tag not in _MIXED_COMPUTABLE:
-        raise ValueError("probe needs a mixed-computable measure")
-    summary = VerificationSummary("probe-high-power", _describe(ensemble, seed))
-    summary.extra.update(_measure_extra(kind), r_values=list(rs))
+    kind = _mixed_computable(kind)
     per_r = {r: math.inf for r in rs}
-    implication_violations = 0
-    for state in _materialize(ensemble, seed):
-        summary.count += 1
-        summary.passes += 1
+    extra = dict(_measure_extra(kind), r_values=list(rs), implication_violations=0)
+
+    def slack(state):
         whole, parts = base_values(kind, state, 0)
-        d2 = _delta(whole, parts, 2.0)
-        for r in rs:
-            d = _delta(whole, parts, r)
+        implied = _delta(whole, parts, 2.0) >= -STATE_TOL
+        ds = [_delta(whole, parts, r) for r in rs]
+        for r, d in zip(rs, ds):
             per_r[r] = min(per_r[r], d)
-            if d2 >= -STATE_TOL and d < -STATE_TOL:
-                implication_violations += 1
-    summary.worst_margin = min(per_r.values()) if per_r else 0.0
+            extra["implication_violations"] += implied and d < -STATE_TOL
+        return min(ds, default=math.inf)
+
+    summary = _run_suite("probe-high-power", ensemble, seed, extra, slack, tol=math.inf)
     summary.extra["worst_margin_per_r"] = {f"{r:g}": float(v) for r, v in per_r.items()}
-    summary.extra["implication_violations"] = implication_violations
-    return summary._finalize()
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -391,22 +373,19 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
 def verify_strong_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0) -> VerificationSummary:
     """Both gaps of the strong monogamy chain on every sampled state."""
     kind = as_kind(kind)
-    summary = VerificationSummary("strong-monogamy", _describe(ensemble, seed))
-    summary.extra.update(_measure_extra(kind), alpha=float(alpha))
 
     def slack(state):
         rep = strong_monogamy_report(kind, state, focus, alpha)
         return min(rep.whole - rep.subset_average, rep.subset_average - rep.pair_sum)
 
-    return _run_suite(summary, ensemble, seed, slack)
+    return _run_suite("strong-monogamy", ensemble, seed,
+                      dict(_measure_extra(kind), alpha=float(alpha)), slack)
 
 
 def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0,
                            partner: int | None = None) -> VerificationSummary:
     """Every hierarchy level must stay below the whole-cut value."""
     kind = as_kind(kind)
-    summary = VerificationSummary("hierarchy", _describe(ensemble, seed))
-    summary.extra.update(_measure_extra(kind), alpha=float(alpha))
 
     def slack(state):
         p = partner if partner is not None else next(
@@ -416,7 +395,8 @@ def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int =
         rep = hierarchy_chain(kind, state, focus, p, alpha)
         return min(whole - lvl for lvl in rep.levels)
 
-    return _run_suite(summary, ensemble, seed, slack)
+    return _run_suite("hierarchy", ensemble, seed,
+                      dict(_measure_extra(kind), alpha=float(alpha)), slack)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,7 @@ RSTAR_W3 = ("rstar", "--measure", "lognegativity", "--state", "w3")
         # --format only where it is read, and no seed for the figures
         ("verify", "lemmas", "--samples", "10", "--format", "csv"),
         ("state-export", "--state", "ghz3", "--format", "csv"),
+        (*RSTAR_W3, "--bracket", "1,2", "--format", "csv"),  # rstar writes text or JSON
         ("figure", "1", "--seed", "7"),
     ],
 )
@@ -367,6 +368,20 @@ def test_verify_mixed_default_ensemble_honours_rank(tmp_path):
         ("verify", "probe-high-power", "--alpha", "2"),
         ("verify", "lemmas", "--normalized"),
         ("verify", "functional", "--normalized"),
+        # only strong and hierarchy take a focus; the other suites score focus 0
+        *[("verify", tag, "--focus", "2", "--count", "1") for tag in (
+            "raising", "lowering", "functional", "mixed", "probe-high-power", "search")],
+        ("verify", "lemmas", "--samples", "10", "--count", "5"),
+        ("verify", "raising", "--count", "1", "--samples", "5"),
+        ("verify", "search", "--count", "1", "--samples", "5"),
+        ("verify", "lemmas", "--samples", "10", "--state", "w3"),
+        ("verify", "lemmas", "--samples", "10", "--dims", "2,2,2"),
+        ("verify", "lemmas", "--samples", "10", "--rank", "2"),
+        ("verify", "lemmas", "--samples", "10", "--state-file", "w3.json"),
+        ("verify", "search", "--count", "1", "--state", "w3"),
+        ("verify", "search", "--count", "1", "--rank", "2"),
+        ("verify", "search", "--count", "1", "--state-file", "w3.json"),
+        ("verify", "raising", "--count", "1", "--state-file", "w3.json"),
     ],
 )
 def test_verify_flag_the_suite_does_not_read_exits_2(argv, capsys):
@@ -380,6 +395,14 @@ def test_verify_single_exponent_tags_reject_several_alpha(tag, tmp_path, capsys)
     assert run("verify", tag, "--alpha", "2,3", "--count", "2", "--out", str(out)) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,dims", [("w4", [2, 2, 2, 2]), ("ghz5", [2] * 5),
+                                       ("classical", [2, 2, 2])])
+def test_verify_named_ensemble_records_the_state_dims(name, dims, tmp_path):
+    out = tmp_path / "out.json"
+    assert run("verify", "raising", "--state", name, "--out", str(out)) == EXIT_OK
+    assert json.loads(out.read_text())["summary"]["ensemble"]["dims"] == dims
 
 
 def test_verify_unknown_theorem_is_parse_error():

@@ -166,6 +166,12 @@ def test_functional_lift_rejects_non_qubit_parties():
         verify_functional_lift(EnsembleSpec("haar_pure", (2, 3, 2), 2), 2.0, seed=0)
 
 
+def test_functional_lift_rejects_a_single_qubit():
+    # one party has no pair terms and no whole cut to score
+    with pytest.raises(ValueError):
+        verify_functional_lift([states.haar_pure((2,), 0)], 2.0, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # mixed lifting and the high-power probe
 # ---------------------------------------------------------------------------
