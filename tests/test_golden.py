@@ -1,5 +1,6 @@
 """Golden SHA-256 digests of the figure outputs, a 5-qubit sweep, the
-counterexample search and every verification summary.
+counterexample search, every verification summary and the stdout of the CLI's
+JSON and text commands.
 
 Any change to these bytes is a change to the published figure data and must
 be explained, never hidden by re-pinning. The CLI runs with the test's
@@ -114,3 +115,49 @@ def test_verification_summaries_match_golden_digests(name):
     run, golden = SUITES[name]
     summary = run().to_json()
     assert hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest() == golden
+
+
+# stdout of each command that writes through the CLI's provenance wrapper:
+# every verify tag on a tiny ensemble, a JSON sweep, rstar as text and JSON,
+# and a random state export
+CLI_STDOUT = {
+    "verify-lemmas": (("verify", "lemmas", "--samples", "200", "--seed", "3"),
+                      "ed984e89505a1aff705050c2233e86b94228a540edc1a8e88e62704c15824b21"),
+    "verify-raising": (("verify", "raising", "--measure", "concurrence", "--normalized", "--r", "2",
+                        "--alpha", "2.5,3", "--count", "3", "--seed", "3"),
+                       "f6e05b373ae6a71fb4f78a898cf54b07c5e2727b2b9f87d16b962f08317baed1"),
+    "verify-lowering": (("verify", "lowering", "--state", "w3", "--p-grid", "0,0.5", "--alpha", "0.5"),
+                        "abde04510ca0db1acdff74a835a79f222cebfe4aa7fca67baaf8b782fd959241"),
+    "verify-functional": (("verify", "functional", "--state", "random-mixed", "--rank", "2",
+                           "--count", "3", "--seed", "3"),
+                          "db0e5849511b061c2f344c96f11d6633b108a272e475d4dba69088ff6ddc4c95"),
+    "verify-mixed": (("verify", "mixed", "--count", "3", "--seed", "3"),
+                     "a90cbce34ebc99eca74b03fb9654a4edec045b0b638bb08cb3ea70c82dcbc1ed"),
+    "verify-strong": (("verify", "strong", "--dims", "2,2,2,2", "--focus", "1", "--count", "2",
+                       "--seed", "3"),
+                      "f0477b6dada510daeded79a65cb6f96efe9a5aa8c3c5d09b258c8a4396a0afde"),
+    "verify-hierarchy": (("verify", "hierarchy", "--alpha", "2", "--count", "3", "--seed", "3"),
+                         "36eb023be0f5b5611822a5ce1e40448a4ab51f8398e75e5af7d9b38cb5f8ecc9"),
+    "verify-probe-high-power": (("verify", "probe-high-power", "--r-grid", "2,3", "--rank", "2",
+                                 "--count", "3", "--seed", "3"),
+                                "a89c1fed1c1cb685dede44185be7266765f8c3040063b26738f6d95fb0343905"),
+    "verify-search": (("verify", "search", "--dims", "2,2,2", "--count", "1", "--seed", "3"),
+                      "b689c749e62e750dd33e596252fcdea10ba82ef52990e8fc2c22b543606379f1"),
+    "sweep-json": (("sweep", "--measure", "negativity", "--state", "w3", "--p-grid", "0:1:3",
+                    "--r-grid", "1,2", "--format", "json"),
+                   "872cc94e48aaee5f22dac7a6fcbb9e4b619e12e583501bf3e6d7dae8d56b0c95"),
+    "rstar-text": (("rstar", "--measure", "lognegativity", "--state", "w3", "--bracket", "1,2"),
+                   "2482c09b0db54a8bcb0caf7a24460dde5ef940b14e0d7c138673f0aad6dfb990"),
+    "rstar-json": (("rstar", "--measure", "lognegativity", "--state", "w3", "--bracket", "1,2",
+                    "--tol", "1e-3", "--format", "json"),
+                   "8295ebd693658133157092eb7feeb46c7d93cf3b892819c83cf42a07fcba83f4"),
+    "state-export": (("state-export", "--state", "random-mixed", "--rank", "2", "--seed", "3"),
+                     "345f6139ae4238b2c87d0a00e312e984e7b04540523fb7716f07c845008c14fb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_STDOUT))
+def test_cli_stdout_matches_golden_digests(name, capsys):
+    argv, golden = CLI_STDOUT[name]
+    assert cli.main(list(argv)) == cli.EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == golden
