@@ -10,11 +10,12 @@ floats so identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import __version__, measures, monogamy, states, verify
@@ -81,7 +82,9 @@ class RunConfig:
         return {"artifact": "monolab", "version": __version__, "config": cfg}
 
 
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
+# Value parsers for argparse's type=; argparse names the flag in the message.
+
+def _parse_floats(text: str) -> tuple[float, ...]:
     text = text.strip()
     try:
         if ":" in text:
@@ -96,34 +99,39 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
         else:
             vals = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
     if not vals:
-        raise ConfigError(f"{what} must be nonempty")
+        raise argparse.ArgumentTypeError("must be nonempty")
     if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"{what} values must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
     return vals
 
 
-def _parse_grid(text: str, what: str) -> tuple[float, ...]:
-    grid = _parse_floats(text, what)
+def _parse_grid(text: str) -> tuple[float, ...]:
+    grid = _parse_floats(text)
     if list(grid) != sorted(grid):
-        raise ConfigError(f"{what} must be sorted ascending")
+        raise argparse.ArgumentTypeError("must be sorted ascending")
     return grid
+
+
+def _parse_bracket(text: str) -> tuple[float, float]:
+    vals = _parse_floats(text)
+    if len(vals) != 2 or not vals[0] < vals[1]:
+        raise argparse.ArgumentTypeError(f"needs lo,hi with lo < hi, got {text!r}")
+    return (vals[0], vals[1])
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise ConfigError(f"cannot parse dims {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
     if not dims or any(d < 2 for d in dims):
-        raise ConfigError(f"dims must all be >= 2, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must all be >= 2, got {text!r}")
     return dims
 
 
 def _measure_kind(cfg: RunConfig) -> MeasureKind:
-    if cfg.measure is None:
-        raise ConfigError("--measure is required for this command")
     return MeasureKind(measures.Measure.from_string(cfg.measure), cfg.normalized)
 
 
@@ -143,7 +151,7 @@ def _resolve_state(cfg: RunConfig) -> states.MultipartiteState:
     if cfg.state_file is not None:
         try:
             return states.load_state(cfg.state_file)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot load state file {cfg.state_file}: {exc}") from exc
     dims = cfg.dims or (2, 2, 2)
     if name == "random-pure":
@@ -233,8 +241,6 @@ def _rows_to_json(rows: list[dict], cfg: RunConfig) -> dict:
 def cmd_sweep(cfg: RunConfig) -> int:
     kind = _measure_kind(cfg)
     base = _resolve_state(cfg)
-    if cfg.p_grid is None or cfg.r_grid is None:
-        raise ConfigError("sweep requires --p-grid and --r-grid")
     rows = _sweep_rows(kind, base, cfg.focus, cfg.p_grid, cfg.r_grid)
     n_parts = base.n_subsystems - 1
     if cfg.fmt == "csv":
@@ -247,8 +253,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_rstar(cfg: RunConfig) -> int:
     kind = _measure_kind(cfg)
     state = _resolve_state(cfg)
-    if cfg.bracket is None:
-        raise ConfigError("rstar requires --bracket lo,hi")
     result = monogamy.critical_exponent(kind, state, cfg.focus, cfg.bracket, cfg.tol)
     if cfg.fmt == "json":
         _write_json(
@@ -281,9 +285,9 @@ class _Suite:
     """How ``verify <tag>`` runs. ``run(cfg, kind, r)`` calls the library
     suite, named through its module so that it is looked up at call time;
     ``kind`` is --measure or the default ``measure``, and ``r`` is --r or the
-    default ``r``. ``reads`` lists the flags of _SUITE_FLAGS the tag uses (a
-    tag that reads --measure also reads --normalized); any other of them set
-    to a value other than its RunConfig default exits 2."""
+    default ``r``. ``reads`` lists the flags the tag uses besides --seed and
+    --out (a tag that reads --measure also reads --normalized); the tag's
+    parser declares only those, so argparse rejects any other."""
 
     run: Callable[..., verify.VerificationSummary]
     reads: tuple[str, ...] = ()
@@ -291,9 +295,6 @@ class _Suite:
     r: float | None = None
 
 
-_SUITE_FLAGS = ("measure", "normalized", "r", "r_grid", "p_grid", "alpha", "focus", "count",
-                "samples", "state", "state_file", "dims", "rank")
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _ENSEMBLE = ("p_grid", "count", "state", "dims", "rank")  # read by _resolve_ensemble
 _CONCURRENCE = MeasureKind(measures.Measure.CONCURRENCE, True)
 _NEGATIVITY = MeasureKind(measures.Measure.NEGATIVITY, True)
@@ -366,11 +367,6 @@ _SUITES = {
 
 def cmd_verify(cfg: RunConfig) -> int:
     suite = _SUITES[cfg.theorem]
-    reads = suite.reads + (("normalized",) if "measure" in suite.reads else ())
-    unread = [f for f in _SUITE_FLAGS if f not in reads and getattr(cfg, f) != _DEFAULTS[f]]
-    if unread:
-        flags = ", ".join("--" + f.replace("_", "-") for f in unread)
-        raise ConfigError(f"verify {cfg.theorem} does not take {flags}")
     kind = suite.measure if cfg.measure is None else _measure_kind(cfg)
     r = suite.r if cfg.r is None else cfg.r
     summary = suite.run(cfg, kind, r)
@@ -425,18 +421,36 @@ def cmd_state_export(cfg: RunConfig) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-# No flag declares a default: an absent flag stays None, so RunConfig's applies.
+# Each flag's add_argument options, declared once and keyed by its dest. No
+# flag declares a default: an absent flag stays None, so RunConfig's applies.
+_FLAGS = {
+    "measure": dict(help="correlation measure, e.g. negativity, lognegativity, concurrence"),
+    "normalized": dict(action="store_true", help="use the normalized variant of --measure"),
+    "r": dict(type=float, help="hypothesis exponent"),
+    "r_grid": dict(type=_parse_grid, help="exponents, e.g. 1,2 or 1:2:11"),
+    "p_grid": dict(type=_parse_grid, help="white-noise weights, e.g. 0:1:51"),
+    "bracket": dict(type=_parse_bracket, help="exponent bracket lo,hi"),
+    "tol": dict(type=float, help="bisection tolerance (default 1e-4)"),
+    "alpha": dict(type=_parse_floats, help="target exponent(s), e.g. 2 or 2.5,3,4"),
+    "count": dict(type=int, help="ensemble size / search restarts (default 100)"),
+    "samples": dict(type=int, help="scalar-lemma draws"),
+    "state": dict(help="named state (ghzN, wN, classical) or random-pure/random-mixed"),
+    "state_file": dict(help="JSON state file {dims, rho_re, rho_im}"),
+    "dims": dict(type=_parse_dims, help="subsystem dimensions of a random state, e.g. 2,2,2"),
+    "rank": dict(type=int, help="rank for random-mixed states"),
+    "focus": dict(type=int, help="focus subsystem index (default 0)"),
+    "seed": dict(type=int, help="ensemble seed (default 0)"),
+    "out": dict(help="output path (default stdout; figureN.csv plus .meta.json for figure)"),
+}
+_STATE = ("state", "state_file", "dims", "rank", "seed", "out")
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", help="named state (ghzN, wN, classical) or random-pure/random-mixed")
-    p.add_argument("--state-file", help="JSON state file {dims, rho_re, rho_im}")
-    p.add_argument("--dims", help="subsystem dimensions of a random state, e.g. 2,2,2")
-    p.add_argument("--rank", type=int, help="rank for random-mixed states")
-    p.add_argument("--focus", type=int, help="focus subsystem index (default 0)")
-    p.add_argument("--seed", type=int, help="ensemble seed (default 0)")
-    p.add_argument("--out", help="output path (default stdout)")
+
+def _add_flags(p: argparse.ArgumentParser, names, required=()) -> None:
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), required=name in required, **_FLAGS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monolab",
@@ -447,68 +461,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="monogamy scores over a noise and exponent grid")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--normalized", action="store_true")
-    p.add_argument("--r-grid", required=True, help="exponents, e.g. 1,2 or 1:2:11")
-    p.add_argument("--p-grid", required=True, help="noise weights, e.g. 0:1:51")
-    _add_common(p)
+    _add_flags(p, ("measure", "normalized", "r_grid", "p_grid", "focus", *_STATE),
+               required=("measure", "r_grid", "p_grid"))
     p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
     p = sub.add_parser("rstar", help="bisect the critical exponent of the monogamy score")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--normalized", action="store_true")
-    p.add_argument("--bracket", required=True, help="exponent bracket lo,hi")
-    p.add_argument("--tol", type=float)
-    _add_common(p)
+    _add_flags(p, ("measure", "normalized", "bracket", "tol", "focus", *_STATE),
+               required=("measure", "bracket"))
     p.add_argument("--format", dest="fmt", choices=("json",), help="JSON instead of text")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("theorem", choices=tuple(_SUITES))
-    p.add_argument("--measure")
-    p.add_argument("--normalized", action="store_true")
-    p.add_argument("--r", type=float, help="hypothesis exponent")
-    p.add_argument("--r-grid", help="exponent list for the high-power probe")
-    p.add_argument("--p-grid", help="optional white-noise grid for the ensemble")
-    p.add_argument("--alpha", help="target exponent(s), e.g. 2 or 2.5,3,4")
-    p.add_argument("--count", type=int, help="ensemble size / search restarts")
-    p.add_argument("--samples", type=int, help="scalar-lemma draws")
     p.set_defaults(fmt="json")  # summaries are always JSON
-    _add_common(p)
+    tags = p.add_subparsers(dest="theorem", required=True)
+    for tag, suite in _SUITES.items():
+        # no abbreviations: on a tag without --r, "--r" would resolve to --rank
+        normalized = ("normalized",) if "measure" in suite.reads else ()
+        _add_flags(tags.add_parser(tag, allow_abbrev=False),
+                   (*suite.reads, *normalized, "seed", "out"))
 
     p = sub.add_parser("figure", help="emit the data grid behind one of the figures")
     p.add_argument("figure", type=int, choices=(1, 2, 3))
-    p.add_argument("--p-grid", help="override the default 51-point noise grid")
-    p.add_argument("--r-grid", help="override the default 101-point exponent grid")
-    p.add_argument("--focus", type=int)
-    p.add_argument("--out", help="CSV path (default figureN.csv; sidecar .meta.json)")
+    _add_flags(p, ("p_grid", "r_grid", "focus", "out"))
 
-    p = sub.add_parser("state-export", help="write a state as a JSON file")
-    _add_common(p)
+    _add_flags(sub.add_parser("state-export", help="write a state as a JSON file"), _STATE)
     return parser
 
 
-def _parse_bracket(text: str) -> tuple[float, float]:
-    vals = _parse_floats(text, "--bracket")
-    if len(vals) != 2 or not vals[0] < vals[1]:
-        raise ConfigError(f"--bracket needs lo,hi with lo < hi, got {text!r}")
-    return (vals[0], vals[1])
-
-
-_PARSERS = {
-    "dims": _parse_dims,
-    "r_grid": lambda text: _parse_grid(text, "--r-grid"),
-    "p_grid": lambda text: _parse_grid(text, "--p-grid"),
-    "bracket": _parse_bracket,
-    "alpha": lambda text: _parse_floats(text, "--alpha"),
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Every flag given, through its parser if it has one (so "" fails there)."""
-    return RunConfig(**{
-        name: _PARSERS[name](value) if name in _PARSERS else value
-        for name, value in vars(args).items() if value is not None
-    })
+    return RunConfig(**{name: value for name, value in vars(args).items() if value is not None})
 
 
 _COMMANDS = {

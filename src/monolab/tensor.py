@@ -48,11 +48,12 @@ def check_dims(dim: int, dims) -> tuple[int, ...]:
 
 
 def require_hermitian(m, what: str = "matrix") -> np.ndarray:
-    """Check Hermiticity within 1e-10 and return the symmetrized matrix."""
+    """Check Hermiticity within 1e-10 and return the symmetrized matrix. A NaN
+    or infinite entry fails too: it makes the defect NaN (or infinite)."""
     m = as_matrix(m)
     m_dag = m.conj().T
     defect = float(np.abs(m - m_dag).max())
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian: max|M - M^dag| = {defect:.3e}")
     return 0.5 * (m + m_dag)
 

@@ -382,11 +382,15 @@ def test_verify_mixed_default_ensemble_honours_rank(tmp_path):
         ("verify", "search", "--count", "1", "--rank", "2"),
         ("verify", "search", "--count", "1", "--state-file", "w3.json"),
         ("verify", "raising", "--count", "1", "--state-file", "w3.json"),
+        # a flag set to its RunConfig default is still a flag the suite does not read
+        ("verify", "raising", "--focus", "0", "--count", "1"),
+        ("verify", "lemmas", "--samples", "10", "--count", "100"),
+        ("state-export", "--state", "w3", "--focus", "2"),
     ],
 )
 def test_verify_flag_the_suite_does_not_read_exits_2(argv, capsys):
     assert run(*argv) == EXIT_CONFIG
-    assert "does not take" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tag", ["functional", "strong", "hierarchy"])
@@ -482,6 +486,41 @@ def test_state_export_random_reproducible(tmp_path):
             "--rank", "2", "--seed", "9", "--out", str(path),
         ) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("defect", ["nan-entry", "null-rho-im"])
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--measure", "negativity", "--p-grid", "0", "--r-grid", "1"), ("state-export",)],
+    ids=["sweep", "state-export"],
+)
+def test_non_finite_state_file_exits_2(defect, argv, tmp_path, capsys):
+    """A NaN entry or a null rho_im fails the Hermiticity check, before any
+    eigensolve, whose handling of NaN depends on the LAPACK build; otherwise
+    a sweep can print a row of zeros and state-export write NaN, which is
+    not JSON."""
+    obj = states.state_to_json(states.classical_corr_state())
+    if defect == "nan-entry":
+        obj["rho_re"][0][0] = math.nan
+    else:
+        obj["rho_im"] = None
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    assert run(*argv, "--state-file", str(path), "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert "not Hermitian" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"dims": 3, "rho_re": [[1.0]], "rho_im": [[0.0]]}', "[1, 2]"],
+    ids=["integer-dims", "top-level-array"],
+)
+def test_malformed_state_file_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    assert run("state-export", "--state-file", str(path)) == EXIT_CONFIG
+    assert "cannot load state file" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monolab
+import oracles
 from monolab import states
 from monolab.measures import Cut, Measure, MeasureKind, evaluate
 from monolab.monogamy import (
@@ -22,6 +23,7 @@ from monolab.monogamy import (
     share_sum,
     strong_monogamy_report,
 )
+from monolab.verify import STATE_TOL
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -103,6 +105,56 @@ def test_score_invariant_under_permuting_non_focus_parties(seed, perm, tag):
         assert abs(a.whole - b.whole) < 1e-10
         assert all(abs(b.parts[k] - a.parts[order[k + 1] - 1]) < 1e-10 for k in range(3))
         assert abs(a.score - b.score) < 1e-10
+
+
+def rotate_locally(state, rng):
+    """U rho U^dag for U a tensor product of random one-party unitaries."""
+    u = np.eye(1)
+    for d in state.dims:
+        u = np.kron(u, oracles.gram_schmidt_unitary(d, rng))
+    return states.MultipartiteState(u @ state.rho @ u.conj().T, state.dims)
+
+
+MIXED_TAGS = (Measure.NEGATIVITY, Measure.LOG_NEGATIVITY)
+PURE_TAGS = (Measure.CONCURRENCE, Measure.EOF)
+
+
+@given(seed=seeds, n=st.sampled_from([3, 4]), tag=st.sampled_from(MIXED_TAGS + PURE_TAGS),
+       normalized=st.booleans(), r=st.floats(min_value=0.5, max_value=3.0))
+@settings(max_examples=25, deadline=None)
+def test_score_invariant_under_local_unitaries(seed, n, tag, normalized, r):
+    """The negativity family on rank-3 mixed states, concurrence and EoF on
+    pure states."""
+    dims = (2,) * n
+    state = states.random_mixed(dims, 3, seed) if tag in MIXED_TAGS else states.haar_pure(dims, seed)
+    kind, focus = MeasureKind(tag, normalized), seed % n
+    a = monogamy_score(kind, state, focus, r)
+    b = monogamy_score(kind, rotate_locally(state, np.random.default_rng(seed)), focus, r)
+    assert abs(a.whole - b.whole) < 1e-9
+    assert all(abs(x - y) < 1e-9 for x, y in zip(a.parts, b.parts))
+    assert abs(a.score - b.score) < 1e-9
+
+
+R_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 4.0)
+
+
+@given(seed=seeds, n=st.sampled_from([3, 4]), tag=st.sampled_from(MIXED_TAGS + PURE_TAGS),
+       p=st.floats(min_value=0.0, max_value=0.3))
+@settings(max_examples=30, deadline=None)
+def test_transfer_theorems_hold_on_sampled_states(seed, n, tag, p):
+    """Raising: delta(r) >= -tol gives delta(s) >= -tol for every s >= r.
+    Lowering: delta(r) <= tol gives delta(s) <= tol for every s <= r. Pure
+    states, with white noise mixed in for the negativity family; many of them
+    change sign on the grid."""
+    state = states.haar_pure((2,) * n, seed)
+    if tag in MIXED_TAGS:
+        state = states.white_noise_mix(state, p)
+    deltas = [rep.score for rep in power_sweep(MeasureKind(tag, True), state, 0, R_GRID)]
+    for i, delta in enumerate(deltas):
+        if delta >= -STATE_TOL:
+            assert all(d >= -STATE_TOL for d in deltas[i + 1:])
+        if delta <= STATE_TOL:
+            assert all(d <= STATE_TOL for d in deltas[:i])
 
 
 # ---------------------------------------------------------------------------

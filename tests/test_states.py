@@ -202,6 +202,12 @@ def test_state_invariant_rejections():
         states.MultipartiteState(np.diag([1.5, -0.5]), (2,))  # positivity
     with pytest.raises(ValueError):
         states.MultipartiteState(np.eye(4) / 4, (2, 3))  # dims mismatch
+    # non-finite entries: every comparison with NaN is false
+    for rho in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, -np.inf])):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            states.MultipartiteState(rho, (2,))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        states.MultipartiteState.from_vector([1.0, np.nan, 0.0, 0.0], (2, 2))
 
 
 # ---------------------------------------------------------------------------
