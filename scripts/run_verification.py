@@ -6,6 +6,9 @@ Usage:
 
 Larger --count / --samples values tighten the sampling at the cost of
 runtime; defaults finish in well under a minute.
+
+Exit codes, as for the monolab CLI: 0 every suite passed, 2 bad arguments
+(including --count or --samples below 1), 5 some suite counted violations.
 """
 
 import argparse
@@ -15,15 +18,23 @@ import sys
 
 from monolab.measures import Measure, MeasureKind
 from monolab.states import EnsembleSpec
-from monolab import verify
+from monolab import cli, verify
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="verification", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=300, help="states per ensemble")
-    parser.add_argument("--samples", type=int, default=1_000_000, help="scalar-lemma draws")
+    parser.add_argument("--count", type=positive_int, default=300, help="states per ensemble")
+    parser.add_argument("--samples", type=positive_int, default=1_000_000,
+                        help="scalar-lemma draws")
     args = parser.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
 
@@ -77,7 +88,7 @@ def main() -> int:
         )
         if not summary.ok:  # exploratory suites never count violations
             failures += 1
-    return 1 if failures else 0
+    return cli.EXIT_VIOLATION if failures else cli.EXIT_OK
 
 
 if __name__ == "__main__":

@@ -34,10 +34,6 @@ FIGURE_P_GRID = tuple(i / 50.0 for i in range(51))  # p in [0, 1], step 0.02
 FIGURE_R_GRID = tuple(1.0 + 0.002 * i for i in range(101))  # r in [1, 1.2]
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Echo of one CLI invocation, embedded in JSON outputs for provenance."""
@@ -67,11 +63,11 @@ class RunConfig:
     def __post_init__(self):
         for flag, value in (("--count", self.count), ("--samples", self.samples)):
             if value < 1:
-                raise ConfigError(f"{flag} must be >= 1, got {value}")
+                raise ValueError(f"{flag} must be >= 1, got {value}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigError(f"--tol must be positive and finite, got {self.tol!r}")
+            raise ValueError(f"--tol must be positive and finite, got {self.tol!r}")
         if self.r is not None and not math.isfinite(self.r):
-            raise ConfigError(f"--r must be finite, got {self.r!r}")
+            raise ValueError(f"--r must be finite, got {self.r!r}")
 
     def provenance(self) -> dict:
         cfg = {
@@ -138,21 +134,21 @@ def _measure_kind(cfg: RunConfig) -> MeasureKind:
 def _check_random_flags(cfg: RunConfig, source: str) -> None:
     """--dims goes with random-pure and random-mixed only, --rank with random-mixed."""
     if cfg.dims is not None and source not in ("random-pure", "random-mixed"):
-        raise ConfigError(f"--dims applies to random-pure or random-mixed only, not {source}")
+        raise ValueError(f"--dims applies to random-pure or random-mixed only, not {source}")
     if cfg.rank is not None and source != "random-mixed":
-        raise ConfigError(f"--rank applies to random-mixed only, not {source}")
+        raise ValueError(f"--rank applies to random-mixed only, not {source}")
 
 
 def _resolve_state(cfg: RunConfig) -> states.MultipartiteState:
     if (cfg.state is None) == (cfg.state_file is None):
-        raise ConfigError("exactly one of --state or --state-file is required")
+        raise ValueError("exactly one of --state or --state-file is required")
     name = "--state-file" if cfg.state is None else cfg.state.strip().lower()
     _check_random_flags(cfg, name)
     if cfg.state_file is not None:
         try:
             return states.load_state(cfg.state_file)
         except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot load state file {cfg.state_file}: {exc}") from exc
+            raise ValueError(f"cannot load state file {cfg.state_file}: {exc}") from exc
     dims = cfg.dims or (2, 2, 2)
     if name == "random-pure":
         return states.haar_pure(dims, cfg.seed)
@@ -188,7 +184,7 @@ def _write_text(path: str | None, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: str | None, obj: dict) -> None:
@@ -305,7 +301,7 @@ def _alpha(cfg: RunConfig) -> float:
     if cfg.alpha is None:
         return 2.0
     if len(cfg.alpha) != 1:
-        raise ConfigError(f"verify {cfg.theorem} takes one --alpha value, got {len(cfg.alpha)}")
+        raise ValueError(f"verify {cfg.theorem} takes one --alpha value, got {len(cfg.alpha)}")
     return cfg.alpha[0]
 
 
@@ -452,13 +448,15 @@ def _add_flags(p: argparse.ArgumentParser, names, required=()) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # no abbreviations: a flag a command lacks, such as --r, would be read as --rank
+    new = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = new(
         prog="monolab",
         description="Monogamy scores, critical exponents, and verification suites "
         "for bipartite quantum-correlation measures.",
     )
     parser.add_argument("--version", action="version", version=f"monolab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new)
 
     p = sub.add_parser("sweep", help="monogamy scores over a noise and exponent grid")
     _add_flags(p, ("measure", "normalized", "r_grid", "p_grid", "focus", *_STATE),
@@ -472,12 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.set_defaults(fmt="json")  # summaries are always JSON
-    tags = p.add_subparsers(dest="theorem", required=True)
+    tags = p.add_subparsers(dest="theorem", required=True, parser_class=new)
     for tag, suite in _SUITES.items():
-        # no abbreviations: on a tag without --r, "--r" would resolve to --rank
         normalized = ("normalized",) if "measure" in suite.reads else ()
-        _add_flags(tags.add_parser(tag, allow_abbrev=False),
-                   (*suite.reads, *normalized, "seed", "out"))
+        _add_flags(tags.add_parser(tag), (*suite.reads, *normalized, "seed", "out"))
 
     p = sub.add_parser("figure", help="emit the data grid behind one of the figures")
     p.add_argument("figure", type=int, choices=(1, 2, 3))

@@ -30,10 +30,9 @@ from enum import Enum
 import numpy as np
 
 from . import tensor
-from .states import MultipartiteState, POSITIVITY_TOL
+from .states import MultipartiteState, POSITIVITY_TOL, PURITY_TOL
 
 FLUSH_TOL = 1e-12
-PURITY_TOL = 1e-9
 RANK_TOL = 1e-9
 
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -227,7 +226,7 @@ def tangle_rank2(rho, dims, a_index: int) -> float:
             f"concurrence undefined on a mixed cut of rank > 2 (third eigenvalue {evals[-3]:.3e})"
         )
     lam0 = float(evals[-1])
-    lam1 = float(max(evals[-2], 0.0)) if rho.shape[0] > 1 else 0.0
+    lam1 = float(max(evals[-2], 0.0))
     support = evecs[:, -2:][:, ::-1]  # columns: dominant, subdominant
     # Phi(sigma_mu) = tr_B(W sigma_mu W^dag) maps the support qubit to A.
     l_ops = [
@@ -302,8 +301,11 @@ def _bloch_form(rho, measured: str):
     """(a, b, T) with rho = (I + a.s x I + I x b.s + sum_ij T_ij s_i x s_j)/4,
     oriented so that b is the measured qubit's Bloch vector, a the other
     qubit's, and T the correlation matrix with rows on the other qubit."""
+    side = str(measured).strip().lower()
+    if side not in ("a", "b"):
+        raise ValueError(f"measured side must be 'a' or 'b', got {measured!r}")
     r = np.real(np.einsum("abxy,mxa,nyb->mn", rho.reshape(2, 2, 2, 2), _PAULI, _PAULI))
-    if measured == "a":
+    if side == "a":
         r = r.T
     return r[1:, 0], r[0, 1:], r[1:, 1:]
 
@@ -350,11 +352,15 @@ def _conditional_entropy(a, b, t, theta: float, phi: float) -> float:
     return total
 
 
-def _check_measured_side(measured: str) -> str:
-    side = str(measured).strip().lower()
-    if side not in ("a", "b"):
-        raise ValueError(f"measured side must be 'a' or 'b', got {measured!r}")
-    return side
+def _golden_step(g, lo: float, hi: float):
+    """One golden-section step for a minimum of g on [lo, hi]: the narrowed
+    (lo, hi) and the kept probe x with g(x), the lower probe on a tie."""
+    m1 = hi - _GOLDEN * (hi - lo)
+    m2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = g(m1), g(m2)
+    if f1 <= f2:
+        return lo, m2, m1, f1
+    return m1, hi, m2, f2
 
 
 def classical_correlation(rho, measured: str = "b") -> float:
@@ -370,7 +376,7 @@ def classical_correlation(rho, measured: str = "b") -> float:
     alternating golden-section steps in theta and phi.
     """
     rho = _require_two_qubit_density(rho)[0]
-    a, b, t = _bloch_form(rho, _check_measured_side(measured))
+    a, b, t = _bloch_form(rho, measured)
     s_other = tensor.binary_entropy(0.5 * (1.0 + math.sqrt(float(a @ a))))
 
     thetas = np.linspace(0.0, np.pi, _GRID_POINTS)
@@ -388,24 +394,9 @@ def classical_correlation(rho, measured: str = "b") -> float:
     lo_t, hi_t = th - np.pi / (_GRID_POINTS - 1), th + np.pi / (_GRID_POINTS - 1)
     lo_p, hi_p = ph - np.pi / _GRID_POINTS, ph + np.pi / _GRID_POINTS
     for _ in range(_REFINE_ITERATIONS):
-        m1 = hi_t - _GOLDEN * (hi_t - lo_t)
-        m2 = lo_t + _GOLDEN * (hi_t - lo_t)
-        f1, f2 = f(m1, ph), f(m2, ph)
-        if f1 <= f2:
-            hi_t = m2
-        else:
-            lo_t = m1
-        th = m1 if f1 <= f2 else m2
-        best = min(best, f1, f2)
-        m1 = hi_p - _GOLDEN * (hi_p - lo_p)
-        m2 = lo_p + _GOLDEN * (hi_p - lo_p)
-        f1, f2 = f(th, m1), f(th, m2)
-        if f1 <= f2:
-            hi_p = m2
-        else:
-            lo_p = m1
-        ph = m1 if f1 <= f2 else m2
-        best = min(best, f1, f2)
+        lo_t, hi_t, th, f_t = _golden_step(lambda x: f(x, ph), lo_t, hi_t)
+        lo_p, hi_p, ph, f_p = _golden_step(lambda x: f(th, x), lo_p, hi_p)
+        best = min(best, f_t, f_p)
     return _flush(max(s_other - best, 0.0))
 
 
@@ -418,7 +409,6 @@ def discord(rho, measured: str = "b") -> float:
     of zero (optimizer shortfall) are clamped to 0.
     """
     rho, evals, _ = _require_two_qubit_density(rho)
-    measured = _check_measured_side(measured)
     a, b, _ = _bloch_form(rho, measured)
     mutual = (
         tensor.binary_entropy(0.5 * (1.0 + math.sqrt(float(a @ a))))
@@ -489,6 +479,4 @@ def evaluate(kind, state: MultipartiteState, cut: Cut) -> float:
         measured = "a" if b_pos[0] == 0 else "b"  # measurement acts on side B
         fn = discord if tag is Measure.DISCORD else classical_correlation
         val = fn(red, measured)
-    else:  # pragma: no cover - enum is exhaustive
-        raise MeasureUndefinedError(f"unknown measure {tag!r}")
     return _flush(float(val))

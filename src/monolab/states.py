@@ -20,6 +20,7 @@ import numpy as np
 from . import tensor
 
 POSITIVITY_TOL = 1e-9
+PURITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,8 @@ class MultipartiteState:
     def purity(self) -> float:
         return tensor.purity(self.rho)
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
-        return self.purity() >= 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity() >= 1.0 - PURITY_TOL
 
     def marginal(self, keep) -> "MultipartiteState":
         keep_idx = sorted({int(k) for k in keep})

@@ -22,7 +22,7 @@ from .measures import (
     eof_pure_cut,
     evaluate,
 )
-from .monogamy import (_delta, _focus_cuts, _pow, base_values, hierarchy_chain,
+from .monogamy import (_delta, _focus_cuts, base_values, hierarchy_chain,
                        monogamy_score, strong_monogamy_report)
 from .states import (
     EnsembleSpec,
@@ -206,6 +206,22 @@ def _measure_extra(kind: MeasureKind) -> dict:
     return {"measure": kind.label(), "normalized": kind.normalized}
 
 
+def _transfer(theorem: str, sign: float, kind: MeasureKind, ensemble, r: float,
+              alphas: tuple[float, ...], seed: int) -> VerificationSummary:
+    """Raising (sign +1) and lowering (sign -1): a state with sign * delta(r) >= -1e-9
+    must keep sign * delta(alpha) >= -1e-9 at every alpha; others are skipped."""
+
+    def slack(state):
+        whole, parts = base_values(kind, state, 0)
+        if sign * _delta(whole, parts, r) < -STATE_TOL:
+            return None
+        # + 0.0 makes a negated zero score 0.0, not -0.0, in the summary
+        return min(sign * _delta(whole, parts, a) for a in alphas) + 0.0
+
+    return _run_suite(theorem, ensemble, seed,
+                      dict(_measure_extra(kind), r=r, alphas=list(alphas)), slack)
+
+
 def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationSummary:
     """States monogamous at exponent r must stay monogamous at every alpha >= r.
 
@@ -213,20 +229,10 @@ def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationS
     States with delta(r) < -1e-9 do not satisfy the hypothesis and are
     counted as skipped.
     """
-    kind = _normalized(kind)
-    r = float(r)
-    alphas = tuple(float(a) for a in alphas)
+    kind, r, alphas = _normalized(kind), float(r), tuple(float(a) for a in alphas)
     if any(a < r for a in alphas):
         raise ValueError(f"all alphas must be >= r = {r}")
-
-    def slack(state):
-        whole, parts = base_values(kind, state, 0)
-        if _delta(whole, parts, r) < -STATE_TOL:
-            return None
-        return min(_delta(whole, parts, a) for a in alphas)
-
-    return _run_suite("power-raising", ensemble, seed,
-                      dict(_measure_extra(kind), r=r, alphas=list(alphas)), slack)
+    return _transfer("power-raising", 1.0, kind, ensemble, r, alphas, seed)
 
 
 def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> VerificationSummary:
@@ -235,22 +241,12 @@ def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> Verification
     Slack here is sum_j Q^alpha_j - Q^alpha(whole); states with
     delta(r) > 1e-9 are skipped (hypothesis not met).
     """
-    kind = _normalized(kind)
-    r = float(r)
-    alphas = tuple(float(a) for a in alphas)
+    kind, r, alphas = _normalized(kind), float(r), tuple(float(a) for a in alphas)
     if any(a > r for a in alphas):
         raise ValueError(f"all alphas must be <= r = {r}")
     if any(a <= 0.0 for a in alphas):
         raise ValueError("alphas must be positive")
-
-    def slack(state):
-        whole, parts = base_values(kind, state, 0)
-        if _delta(whole, parts, r) > STATE_TOL:
-            return None
-        return min(math.fsum(_pow(p, a) for p in parts) - _pow(whole, a) for a in alphas)
-
-    return _run_suite("power-lowering", ensemble, seed,
-                      dict(_measure_extra(kind), r=r, alphas=list(alphas)), slack)
+    return _transfer("power-lowering", -1.0, kind, ensemble, r, alphas, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +378,15 @@ def verify_strong_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0)
                       dict(_measure_extra(kind), alpha=float(alpha)), slack)
 
 
-def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0,
-                           partner: int | None = None) -> VerificationSummary:
-    """Every hierarchy level must stay below the whole-cut value."""
+def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0) -> VerificationSummary:
+    """Every hierarchy level must stay below the whole-cut value. The
+    hierarchy's partner is the first party other than the focus."""
     kind = as_kind(kind)
 
     def slack(state):
-        p = partner if partner is not None else next(
-            i for i in range(state.n_subsystems) if i != focus
-        )
+        partner = next(i for i in range(state.n_subsystems) if i != focus)
         whole = monogamy_score(kind, state, focus, alpha).whole
-        rep = hierarchy_chain(kind, state, focus, p, alpha)
+        rep = hierarchy_chain(kind, state, focus, partner, alpha)
         return min(whole - lvl for lvl in rep.levels)
 
     return _run_suite("hierarchy", ensemble, seed,
@@ -425,10 +419,11 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
     dims = tuple(int(d) for d in dims)
     d = math.prod(dims)
 
+    def state_of(params: np.ndarray) -> MultipartiteState:
+        return MultipartiteState.from_vector(params[:d] + 1j * params[d:], dims)
+
     def score_of(params: np.ndarray) -> float:
-        v = params[:d] + 1j * params[d:]
-        state = MultipartiteState.from_vector(v, dims)
-        return monogamy_score(kind, state, 0, r).score
+        return monogamy_score(kind, state_of(params), 0, r).score
 
     summary = VerificationSummary(
         "counterexample-search",
@@ -461,8 +456,7 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
                 if rejects >= 20:
                     step *= 0.5
                     rejects = 0
-        v = params[:d] + 1j * params[d:]
-        state = MultipartiteState.from_vector(v, dims)
+        state = state_of(params)
         summary.count += 1
         summary.passes += 1
         summary.extra["restart_bests"].append(

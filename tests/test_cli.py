@@ -393,6 +393,28 @@ def test_verify_flag_the_suite_does_not_read_exits_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # --r would abbreviate --rank on commands without --r
+        (("state-export", "--state", "random-mixed", "--dims", "2,2", "--r", "2"),
+         "unrecognized arguments: --r 2"),
+        (("rstar", "--measure", "negativity", "--state", "random-mixed", "--r", "2",
+          "--bracket", "1,3"), "unrecognized arguments: --r 2"),
+        (("sweep", "--meas", "negativity", "--state", "w3", "--p-grid", "0", "--r-grid", "1"),
+         "the following arguments are required: --measure"),
+        (("sweep", "--measure", "negativity", "--state", "w3", "--p-grid", "0",
+          "--r-grid", "1", "--foc", "1"), "unrecognized arguments: --foc 1"),
+        (("figure", "3", "--r-g", "1,2"), "unrecognized arguments: --r-g 1,2"),
+        (("--vers",), "the following arguments are required: command"),
+    ],
+)
+def test_abbreviated_flags_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # figure writes to the working directory
+    assert run(*argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tag", ["functional", "strong", "hierarchy"])
 def test_verify_single_exponent_tags_reject_several_alpha(tag, tmp_path, capsys):
     out = tmp_path / "out.json"

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monolab
 from monolab import states
 from monolab.measures import Measure, MeasureKind
 from monolab.monogamy import monogamy_score
@@ -119,9 +124,12 @@ def test_lowering_w_eof():
 
 
 def test_lowering_zero_score_edge_passes():
-    summary = verify_lowering(Measure.NEGATIVITY, [product_state()], 1.0, (0.5,), seed=0)
-    assert summary.passes == 1
-    assert summary.violations == 0
+    for suite, alphas in ((verify_lowering, (0.5,)), (verify_raising, (2.0,))):
+        summary = suite(Measure.NEGATIVITY, [product_state()], 1.0, alphas, seed=0)
+        assert summary.passes == 1
+        assert summary.violations == 0
+        # every score is exactly zero; the JSON must say 0.0, not -0.0
+        assert math.copysign(1.0, summary.worst_margin) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +292,25 @@ def test_lowering_skips_when_hypothesis_fails():
     summary = verify_lowering(Measure.LOG_NEGATIVITY, W3, 1.2, (1.1,), seed=0)
     assert summary.skipped == 1
     assert summary.violations == 0 and summary.passes == 0
+
+
+# ---------------------------------------------------------------------------
+# scripts/run_verification.py
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [("--count", "0", "--samples", "1"),
+                                  ("--samples", "0", "--count", "1")])
+def test_run_verification_rejects_sizes_below_one(argv, tmp_path):
+    # --count 0 would report every ensemble suite as passed on no states
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(monolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    outdir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_verification.py"), *argv,
+         "--outdir", str(outdir)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument {argv[0]}: must be >= 1, got 0" in proc.stderr
+    assert not outdir.exists()
