@@ -8,7 +8,8 @@ Larger --count / --samples values tighten the sampling at the cost of
 runtime; defaults finish in well under a minute.
 
 Exit codes, as for the monolab CLI: 0 every suite passed, 2 bad arguments
-(including --count or --samples below 1), 5 some suite counted violations.
+(including --count or --samples below 1, or an --outdir that cannot be
+created as a directory), 5 some suite counted violations.
 """
 
 import argparse
@@ -36,7 +37,10 @@ def main() -> int:
     parser.add_argument("--samples", type=positive_int, default=1_000_000,
                         help="scalar-lemma draws")
     args = parser.parse_args()
-    os.makedirs(args.outdir, exist_ok=True)
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as exc:  # e.g. --outdir names an existing file
+        parser.error(f"argument --outdir: cannot create directory {args.outdir!r}: {exc}")
 
     pure3 = EnsembleSpec("haar_pure", (2, 2, 2), args.count)
     pure4 = EnsembleSpec("haar_pure", (2, 2, 2, 2), max(args.count // 4, 20))

@@ -484,7 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{name: value for name, value in vars(args).items() if value is not None})
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    # a named ensemble holds one state: --count, unlike --dims and --rank,
+    # has a default, so only the parsed flags show whether it was given
+    state = given.get("state", "random-pure").strip().lower()
+    if "count" in given and state not in ("random-pure", "random-mixed"):
+        raise ValueError(f"--count applies to random-pure or random-mixed only, not {state}")
+    return RunConfig(**given)
 
 
 _COMMANDS = {

@@ -18,6 +18,13 @@ n costs a few flops, so the measurement optimizer never builds projectors.
 The index bookkeeping of a cut (which subsystems to keep, where each side
 sits in the reduced state, the side dimensions) is cached per (dimensions,
 cut), as are the trace and transpose plans of ``tensor``.
+
+Every measure runs on a stack of density matrices that share their
+subsystem dimensions: ``_evaluate_stack`` scores one cut of a whole stack
+with one call per kernel, each matrix taking its own branch (Wootters, pure
+cut, rank-2 roof or undefined). ``evaluate`` runs the same code on a single
+matrix, and, since a stacked numpy call gives the same bits as one call per
+matrix, a value does not depend on the stack it was computed in.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ _PAULI = (
     _PAULI_Y,
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+_PAULI_STACK = np.stack(_PAULI)
+_PAIRS = np.triu_indices(4)  # (i, j) with i <= j, row by row
 
 # Discord / classical-correlation optimizer settings: coarse measurement grid
 # followed by coordinate-wise golden-section refinement (target accuracy 1e-4).
@@ -81,6 +90,11 @@ class MeasureKind:
 
     tag: Measure
     normalized: bool = False
+
+    def __post_init__(self):
+        # a str tag names the measure; an unknown name raises ValueError
+        if not isinstance(self.tag, Measure):
+            object.__setattr__(self, "tag", Measure.from_string(str(self.tag)))
 
     def label(self) -> str:
         return self.tag.value
@@ -132,23 +146,25 @@ def _cut_plan(dims: tuple[int, ...], side_a: tuple[int, ...], side_b: tuple[int,
     return (None if len(keep) == n else keep), rdims, a_pos, b_pos, da, db
 
 
-def _reduced(state: MultipartiteState, cut: Cut):
-    """Reduced matrix on side_a + side_b, then the rest of the cut's plan:
+def _reduced(rho, dims, cut: Cut):
+    """Reduced matrix on side_a + side_b of a density matrix (or of each
+    matrix of a stack) on ``dims``, then the rest of the cut's plan:
     (red, rdims, a_pos, b_pos, da, db)."""
-    keep, *plan = _cut_plan(state.dims, cut.side_a, cut.side_b)
-    red = state.rho if keep is None else tensor.partial_trace(state.rho, state.dims, keep)
+    keep, *plan = _cut_plan(dims, cut.side_a, cut.side_b)
+    red = rho if keep is None else tensor.partial_trace(rho, dims, keep)
     return red, *plan
 
 
 def _require_two_qubit_density(rho):
-    """The checked 4x4 density matrix with its eigenvalues (ascending) and
-    eigenvectors, from the one eigensolve that checks positivity."""
-    rho = tensor.as_matrix(rho)
-    if rho.shape != (4, 4):
+    """The checked 4x4 density matrix (or stack of them) with its
+    eigenvalues (ascending) and eigenvectors, from the one eigensolve that
+    checks positivity."""
+    rho = tensor.as_matrices(rho)
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit density matrix, got {rho.shape}")
     rho = tensor.require_density(rho)
     evals, evecs = np.linalg.eigh(rho)
-    if float(evals[0]) < -POSITIVITY_TOL:
+    if min(tensor._values(evals[..., 0]), default=0.0) < -POSITIVITY_TOL:
         raise ValueError("density matrix is not positive semidefinite")
     return rho, evals, evecs
 
@@ -157,8 +173,9 @@ def _require_two_qubit_density(rho):
 # concurrence family
 # ---------------------------------------------------------------------------
 
-def concurrence_two_qubit(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence_two_qubit(rho):
+    """Wootters concurrence of a two-qubit density matrix, or of each matrix
+    of a stack (..., 4, 4).
 
     C = max(0, l1 - l2 - l3 - l4) where the l_i are the decreasingly ordered
     square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy), computed
@@ -166,21 +183,45 @@ def concurrence_two_qubit(rho) -> float:
     numerical accuracy.
     """
     rho, evals, evecs = _require_two_qubit_density(rho)
-    sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    root = np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    sqrt_rho = (evecs * root) @ evecs.conj().swapaxes(-1, -2)
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     m = sqrt_rho @ flipped @ sqrt_rho
-    lam_sq = np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None)
+    lam_sq = np.clip(np.linalg.eigvalsh(m)[..., ::-1], 0.0, None)
+    c = [_wootters(row) for row in lam_sq.reshape(-1, 4).tolist()]
+    return tensor._per_matrix(c, lam_sq.shape[:-1])
+
+
+def _wootters(lam_sq: list[float]) -> float:
+    """max(0, l1 - l2 - l3 - l4) from the decreasing squares l_i^2, in plain
+    floats: on four values this is several times cheaper than numpy, and
+    sqrt rounds the same either way."""
     # eigenvalues within solver noise of zero would contribute sqrt-amplified
     # garbage (~1e-8) to the small l_i; treat them as the exact zeros they are
-    lam_sq[lam_sq < 1e-13 * max(lam_sq[0], 1e-300)] = 0.0
-    lam = np.sqrt(lam_sq)
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    return _flush(min(max(float(c), 0.0), 1.0))
+    cutoff = 1e-13 * max(lam_sq[0], 1e-300)
+    l1, l2, l3, l4 = (0.0 if x < cutoff else math.sqrt(x) for x in lam_sq)
+    return _flush(min(max(l1 - l2 - l3 - l4, 0.0), 1.0))
 
 
-def _pure_cut_concurrence(red, rdims, a_pos) -> float:
+def _pure_cut_concurrence(red, rdims, a_pos) -> list[float]:
+    """sqrt(2 (1 - tr rho_A^2)) of each reduced state of a stack."""
     ra = tensor.partial_trace(red, rdims, a_pos)
-    return math.sqrt(max(0.0, 2.0 * (1.0 - tensor.purity(ra))))
+    return [math.sqrt(max(0.0, 2.0 * (1.0 - p))) for p in tensor._values(tensor.purity(ra))]
+
+
+def _side_entropy(red, rdims, a_pos) -> list[float]:
+    """Entropy of side A of each reduced state of a stack."""
+    return tensor._values(tensor.von_neumann_entropy(tensor.partial_trace(red, rdims, a_pos)))
+
+
+def _rows(red: np.ndarray) -> np.ndarray:
+    """The matrices of a stack, one per row: (m, d, d)."""
+    return red.reshape(-1, *red.shape[-2:])
+
+
+def _is_pure(red) -> list[bool]:
+    """Whether each reduced state of a stack is pure within 1e-9."""
+    return [p >= 1.0 - PURITY_TOL for p in tensor._values(tensor.purity(red))]
 
 
 def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
@@ -189,17 +230,12 @@ def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     Requires the state restricted to the cut to be pure and side A to be a
     single qubit.
     """
-    red, rdims, a_pos, *_ = _reduced(state, cut)
-    if tensor.purity(red) < 1.0 - PURITY_TOL:
+    red, rdims, a_pos, *_ = _reduced(state.rho, state.dims, cut)
+    if not _is_pure(red)[0]:
         raise ValueError("state on the cut is not pure")
     if len(a_pos) != 1 or rdims[a_pos[0]] != 2:
         raise ValueError("side A of the cut must be a single qubit")
-    return _flush(min(_pure_cut_concurrence(red, rdims, a_pos), 1.0))
-
-
-def _det2_bilinear(a: np.ndarray, b: np.ndarray) -> float:
-    # polarization of the 2x2 determinant: det(A+B) = detA + detB + 2 D(A,B)
-    return float(0.5 * np.real(np.trace(a) * np.trace(b) - np.trace(a @ b)))
+    return _flush(min(_pure_cut_concurrence(red, rdims, a_pos)[0], 1.0))
 
 
 def tangle_rank2(rho, dims, a_index: int) -> float:
@@ -229,14 +265,15 @@ def tangle_rank2(rho, dims, a_index: int) -> float:
     lam1 = float(max(evals[-2], 0.0))
     support = evecs[:, -2:][:, ::-1]  # columns: dominant, subdominant
     # Phi(sigma_mu) = tr_B(W sigma_mu W^dag) maps the support qubit to A.
-    l_ops = [
-        tensor.partial_trace(support @ s @ support.conj().T, dims, [a_index])
-        for s in _PAULI
-    ]
+    l_ops = tensor.partial_trace(support @ _PAULI_STACK @ support.conj().T, dims, [a_index])
+    # polarization of the 2x2 determinant, det(A+B) = detA + detB + 2 D(A,B),
+    # with D(A, B) = (tr A tr B - tr AB)/2 for each pair i <= j
+    tr = np.trace(l_ops, axis1=-2, axis2=-1).tolist()
+    rows, cols = _PAIRS
+    tr_ab = np.trace(l_ops[rows] @ l_ops[cols], axis1=-2, axis2=-1).tolist()
     d = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            d[i, j] = d[j, i] = _det2_bilinear(l_ops[i], l_ops[j])
+    for i, j, t in zip(rows.tolist(), cols.tolist(), tr_ab):
+        d[i, j] = d[j, i] = 0.5 * (tr[i] * tr[j] - t).real
     m = np.array([0.0, 0.0, lam0 - lam1])
     q_m = d[0, 0] + 2.0 * float(d[0, 1:] @ m) + float(m @ d[1:, 1:] @ m)
     lam_min = float(np.linalg.eigvalsh(d[1:, 1:])[0])
@@ -248,9 +285,14 @@ def tangle_rank2(rho, dims, a_index: int) -> float:
 # negativity family
 # ---------------------------------------------------------------------------
 
-def _negativity_core(red, rdims, a_pos) -> float:
-    pt = tensor.partial_transpose(red, rdims, a_pos)
-    return max(0.5 * (tensor.trace_norm_hermitian(pt) - 1.0), 0.0)
+def _negativity(kind: MeasureKind, trace_norm: float) -> float:
+    """The negativity-family value of ``kind`` from ||rho^T_A||_1, flushed:
+    N = (||rho^T_A||_1 - 1)/2, 2N when normalized, or log2(2N + 1) for the
+    log-negativity."""
+    n = max(0.5 * (trace_norm - 1.0), 0.0)
+    if kind.tag is Measure.LOG_NEGATIVITY:
+        return _flush(math.log2(2.0 * n + 1.0))
+    return _flush(2.0 * n if kind.normalized else n)
 
 
 def negativity(state: MultipartiteState, cut: Cut, normalized: bool = False) -> float:
@@ -277,18 +319,25 @@ def eof_from_concurrence(c: float) -> float:
     return tensor.binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
 
 
-def eof_two_qubit(rho) -> float:
-    """Entanglement of formation of a two-qubit density matrix, in ebits."""
-    return _flush(eof_from_concurrence(concurrence_two_qubit(rho)))
+def eof_two_qubit(rho):
+    """Entanglement of formation of a two-qubit density matrix, or of each
+    matrix of a stack (..., 4, 4), in ebits."""
+    c = concurrence_two_qubit(rho)
+    eof = [_flush(eof_from_concurrence(x)) for x in tensor._values(c)]
+    return tensor._per_matrix(eof, np.shape(c))
 
 
 def eof_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     """Entanglement entropy of side A for a pure cut, in ebits."""
-    red, rdims, a_pos, *_ = _reduced(state, cut)
-    if tensor.purity(red) < 1.0 - PURITY_TOL:
+    return _pure_cut_entropy(state.rho, state.dims, cut)[0]
+
+
+def _pure_cut_entropy(rho, dims, cut: Cut) -> list[float]:
+    """eof_pure_cut of each density matrix of a stack on ``dims``."""
+    red, rdims, a_pos, *_ = _reduced(rho, dims, cut)
+    if not all(_is_pure(red)):
         raise ValueError("state on the cut is not pure")
-    ra = tensor.partial_trace(red, rdims, a_pos)
-    return _flush(tensor.von_neumann_entropy(ra))
+    return [_flush(e) for e in _side_entropy(red, rdims, a_pos)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +475,13 @@ def discord(rho, measured: str = "b") -> float:
 # ---------------------------------------------------------------------------
 
 def as_kind(kind) -> MeasureKind:
-    if isinstance(kind, MeasureKind):
-        return kind
-    if isinstance(kind, Measure):
-        return MeasureKind(kind)
-    return MeasureKind(Measure.from_string(str(kind)))
+    return kind if isinstance(kind, MeasureKind) else MeasureKind(kind)
+
+
+def _normalized(kind) -> MeasureKind:
+    """The normalized variant of a measure, scoring 1 on a maximally
+    entangled qubit pair."""
+    return MeasureKind(as_kind(kind).tag, normalized=True)
 
 
 def evaluate(kind, state: MultipartiteState, cut: Cut) -> float:
@@ -440,43 +491,48 @@ def evaluate(kind, state: MultipartiteState, cut: Cut) -> float:
     Raises MeasureUndefinedError when the measure has no exact expression on
     the requested cut dimensions.
     """
-    kind = as_kind(kind)
-    red, rdims, a_pos, b_pos, da, db = _reduced(state, cut)
+    return _evaluate_stack(as_kind(kind), state.rho, state.dims, cut)[0]
+
+
+def _evaluate_stack(kind: MeasureKind, rho: np.ndarray, dims, cut: Cut) -> list[float]:
+    """``evaluate`` on each density matrix of a stack (..., d, d) on the
+    subsystem dimensions ``dims``, as a flat list; one (d, d) matrix is a
+    stack of one.
+
+    Each matrix takes its own branch, and every branch returns flushed
+    values. Raises MeasureUndefinedError if any matrix has no exact
+    expression on the cut.
+    """
+    red, rdims, a_pos, b_pos, da, db = _reduced(rho, dims, cut)
     tag = kind.tag
 
-    if tag is Measure.NEGATIVITY:
-        n = _negativity_core(red, rdims, a_pos)
-        val = 2.0 * n if kind.normalized else n
-    elif tag is Measure.LOG_NEGATIVITY:
-        val = math.log2(2.0 * _negativity_core(red, rdims, a_pos) + 1.0)
-    elif tag is Measure.CONCURRENCE:
+    if tag is Measure.NEGATIVITY or tag is Measure.LOG_NEGATIVITY:
+        pt = tensor.partial_transpose(red, rdims, a_pos)
+        return [_negativity(kind, t) for t in tensor._values(tensor.trace_norm_hermitian(pt))]
+    if tag is Measure.CONCURRENCE:
         if da == 2 and db == 2:
-            val = concurrence_two_qubit(red)
-        elif len(a_pos) == 1 and rdims[a_pos[0]] == 2:
-            if tensor.purity(red) >= 1.0 - PURITY_TOL:
-                val = min(_pure_cut_concurrence(red, rdims, a_pos), 1.0)
-            else:
-                val = math.sqrt(tangle_rank2(red, rdims, a_pos[0]))
-        else:
-            raise MeasureUndefinedError(
-                f"concurrence undefined on a {da}x{db} cut with a non-qubit A side"
-            )
-    elif tag is Measure.EOF:
+            return tensor._values(concurrence_two_qubit(red))
+        if len(a_pos) == 1 and rdims[a_pos[0]] == 2:
+            # the pure-cut formula runs on the whole stack; a mixed matrix
+            # discards its value and takes the rank-2 roof
+            val = [_flush(min(c, 1.0)) for c in _pure_cut_concurrence(red, rdims, a_pos)]
+            for i, pure in enumerate(_is_pure(red)):
+                if not pure:
+                    val[i] = _flush(math.sqrt(tangle_rank2(_rows(red)[i], rdims, a_pos[0])))
+            return val
+        raise MeasureUndefinedError(
+            f"concurrence undefined on a {da}x{db} cut with a non-qubit A side"
+        )
+    if tag is Measure.EOF:
         if da == 2 and db == 2:
-            val = eof_two_qubit(red)
-        elif tensor.purity(red) >= 1.0 - PURITY_TOL:
-            ra = tensor.partial_trace(red, rdims, a_pos)
-            val = tensor.von_neumann_entropy(ra)
-        else:
-            raise MeasureUndefinedError(
-                f"entanglement of formation undefined on a mixed {da}x{db} cut"
-            )
-    elif tag in (Measure.DISCORD, Measure.CLASSICAL_CORRELATION):
-        if not (da == 2 and db == 2 and len(a_pos) == 1 and len(b_pos) == 1):
-            raise MeasureUndefinedError(
-                f"{tag.value} defined only on 2x2 cuts, requested {da}x{db}"
-            )
-        measured = "a" if b_pos[0] == 0 else "b"  # measurement acts on side B
-        fn = discord if tag is Measure.DISCORD else classical_correlation
-        val = fn(red, measured)
-    return _flush(float(val))
+            return tensor._values(eof_two_qubit(red))
+        if all(_is_pure(red)):
+            return [_flush(e) for e in _side_entropy(red, rdims, a_pos)]
+        raise MeasureUndefinedError(
+            f"entanglement of formation undefined on a mixed {da}x{db} cut"
+        )
+    if not (da == 2 and db == 2 and len(a_pos) == 1 and len(b_pos) == 1):
+        raise MeasureUndefinedError(f"{tag.value} defined only on 2x2 cuts, requested {da}x{db}")
+    measured = "a" if b_pos[0] == 0 else "b"  # measurement acts on side B
+    fn = discord if tag is Measure.DISCORD else classical_correlation
+    return [fn(m, measured) for m in _rows(red)]

@@ -17,7 +17,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .measures import Cut, MeasureKind, as_kind, evaluate
+import numpy as np
+
+from .measures import Cut, MeasureKind, _evaluate_stack, _normalized, as_kind, evaluate
 from .states import MultipartiteState
 
 
@@ -84,15 +86,59 @@ def _focus_cuts(n: int, focus: int) -> tuple[tuple[int, ...], Cut | None, tuple[
     return others, whole, tuple(Cut((focus,), (j,)) for j in others)
 
 
+@functools.lru_cache(maxsize=64)
+def _monogamy_cuts(n: int, focus: int) -> tuple[Cut, ...]:
+    """The whole cut focus : others, then the pair cuts focus : j."""
+    _, whole_cut, pair_cuts = _focus_cuts(n, focus)
+    if len(pair_cuts) < 2:
+        raise ValueError("monogamy needs at least 3 subsystems")
+    return (whole_cut, *pair_cuts)
+
+
 def base_values(kind, state: MultipartiteState, focus: int) -> tuple[float, tuple[float, ...]]:
     """Unexponentiated measure values: whole cut and every pair cut."""
     kind = as_kind(kind)
-    _, whole_cut, pair_cuts = _focus_cuts(state.n_subsystems, focus)
-    if len(pair_cuts) < 2:
-        raise ValueError("monogamy needs at least 3 subsystems")
-    whole = evaluate(kind, state, whole_cut)
-    parts = tuple(evaluate(kind, state, cut) for cut in pair_cuts)
+    cuts = _monogamy_cuts(state.n_subsystems, focus)
+    whole = evaluate(kind, state, cuts[0])
+    parts = tuple(evaluate(kind, state, cut) for cut in cuts[1:])
     return whole, parts
+
+
+def _stack_values(value_fn, states, cuts_of) -> list[tuple[float, ...]]:
+    """For each state of a list, in order, the tuple of
+    ``value_fn(rho, dims, cut)`` over ``cuts_of(n)``.
+
+    ``value_fn`` scores a stack (m, d, d) of density matrices on ``dims``
+    (one matrix is a stack of one), so the states that share their dims are
+    stacked and each of their cuts costs one call. When a call raises
+    ValueError, the states are replayed one at a time, so the error raised is
+    the one a per-state loop raises first.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, state in enumerate(states):
+        groups.setdefault(state.dims, []).append(i)
+    out: list = [None] * len(states)
+    try:
+        for dims, idx in groups.items():
+            rho = np.stack([states[i].rho for i in idx])
+            cols = [value_fn(rho, dims, cut) for cut in cuts_of(len(dims))]
+            for i, row in zip(idx, zip(*cols)):
+                out[i] = row
+    except ValueError:
+        for state in states:
+            for cut in cuts_of(state.n_subsystems):
+                value_fn(state.rho, state.dims, cut)
+        raise
+    return out
+
+
+def _base_values_stack(kind, states, focus: int) -> list[tuple[float, tuple[float, ...]]]:
+    """``base_values`` of each state of a list, with one stacked evaluation
+    per cut for all states of the same dims; values and errors are those of
+    a per-state loop."""
+    value_fn = functools.partial(_evaluate_stack, as_kind(kind))
+    values = _stack_values(value_fn, states, lambda n: _monogamy_cuts(n, focus))
+    return [(v[0], v[1:]) for v in values]
 
 
 def _report(kind: MeasureKind, r: float, whole: float, parts) -> MonogamyReport:
@@ -227,6 +273,6 @@ def hierarchy_chain(kind, state: MultipartiteState, focus: int, partner: int, al
 def share_sum(kind, state: MultipartiteState, focus: int) -> float:
     """Sum of normalized pair-cut values around the focus party (the quantity
     whose empirical maxima bound how much correlation the focus can share)."""
-    kind = MeasureKind(as_kind(kind).tag, normalized=True)
+    kind = _normalized(kind)
     pair_cuts = _focus_cuts(state.n_subsystems, focus)[2]
     return math.fsum(evaluate(kind, state, cut) for cut in pair_cuts)

@@ -9,6 +9,8 @@ state are kept so a reported failure can be reproduced from its JSON alone.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -17,13 +19,15 @@ import numpy as np
 from .measures import (
     Measure,
     MeasureKind,
+    _evaluate_stack,
+    _normalized,
+    _pure_cut_entropy,
     as_kind,
     eof_from_concurrence,
-    eof_pure_cut,
-    evaluate,
 )
-from .monogamy import (_delta, _focus_cuts, base_values, hierarchy_chain,
-                       monogamy_score, strong_monogamy_report)
+from .monogamy import (_base_values_stack, _delta, _focus_cuts, _stack_values,
+                       hierarchy_chain, monogamy_score, strong_monogamy_report)
+from .monogamy import base_values  # noqa: F401  perfbench's tracer test rebinds it here
 from .states import (
     EnsembleSpec,
     MultipartiteState,
@@ -65,18 +69,20 @@ class VerificationSummary:
         return asdict(self)
 
 
-def _run_suite(theorem: str, ensemble, seed: int, extra: dict, slack_fn,
+def _run_suite(theorem: str, ensemble, seed: int, extra: dict, slacks_fn,
                tol: float = STATE_TOL) -> VerificationSummary:
     """Score every state of the ensemble (an EnsembleSpec sampled with
-    ``seed``, or explicit states) with ``slack_fn`` and tally the result.
+    ``seed``, or explicit states) with ``slacks_fn`` and tally the result.
 
-    ``slack_fn(state)`` returns the state's slack, or None when the state does
-    not meet the suite's hypothesis (counted as skipped). The most negative
-    slack becomes the worst margin; a slack below -tol is a violation, and
-    the first state reaching the worst margin is reported as the offender
-    when there is any. ``extra`` becomes the summary's extra as is, so
-    ``slack_fn`` may keep counters in it. Exploratory suites pass
-    ``tol = math.inf`` and so never count a violation.
+    ``slacks_fn(states)`` returns one slack per state, in order: the state's
+    slack, or None when the state does not meet the suite's hypothesis
+    (counted as skipped). Taking the whole list lets a suite score each cut
+    of the ensemble in one stacked call. The most negative slack becomes the
+    worst margin; a slack below -tol is a violation, and the first state
+    reaching the worst margin is reported as the offender when there is any.
+    ``extra`` becomes the summary's extra as is, so ``slacks_fn`` may keep
+    counters in it. Exploratory suites pass ``tol = math.inf`` and so never
+    count a violation.
     """
     if isinstance(ensemble, EnsembleSpec):
         desc, states = ensemble.describe(), sample_states(ensemble, seed)
@@ -87,9 +93,8 @@ def _run_suite(theorem: str, ensemble, seed: int, extra: dict, slack_fn,
     desc["seed"] = int(seed)
     summary = VerificationSummary(theorem, desc, extra=extra)
     worst_state = None
-    for state in states:
+    for state, slack in zip(states, slacks_fn(states)):
         summary.count += 1
-        slack = slack_fn(state)
         if slack is None:
             summary.skipped += 1
             continue
@@ -197,13 +202,15 @@ def check_decreasing_concave_family(samples: int, seed: int) -> VerificationSumm
 # power raising / lowering transfer
 # ---------------------------------------------------------------------------
 
-def _normalized(kind) -> MeasureKind:
-    return MeasureKind(as_kind(kind).tag, normalized=True)
-
-
 def _measure_extra(kind: MeasureKind) -> dict:
     """The measure a suite ran, as recorded in its summary's extra."""
     return {"measure": kind.label(), "normalized": kind.normalized}
+
+
+def _base_slacks(kind: MeasureKind, slack):
+    """A ``slacks_fn`` applying ``slack(whole, parts)`` to each state's base
+    values at focus 0, each cut scored once for the whole ensemble."""
+    return lambda states: [slack(whole, parts) for whole, parts in _base_values_stack(kind, states, 0)]
 
 
 def _transfer(theorem: str, sign: float, kind: MeasureKind, ensemble, r: float,
@@ -211,15 +218,15 @@ def _transfer(theorem: str, sign: float, kind: MeasureKind, ensemble, r: float,
     """Raising (sign +1) and lowering (sign -1): a state with sign * delta(r) >= -1e-9
     must keep sign * delta(alpha) >= -1e-9 at every alpha; others are skipped."""
 
-    def slack(state):
-        whole, parts = base_values(kind, state, 0)
+    def slack(whole, parts):
         if sign * _delta(whole, parts, r) < -STATE_TOL:
             return None
         # + 0.0 makes a negated zero score 0.0, not -0.0, in the summary
         return min(sign * _delta(whole, parts, a) for a in alphas) + 0.0
 
     return _run_suite(theorem, ensemble, seed,
-                      dict(_measure_extra(kind), r=r, alphas=list(alphas)), slack)
+                      dict(_measure_extra(kind), r=r, alphas=list(alphas)),
+                      _base_slacks(kind, slack))
 
 
 def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationSummary:
@@ -267,18 +274,13 @@ def verify_functional_lift(ensemble, m: float, seed: int) -> VerificationSummary
     """
     m = float(m)
     extra = {"m": m, "out_of_range": 0, "mixed_restricted": 0}
+    concurrence = functools.partial(_evaluate_stack, MeasureKind(Measure.CONCURRENCE))
 
-    def slack(state):
-        if state.n_subsystems < 2 or any(d != 2 for d in state.dims):
-            raise ValueError(
-                f"functional lift needs two or more qubits, got dims {list(state.dims)}"
-            )
-        _, whole_cut, pair_cuts = _focus_cuts(state.n_subsystems, 0)
-        cs = [evaluate(Measure.CONCURRENCE, state, cut) for cut in pair_cuts]
+    def slack(cs, whole):
         eofs = [eof_from_concurrence(c) for c in cs]
         slacks = []
-        if state.is_pure():  # entanglement entropy: evaluate(EOF) runs Wootters on 2 qubits
-            slacks.append(_delta(eof_pure_cut(state, whole_cut), eofs, m))
+        if whole is not None:
+            slacks.append(_delta(whole, eofs, m))
         else:
             extra["mixed_restricted"] += 1
         y = math.fsum(c * c for c in cs)
@@ -288,7 +290,20 @@ def verify_functional_lift(ensemble, m: float, seed: int) -> VerificationSummary
             extra["out_of_range"] += 1
         return min(slacks) if slacks else 0.0
 
-    return _run_suite("functional-lift-eof", ensemble, seed, extra, slack)
+    def slacks(states):
+        for state in states:
+            if state.n_subsystems < 2 or any(d != 2 for d in state.dims):
+                raise ValueError(
+                    f"functional lift needs two or more qubits, got dims {list(state.dims)}"
+                )
+        cs = _stack_values(concurrence, states, lambda n: _focus_cuts(n, 0)[2])
+        pure = [state.is_pure() for state in states]
+        # entanglement entropy: evaluate(EOF) runs Wootters on 2 qubits
+        entropies = iter(_stack_values(_pure_cut_entropy, list(itertools.compress(states, pure)),
+                                       lambda n: _focus_cuts(n, 0)[1:2]))
+        return [slack(c, next(entropies)[0] if p else None) for c, p in zip(cs, pure)]
+
+    return _run_suite("functional-lift-eof", ensemble, seed, extra, slacks)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +331,12 @@ def verify_mixed_lifting(kind, ensemble, seed: int) -> VerificationSummary:
     kind = _mixed_computable(kind)
     r1 = []
 
-    def slack(state):
-        whole, parts = base_values(kind, state, 0)
+    def slack(whole, parts):
         r1.append(whole - math.fsum(parts))
         return _delta(whole, parts, 2.0)
 
-    summary = _run_suite("mixed-lifting", ensemble, seed, _measure_extra(kind), slack)
+    summary = _run_suite("mixed-lifting", ensemble, seed, _measure_extra(kind),
+                         _base_slacks(kind, slack))
     if r1:
         summary.extra["r1_scores"] = {
             "min": float(min(r1)),
@@ -348,8 +363,7 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
     per_r = {r: math.inf for r in rs}
     extra = dict(_measure_extra(kind), r_values=list(rs), implication_violations=0)
 
-    def slack(state):
-        whole, parts = base_values(kind, state, 0)
+    def slack(whole, parts):
         implied = _delta(whole, parts, 2.0) >= -STATE_TOL
         ds = [_delta(whole, parts, r) for r in rs]
         for r, d in zip(rs, ds):
@@ -357,7 +371,8 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
             extra["implication_violations"] += implied and d < -STATE_TOL
         return min(ds, default=math.inf)
 
-    summary = _run_suite("probe-high-power", ensemble, seed, extra, slack, tol=math.inf)
+    summary = _run_suite("probe-high-power", ensemble, seed, extra, _base_slacks(kind, slack),
+                         tol=math.inf)
     summary.extra["worst_margin_per_r"] = {f"{r:g}": float(v) for r, v in per_r.items()}
     return summary
 
@@ -375,7 +390,7 @@ def verify_strong_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0)
         return min(rep.whole - rep.subset_average, rep.subset_average - rep.pair_sum)
 
     return _run_suite("strong-monogamy", ensemble, seed,
-                      dict(_measure_extra(kind), alpha=float(alpha)), slack)
+                      dict(_measure_extra(kind), alpha=float(alpha)), lambda states: map(slack, states))
 
 
 def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0) -> VerificationSummary:
@@ -390,7 +405,7 @@ def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int =
         return min(whole - lvl for lvl in rep.levels)
 
     return _run_suite("hierarchy", ensemble, seed,
-                      dict(_measure_extra(kind), alpha=float(alpha)), slack)
+                      dict(_measure_extra(kind), alpha=float(alpha)), lambda states: map(slack, states))
 
 
 # ---------------------------------------------------------------------------

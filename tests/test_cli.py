@@ -197,6 +197,16 @@ def test_dims_and_rank_rejected_where_ignored(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("state", ["w3", "ghz4", "classical"])
+def test_count_rejected_for_a_named_state(state, tmp_path, capsys):
+    """A named ensemble holds one state, so --count would be ignored."""
+    out = tmp_path / "out"
+    assert run("verify", "raising", "--measure", "concurrence", "--state", state,
+               "--count", "5", "--out", str(out)) == EXIT_CONFIG
+    assert f"--count applies to random-pure or random-mixed only, not {state}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_measure_undefined_exit(tmp_path):
     # mixed EoF on the 2x4 whole cut has no exact expression
     assert run(

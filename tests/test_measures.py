@@ -381,6 +381,16 @@ def test_measure_parsing():
         Measure.from_string("tangle")
 
 
+def test_measure_kind_parses_a_string_tag():
+    kind = MeasureKind("negativity", normalized=True)
+    assert kind == MeasureKind(Measure.NEGATIVITY, normalized=True)
+    assert kind.label() == "negativity"
+    w3 = states.w(3)
+    assert evaluate(MeasureKind("negativity"), w3, A_BC) == negativity(w3, A_BC)
+    with pytest.raises(ValueError, match="unknown measure 'tangle'"):
+        MeasureKind("tangle")
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

@@ -314,3 +314,19 @@ def test_run_verification_rejects_sizes_below_one(argv, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert f"argument {argv[0]}: must be >= 1, got 0" in proc.stderr
     assert not outdir.exists()
+
+
+def test_run_verification_rejects_an_outdir_that_is_a_file(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(monolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    outdir = tmp_path / "taken"
+    outdir.write_text("not a directory")
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_verification.py"), "--count", "1",
+         "--samples", "1", "--outdir", str(outdir)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --outdir: cannot create directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
