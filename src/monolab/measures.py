@@ -19,12 +19,12 @@ The index bookkeeping of a cut (which subsystems to keep, where each side
 sits in the reduced state, the side dimensions) is cached per (dimensions,
 cut), as are the trace and transpose plans of ``tensor``.
 
-Every measure runs on a stack of density matrices that share their
-subsystem dimensions: ``_evaluate_stack`` scores one cut of a whole stack
-with one call per kernel, each matrix taking its own branch (Wootters, pure
-cut, rank-2 roof or undefined). ``evaluate`` runs the same code on a single
-matrix, and, since a stacked numpy call gives the same bits as one call per
-matrix, a value does not depend on the stack it was computed in.
+Private code sees stacks (m, d, d) of density matrices on shared subsystem
+dimensions only: ``_evaluate_stack`` scores one cut of a whole stack, each
+matrix taking its own branch (Wootters, pure cut, rank-2 roof or
+undefined), and ``evaluate`` runs it on a stack of one. A stacked numpy call
+gives the same bits as one call per matrix, so a value does not depend on
+its stack. One matrix becomes a float only in the public kernels.
 """
 
 from __future__ import annotations
@@ -146,25 +146,22 @@ def _cut_plan(dims: tuple[int, ...], side_a: tuple[int, ...], side_b: tuple[int,
     return (None if len(keep) == n else keep), rdims, a_pos, b_pos, da, db
 
 
-def _reduced(rho, dims, cut: Cut):
-    """Reduced matrix on side_a + side_b of a density matrix (or of each
-    matrix of a stack) on ``dims``, then the rest of the cut's plan:
-    (red, rdims, a_pos, b_pos, da, db)."""
+def _reduced(rho: np.ndarray, dims, cut: Cut):
+    """(red, rdims, a_pos, b_pos, da, db): the stack (m, d, d) on ``dims``
+    reduced to side_a + side_b, then the rest of the cut's plan."""
     keep, *plan = _cut_plan(dims, cut.side_a, cut.side_b)
     red = rho if keep is None else tensor.partial_trace(rho, dims, keep)
     return red, *plan
 
 
-def _require_two_qubit_density(rho):
-    """The checked 4x4 density matrix (or stack of them) with its
-    eigenvalues (ascending) and eigenvectors, from the one eigensolve that
-    checks positivity."""
-    rho = tensor.as_matrices(rho)
+def _require_two_qubit_density(rho: np.ndarray):
+    """A checked stack (m, 4, 4) of two-qubit density matrices, with the
+    ascending eigenvalues and eigenvectors of the eigensolve that checks it."""
     if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 two-qubit density matrix, got {rho.shape}")
+        raise ValueError(f"expected a 4x4 two-qubit density matrix, got {rho.shape[-2:]}")
     rho = tensor.require_density(rho)
     evals, evecs = np.linalg.eigh(rho)
-    if min(tensor._values(evals[..., 0]), default=0.0) < -POSITIVITY_TOL:
+    if min(evals[:, 0].tolist(), default=0.0) < -POSITIVITY_TOL:
         raise ValueError("density matrix is not positive semidefinite")
     return rho, evals, evecs
 
@@ -182,14 +179,16 @@ def concurrence_two_qubit(rho):
     through the equivalent Hermitian form sqrt(rho) rho~ sqrt(rho) for
     numerical accuracy.
     """
-    rho, evals, evecs = _require_two_qubit_density(rho)
-    root = np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    rho = tensor.as_matrices(rho)
+    lead = rho.shape[:-2]
+    rho, evals, evecs = _require_two_qubit_density(rho.reshape(-1, *rho.shape[-2:]))
+    root = np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
     sqrt_rho = (evecs * root) @ evecs.conj().swapaxes(-1, -2)
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     m = sqrt_rho @ flipped @ sqrt_rho
-    lam_sq = np.clip(np.linalg.eigvalsh(m)[..., ::-1], 0.0, None)
-    c = [_wootters(row) for row in lam_sq.reshape(-1, 4).tolist()]
-    return tensor._per_matrix(c, lam_sq.shape[:-1])
+    lam_sq = np.clip(np.linalg.eigvalsh(m)[:, ::-1], 0.0, None)
+    c = [_wootters(row) for row in lam_sq.tolist()]
+    return tensor._number_or_stack(np.array(c).reshape(lead))
 
 
 def _wootters(lam_sq: list[float]) -> float:
@@ -203,25 +202,21 @@ def _wootters(lam_sq: list[float]) -> float:
     return _flush(min(max(l1 - l2 - l3 - l4, 0.0), 1.0))
 
 
-def _pure_cut_concurrence(red, rdims, a_pos) -> list[float]:
-    """sqrt(2 (1 - tr rho_A^2)) of each reduced state of a stack."""
+def _pure_cut_concurrence(red: np.ndarray, rdims, a_pos) -> list[float]:
+    """Flushed min(sqrt(2 (1 - tr rho_A^2)), 1) of each matrix of a stack."""
+    purity = tensor.purity(tensor.partial_trace(red, rdims, a_pos)).tolist()
+    return [_flush(min(math.sqrt(max(0.0, 2.0 * (1.0 - p))), 1.0)) for p in purity]
+
+
+def _side_entropy(red: np.ndarray, rdims, a_pos) -> list[float]:
+    """Flushed entropy of side A of each matrix of a stack."""
     ra = tensor.partial_trace(red, rdims, a_pos)
-    return [math.sqrt(max(0.0, 2.0 * (1.0 - p))) for p in tensor._values(tensor.purity(ra))]
+    return [_flush(e) for e in tensor.von_neumann_entropy(ra).tolist()]
 
 
-def _side_entropy(red, rdims, a_pos) -> list[float]:
-    """Entropy of side A of each reduced state of a stack."""
-    return tensor._values(tensor.von_neumann_entropy(tensor.partial_trace(red, rdims, a_pos)))
-
-
-def _rows(red: np.ndarray) -> np.ndarray:
-    """The matrices of a stack, one per row: (m, d, d)."""
-    return red.reshape(-1, *red.shape[-2:])
-
-
-def _is_pure(red) -> list[bool]:
-    """Whether each reduced state of a stack is pure within 1e-9."""
-    return [p >= 1.0 - PURITY_TOL for p in tensor._values(tensor.purity(red))]
+def _is_pure(red: np.ndarray) -> list[bool]:
+    """Whether each matrix of a stack is pure within 1e-9."""
+    return [p >= 1.0 - PURITY_TOL for p in tensor.purity(red).tolist()]
 
 
 def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
@@ -230,12 +225,12 @@ def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     Requires the state restricted to the cut to be pure and side A to be a
     single qubit.
     """
-    red, rdims, a_pos, *_ = _reduced(state.rho, state.dims, cut)
+    red, rdims, a_pos, *_ = _reduced(state.rho[None], state.dims, cut)
     if not _is_pure(red)[0]:
         raise ValueError("state on the cut is not pure")
     if len(a_pos) != 1 or rdims[a_pos[0]] != 2:
         raise ValueError("side A of the cut must be a single qubit")
-    return _flush(min(_pure_cut_concurrence(red, rdims, a_pos)[0], 1.0))
+    return _pure_cut_concurrence(red, rdims, a_pos)[0]
 
 
 def tangle_rank2(rho, dims, a_index: int) -> float:
@@ -322,22 +317,22 @@ def eof_from_concurrence(c: float) -> float:
 def eof_two_qubit(rho):
     """Entanglement of formation of a two-qubit density matrix, or of each
     matrix of a stack (..., 4, 4), in ebits."""
-    c = concurrence_two_qubit(rho)
-    eof = [_flush(eof_from_concurrence(x)) for x in tensor._values(c)]
-    return tensor._per_matrix(eof, np.shape(c))
+    c = np.asarray(concurrence_two_qubit(rho))
+    eof = [_flush(eof_from_concurrence(x)) for x in c.ravel().tolist()]
+    return tensor._number_or_stack(np.array(eof).reshape(c.shape))
 
 
 def eof_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     """Entanglement entropy of side A for a pure cut, in ebits."""
-    return _pure_cut_entropy(state.rho, state.dims, cut)[0]
+    return _pure_cut_entropy(state.rho[None], state.dims, cut)[0]
 
 
-def _pure_cut_entropy(rho, dims, cut: Cut) -> list[float]:
-    """eof_pure_cut of each density matrix of a stack on ``dims``."""
+def _pure_cut_entropy(rho: np.ndarray, dims, cut: Cut) -> list[float]:
+    """eof_pure_cut of each density matrix of a stack (m, d, d) on ``dims``."""
     red, rdims, a_pos, *_ = _reduced(rho, dims, cut)
     if not all(_is_pure(red)):
         raise ValueError("state on the cut is not pure")
-    return [_flush(e) for e in _side_entropy(red, rdims, a_pos)]
+    return _side_entropy(red, rdims, a_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +341,19 @@ def _pure_cut_entropy(rho, dims, cut: Cut) -> list[float]:
 # PRA 77, 042303 (2008))
 # ---------------------------------------------------------------------------
 
-def _bloch_form(rho, measured: str):
-    """(a, b, T) with rho = (I + a.s x I + I x b.s + sum_ij T_ij s_i x s_j)/4,
+def _bloch_form(rho: np.ndarray, measured: str):
+    """(spectrum, a, b, T) of the checked two-qubit density matrix of a stack
+    of one (1, 4, 4): rho = (I + a.s x I + I x b.s + sum_ij T_ij s_i x s_j)/4,
     oriented so that b is the measured qubit's Bloch vector, a the other
     qubit's, and T the correlation matrix with rows on the other qubit."""
+    rho, evals, _ = _require_two_qubit_density(rho)
     side = str(measured).strip().lower()
     if side not in ("a", "b"):
         raise ValueError(f"measured side must be 'a' or 'b', got {measured!r}")
-    r = np.real(np.einsum("abxy,mxa,nyb->mn", rho.reshape(2, 2, 2, 2), _PAULI, _PAULI))
+    r = np.real(np.einsum("abxy,mxa,nyb->mn", rho[0].reshape(2, 2, 2, 2), _PAULI, _PAULI))
     if side == "a":
         r = r.T
-    return r[1:, 0], r[0, 1:], r[1:, 1:]
+    return evals[0], r[1:, 0], r[0, 1:], r[1:, 1:]
 
 
 def _conditional_entropy_grid(a, b, t, n) -> np.ndarray:
@@ -424,8 +421,7 @@ def classical_correlation(rho, measured: str = "b") -> float:
     grid over the whole sphere, then refines the best grid point by 30
     alternating golden-section steps in theta and phi.
     """
-    rho = _require_two_qubit_density(rho)[0]
-    a, b, t = _bloch_form(rho, measured)
+    _, a, b, t = _bloch_form(tensor.as_matrix(rho)[None], measured)
     s_other = tensor.binary_entropy(0.5 * (1.0 + math.sqrt(float(a @ a))))
 
     thetas = np.linspace(0.0, np.pi, _GRID_POINTS)
@@ -457,8 +453,7 @@ def discord(rho, measured: str = "b") -> float:
     the spectrum of the eigensolve that checks the state. Values within -1e-6
     of zero (optimizer shortfall) are clamped to 0.
     """
-    rho, evals, _ = _require_two_qubit_density(rho)
-    a, b, _ = _bloch_form(rho, measured)
+    evals, a, b, _ = _bloch_form(tensor.as_matrix(rho)[None], measured)
     mutual = (
         tensor.binary_entropy(0.5 * (1.0 + math.sqrt(float(a @ a))))
         + tensor.binary_entropy(0.5 * (1.0 + math.sqrt(float(b @ b))))
@@ -491,13 +486,12 @@ def evaluate(kind, state: MultipartiteState, cut: Cut) -> float:
     Raises MeasureUndefinedError when the measure has no exact expression on
     the requested cut dimensions.
     """
-    return _evaluate_stack(as_kind(kind), state.rho, state.dims, cut)[0]
+    return _evaluate_stack(as_kind(kind), state.rho[None], state.dims, cut)[0]
 
 
 def _evaluate_stack(kind: MeasureKind, rho: np.ndarray, dims, cut: Cut) -> list[float]:
-    """``evaluate`` on each density matrix of a stack (..., d, d) on the
-    subsystem dimensions ``dims``, as a flat list; one (d, d) matrix is a
-    stack of one.
+    """``evaluate`` on each density matrix of a stack (m, d, d) on the
+    subsystem dimensions ``dims``, as a list of floats in stack order.
 
     Each matrix takes its own branch, and every branch returns flushed
     values. Raises MeasureUndefinedError if any matrix has no exact
@@ -508,26 +502,26 @@ def _evaluate_stack(kind: MeasureKind, rho: np.ndarray, dims, cut: Cut) -> list[
 
     if tag is Measure.NEGATIVITY or tag is Measure.LOG_NEGATIVITY:
         pt = tensor.partial_transpose(red, rdims, a_pos)
-        return [_negativity(kind, t) for t in tensor._values(tensor.trace_norm_hermitian(pt))]
+        return [_negativity(kind, t) for t in tensor.trace_norm_hermitian(pt).tolist()]
     if tag is Measure.CONCURRENCE:
         if da == 2 and db == 2:
-            return tensor._values(concurrence_two_qubit(red))
+            return concurrence_two_qubit(red).tolist()
         if len(a_pos) == 1 and rdims[a_pos[0]] == 2:
             # the pure-cut formula runs on the whole stack; a mixed matrix
             # discards its value and takes the rank-2 roof
-            val = [_flush(min(c, 1.0)) for c in _pure_cut_concurrence(red, rdims, a_pos)]
+            val = _pure_cut_concurrence(red, rdims, a_pos)
             for i, pure in enumerate(_is_pure(red)):
                 if not pure:
-                    val[i] = _flush(math.sqrt(tangle_rank2(_rows(red)[i], rdims, a_pos[0])))
+                    val[i] = _flush(math.sqrt(tangle_rank2(red[i], rdims, a_pos[0])))
             return val
         raise MeasureUndefinedError(
             f"concurrence undefined on a {da}x{db} cut with a non-qubit A side"
         )
     if tag is Measure.EOF:
         if da == 2 and db == 2:
-            return tensor._values(eof_two_qubit(red))
+            return eof_two_qubit(red).tolist()
         if all(_is_pure(red)):
-            return [_flush(e) for e in _side_entropy(red, rdims, a_pos)]
+            return _side_entropy(red, rdims, a_pos)
         raise MeasureUndefinedError(
             f"entanglement of formation undefined on a mixed {da}x{db} cut"
         )
@@ -535,4 +529,4 @@ def _evaluate_stack(kind: MeasureKind, rho: np.ndarray, dims, cut: Cut) -> list[
         raise MeasureUndefinedError(f"{tag.value} defined only on 2x2 cuts, requested {da}x{db}")
     measured = "a" if b_pos[0] == 0 else "b"  # measurement acts on side B
     fn = discord if tag is Measure.DISCORD else classical_correlation
-    return [fn(m, measured) for m in _rows(red)]
+    return [fn(m, measured) for m in red]

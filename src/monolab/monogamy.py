@@ -109,10 +109,10 @@ def _stack_values(value_fn, states, cuts_of) -> list[tuple[float, ...]]:
     ``value_fn(rho, dims, cut)`` over ``cuts_of(n)``.
 
     ``value_fn`` scores a stack (m, d, d) of density matrices on ``dims``
-    (one matrix is a stack of one), so the states that share their dims are
-    stacked and each of their cuts costs one call. When a call raises
-    ValueError, the states are replayed one at a time, so the error raised is
-    the one a per-state loop raises first.
+    and returns a list, so the states that share their dims are stacked and
+    each of their cuts costs one call. When a call raises ValueError, the
+    states are replayed one at a time, each as a stack of one, so the error
+    raised is the one a per-state loop raises first.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, state in enumerate(states):
@@ -127,7 +127,7 @@ def _stack_values(value_fn, states, cuts_of) -> list[tuple[float, ...]]:
     except ValueError:
         for state in states:
             for cut in cuts_of(state.n_subsystems):
-                value_fn(state.rho, state.dims, cut)
+                value_fn(state.rho[None], state.dims, cut)
         raise
     return out
 

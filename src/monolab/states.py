@@ -51,8 +51,8 @@ class MultipartiteState:
         """Rank-1 density matrix of a (normalized) state vector."""
         v = np.asarray(psi, dtype=complex).ravel()
         norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("zero state vector")
+        if not 0.0 < norm < math.inf:  # zero, or a NaN or infinite entry
+            raise ValueError(f"state vector norm must be positive and finite, got {norm}")
         v = v / norm
         return cls(np.outer(v, v.conj()), tuple(dims))
 

@@ -10,8 +10,9 @@ checks, eigenvalues, trace norm, purity and entropy) also take a stack of
 matrices of shape (..., d, d) and then return one result per matrix. A stack
 runs the same numpy operations in the same order as a loop over its
 matrices, so every result is bit-identical to that matrix's own call, while
-the Python and numpy call overhead is paid once for the whole stack. One
-matrix gives a float where the result is a number.
+the Python and numpy call overhead is paid once for the whole stack. A
+number-valued kernel gives a float for one matrix and an array for a stack;
+the scoring code in ``measures`` passes stacks only, so it gets arrays.
 
 Index plans are cached per shape: the dimension check, and the reshape and
 axis bookkeeping of the partial trace and transpose, are worked out once per
@@ -51,21 +52,8 @@ def as_matrices(m) -> np.ndarray:
 
 
 def _number_or_stack(x: np.ndarray):
-    """A float for the result of one matrix, the array for a stack."""
+    """A public kernel's result: a float for one matrix, else the array."""
     return float(x) if x.ndim == 0 else x
-
-
-def _per_matrix(values: list, lead: tuple):
-    """Values computed matrix by matrix, as a kernel returns them: a float
-    for one matrix (``lead == ()``), else an array of the stack's shape."""
-    return np.array(values).reshape(lead) if lead else values[0]
-
-
-def _values(x) -> list:
-    """A kernel's result as a flat list: the values of an array, or [x] for
-    a number. Plain floats are cheaper than numpy on the few values of a
-    small stack."""
-    return x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
 
 
 @functools.lru_cache(maxsize=256)
@@ -85,12 +73,14 @@ def check_dims(dim: int, dims) -> tuple[int, ...]:
 
 def require_hermitian(m, what: str = "matrix") -> np.ndarray:
     """Check Hermiticity within 1e-10 and return the symmetrized matrix. A NaN
-    or infinite entry fails too: it makes the defect NaN (or infinite). A
-    stack fails on its largest defect."""
+    or infinite entry fails too, before any arithmetic on it. A stack fails
+    on its largest defect."""
     m = as_matrices(m)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} is not Hermitian: it has a non-finite entry")
     m_dag = m.conj().swapaxes(-1, -2)
     defect = float(np.abs(m - m_dag).max())
-    if not defect <= HERMITICITY_TOL:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian: max|M - M^dag| = {defect:.3e}")
     return 0.5 * (m + m_dag)
 
@@ -99,7 +89,7 @@ def require_density(m) -> np.ndarray:
     """Check Hermiticity within 1e-10 and unit trace within 1e-9, and return
     the symmetrized matrix; positivity is left to the caller's eigensolve."""
     h = require_hermitian(m, "density matrix")
-    for tr in _values(np.trace(h, axis1=-2, axis2=-1)):
+    for tr in h.trace(axis1=-2, axis2=-1).ravel().tolist():
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} != 1")
     return h
@@ -130,14 +120,15 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     each matrix of a stack.
 
     Kept subsystems stay in their original relative order, and the trace of
-    the input is preserved.
+    the input is preserved. The result is a new array, also when ``keep``
+    names every subsystem.
     """
     rho = as_matrices(rho)
     shape, axes, out = _trace_plan(rho.shape, tuple(dims), tuple(keep))
     t = rho.reshape(shape)
     for i, j in axes:
         t = t.trace(0, i, j)
-    return np.ascontiguousarray(t.reshape(out))
+    return np.ascontiguousarray(t.reshape(out)) if axes else rho.copy()
 
 
 @functools.lru_cache(maxsize=256)
@@ -192,8 +183,8 @@ def von_neumann_entropy(rho):
     numpy's summation order depends on it.
     """
     lam = np.linalg.eigvalsh(require_density(rho))
-    rows = lam.reshape(-1, lam.shape[-1])
-    return _per_matrix([_spectral_entropy(row) for row in rows], lam.shape[:-1])
+    s = [_spectral_entropy(row) for row in lam.reshape(-1, lam.shape[-1])]
+    return _number_or_stack(np.array(s).reshape(lam.shape[:-1]))
 
 
 def _spectral_entropy(lam: np.ndarray) -> float:

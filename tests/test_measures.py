@@ -245,7 +245,7 @@ def test_classical_correlation_against_dense_grid_oracle():
 def bloch_and_projector_sums(rho, side, theta, phi):
     """The conditional-entropy sum at each direction from the Bloch kernel,
     vectorised and per point, and from the projector oracle."""
-    a, b, t = measures._bloch_form(rho, side)
+    _, a, b, t = measures._bloch_form(rho[None], side)
     n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     grid = measures._conditional_entropy_grid(a, b, t, n)
     lists = (a.tolist(), b.tolist(), t.tolist())

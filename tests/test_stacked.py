@@ -154,6 +154,41 @@ def test_kernels_on_a_stack_equal_one_matrix_at_a_time(rank):
         assert tensor.von_neumann_entropy(rho)[i, j] == tensor.von_neumann_entropy(one)
         assert concurrence_two_qubit(pairs)[i, j] == concurrence_two_qubit(pairs[i, j])
         assert eof_two_qubit(pairs)[i, j] == eof_two_qubit(pairs[i, j])
+    # a stack of one (1, d, d): an array of one value, equal to the float of
+    # the matrix on its own
+    one, pair = rho[1, 2], pairs[1, 2]
+    assert np.array_equal(tensor.partial_trace(one[None], (2, 2, 2), (0, 2)), pair[None])
+    assert np.array_equal(tensor.partial_transpose(one[None], (2, 2, 2), (1,)),
+                          tensor.partial_transpose(one, (2, 2, 2), (1,))[None])
+    for kernel, m in [(tensor.trace_norm_hermitian, one), (tensor.purity, one),
+                      (tensor.von_neumann_entropy, one), (concurrence_two_qubit, pair),
+                      (eof_two_qubit, pair)]:
+        value, stacked = kernel(m), kernel(m[None])
+        assert type(value) is float
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (1,)
+        assert stacked[0] == value, kernel.__name__
+
+
+W3_PAIR, W3_WHOLE = Cut((0,), (1,)), Cut((0,), (1, 2))
+RANK2 = states.random_mixed((2, 2, 2), 2, 3)
+
+
+@pytest.mark.parametrize("kind,state,cut", [
+    (Measure.NEGATIVITY, states.w(3), W3_WHOLE),
+    (Measure.LOG_NEGATIVITY, states.w(3), W3_PAIR),
+    (Measure.CONCURRENCE, states.w(3), W3_PAIR),  # Wootters
+    (Measure.CONCURRENCE, states.w(3), W3_WHOLE),  # pure cut
+    (Measure.CONCURRENCE, RANK2, W3_WHOLE),  # rank-2 roof
+    (Measure.EOF, states.w(3), W3_WHOLE),  # entanglement entropy
+    (Measure.EOF, states.w(3), W3_PAIR),  # Wootters
+    (Measure.DISCORD, RANK2, W3_PAIR),
+    (Measure.CLASSICAL_CORRELATION, RANK2, W3_PAIR),
+], ids=["negativity", "lognegativity", "wootters", "pure", "roof2", "entropy", "eof-wootters",
+        "discord", "classical"])
+def test_evaluate_returns_a_python_float_on_every_branch(kind, state, cut):
+    assert state is not RANK2 or not RANK2.is_pure()  # the roof, not the pure-cut identity
+    value = evaluate(kind, state, cut)
+    assert type(value) is float and value > 0.0
 
 
 def test_stack_checks_reject_any_bad_matrix():
@@ -162,6 +197,10 @@ def test_stack_checks_reject_any_bad_matrix():
     bad[0, 1] += 1e-6  # not Hermitian
     with pytest.raises(ValueError, match="not Hermitian"):
         tensor.require_hermitian(np.stack([good, bad]))
+    infinite = good.copy()
+    infinite[2, 2] = np.inf  # inf - inf on the diagonal would warn before the check
+    with pytest.raises(ValueError, match="not Hermitian: it has a non-finite entry"):
+        tensor.require_hermitian(np.stack([good, infinite]))
     with pytest.raises(ValueError, match="trace"):
         tensor.require_density(np.stack([good, 2.0 * good]))
     with pytest.raises(ValueError, match="square"):

@@ -206,8 +206,9 @@ def test_state_invariant_rejections():
     for rho in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, -np.inf])):
         with pytest.raises(ValueError, match="not Hermitian"):
             states.MultipartiteState(rho, (2,))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        states.MultipartiteState.from_vector([1.0, np.nan, 0.0, 0.0], (2, 2))
+    for psi in ([1.0, np.nan, 0.0, 0.0], [1.0, np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            states.MultipartiteState.from_vector(psi, (2, 2))
 
 
 # ---------------------------------------------------------------------------

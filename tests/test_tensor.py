@@ -95,6 +95,19 @@ def test_partial_trace_sequential_equals_joint(seed):
     assert np.abs(joint - step2).max() < 1e-12
 
 
+@pytest.mark.parametrize("stack", [False, True], ids=["matrix", "stack"])
+def test_partial_trace_keeping_every_subsystem_returns_a_copy(stack):
+    rho = states.w(3).rho.copy()
+    if stack:
+        rho = np.stack([rho, states.ghz(3).rho])
+    before = rho.copy()
+    out = tensor.partial_trace(rho, (2, 2, 2), (2, 0, 1))
+    assert np.array_equal(out, rho)
+    assert not np.shares_memory(out, rho)
+    out[..., 0, 0] = 7.0
+    assert np.array_equal(rho, before)
+
+
 def test_partial_trace_errors():
     rho = np.eye(4) / 4
     with pytest.raises(ValueError):
