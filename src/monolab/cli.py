@@ -60,15 +60,6 @@ class RunConfig:
     out: str | None = None
     fmt: str = "csv"
 
-    def __post_init__(self):
-        for flag, value in (("--count", self.count), ("--samples", self.samples)):
-            if value < 1:
-                raise ValueError(f"{flag} must be >= 1, got {value}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"--tol must be positive and finite, got {self.tol!r}")
-        if self.r is not None and not math.isfinite(self.r):
-            raise ValueError(f"--r must be finite, got {self.r!r}")
-
     def provenance(self) -> dict:
         cfg = {
             k: (list(v) if isinstance(v, tuple) else v)
@@ -98,8 +89,6 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
     if not vals:
         raise argparse.ArgumentTypeError("must be nonempty")
-    if not all(math.isfinite(v) for v in vals):
-        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
     return vals
 
 

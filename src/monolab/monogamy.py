@@ -66,13 +66,42 @@ class HierarchyReport:
     levels: tuple[float, ...]
 
 
+def _exponent(x, what: str, lo: float = 0.0, closed: bool = False, hi: float = math.inf) -> float:
+    """``float(x)`` if it is finite, above ``lo`` (or equal to it when ``closed``)
+    and at most ``hi``, else ValueError: the one check of every exponent and tolerance."""
+    x = float(x)
+    if (lo <= x if closed else lo < x) and x <= hi and x < math.inf:  # NaN fails each test
+        return x
+    interval = f"{'[' if closed else '('}{lo!r}, {hi!r}{']' if hi < math.inf else ')'}"
+    raise ValueError(f"{what} must lie in {interval}, got {x!r}")
+
+
 def _pow(x: float, r: float) -> float:
-    return 0.0 if x == 0.0 else float(x) ** r
+    """x^r with 0^r := 0, the one power; beyond the float range it is a ValueError."""
+    try:
+        return 0.0 if x == 0.0 else float(x) ** r
+    except OverflowError:
+        raise ValueError(f"{x:g}^{r:g} overflows a float") from None
+
+
+def _fsum(values, r: float) -> float:
+    """math.fsum of powers at exponent r; beyond the float range it is a ValueError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValueError(f"a sum of powers at exponent {r:g} overflows a float") from None
+
+
+def _terms(whole: float, parts, r: float) -> tuple[float, tuple[float, ...], float]:
+    """whole^r, each part_j^r, and the score whole^r - sum_j part_j^r."""
+    w = _pow(whole, r)
+    ps = tuple(_pow(p, r) for p in parts)
+    return w, ps, w - _fsum(ps, r)
 
 
 def _delta(whole: float, parts, r: float) -> float:
     """The monogamy score whole^r - sum_j part_j^r of unexponentiated values."""
-    return _pow(whole, r) - math.fsum(_pow(p, r) for p in parts)
+    return _terms(whole, parts, r)[2]
 
 
 @functools.lru_cache(maxsize=64)
@@ -141,34 +170,22 @@ def _base_values_stack(kind, states, focus: int) -> list[tuple[float, tuple[floa
     return [(v[0], v[1:]) for v in values]
 
 
-def _report(kind: MeasureKind, r: float, whole: float, parts) -> MonogamyReport:
-    w = _pow(whole, r)
-    ps = tuple(_pow(p, r) for p in parts)
-    return MonogamyReport(kind, r, w, ps, w - math.fsum(ps))
-
-
 def monogamy_score(kind, state: MultipartiteState, focus: int, r: float) -> MonogamyReport:
-    """Monogamy score delta at exponent r > 0 (r <= 0 is rejected: zero-valued
-    pair terms make the inverted inequality numerically singular)."""
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError(f"exponent must be positive, got {r}")
-    kind = as_kind(kind)
-    whole, parts = base_values(kind, state, focus)
-    return _report(kind, r, whole, parts)
+    """Monogamy score delta at a finite exponent r > 0 (r <= 0 is rejected:
+    zero-valued pair terms make the inverted inequality numerically singular)."""
+    kind, r = as_kind(kind), _exponent(r, "exponent")
+    return MonogamyReport(kind, r, *_terms(*base_values(kind, state, focus), r))
 
 
 def power_sweep(kind, state: MultipartiteState, focus: int, r_grid) -> list[MonogamyReport]:
     """Monogamy reports over an exponent grid; measure values are computed
     once and re-exponentiated per grid point."""
-    rs = [float(r) for r in r_grid]
+    rs = [_exponent(r, "exponent") for r in r_grid]
     if not rs:
         raise ValueError("exponent grid must be nonempty")
-    if any(r <= 0.0 for r in rs):
-        raise ValueError("all exponents must be positive")
     kind = as_kind(kind)
     whole, parts = base_values(kind, state, focus)
-    return [_report(kind, r, whole, parts) for r in rs]
+    return [MonogamyReport(kind, r, *_terms(whole, parts, r)) for r in rs]
 
 
 @dataclass(frozen=True)
@@ -183,18 +200,20 @@ class CriticalExponent:
     steps: tuple[tuple[float, float, float, float], ...]  # (lo, hi, mid, score_mid)
 
 
+def _bisection(bracket, tol) -> tuple[float, float, float]:
+    """The checked bracket ends 0 < lo < hi and tol > 0, all finite."""
+    lo = _exponent(bracket[0], "bracket start")
+    return lo, _exponent(bracket[1], "bracket end", lo), _exponent(tol, "tol")
+
+
 def bisect_score_crossing(whole: float, parts, bracket, tol: float) -> CriticalExponent:
     """Bisect delta(r) = whole^r - sum parts^r over ``bracket``.
 
     Requires delta < 0 at the lower endpoint and delta > 0 at the upper one;
     assumes a single sign change inside the bracket.
     """
-    lo, hi = (float(bracket[0]), float(bracket[1]))
-    if not (0.0 < lo < hi):
-        raise ValueError(f"invalid bracket {bracket}")
-    tol = float(tol)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    lo, hi, tol = _bisection(bracket, tol)
+    bracket = (lo, hi)
     parts = tuple(float(p) for p in parts)
     d_lo, d_hi = _delta(whole, parts, lo), _delta(whole, parts, hi)
     if not (d_lo < 0.0 < d_hi):
@@ -212,15 +231,15 @@ def bisect_score_crossing(whole: float, parts, bracket, tol: float) -> CriticalE
             lo = mid
         else:
             hi = mid
-    return CriticalExponent(0.5 * (lo + hi), (float(bracket[0]), float(bracket[1])),
-                            tol, d_lo, d_hi, tuple(steps))
+    return CriticalExponent(0.5 * (lo + hi), bracket, tol, d_lo, d_hi, tuple(steps))
 
 
 def critical_exponent(kind, state: MultipartiteState, focus: int, bracket, tol: float) -> CriticalExponent:
-    """Locate the exponent where the monogamy score crosses zero."""
-    kind = as_kind(kind)
-    whole, parts = base_values(kind, state, focus)
-    return bisect_score_crossing(whole, parts, bracket, tol)
+    """Locate the exponent where the monogamy score crosses zero. The bracket
+    and tol are checked before any measure is evaluated."""
+    lo, hi, tol = _bisection(bracket, tol)
+    whole, parts = base_values(as_kind(kind), state, focus)
+    return bisect_score_crossing(whole, parts, (lo, hi), tol)
 
 
 def strong_monogamy_report(kind, state: MultipartiteState, focus: int, alpha: float) -> StrongMonogamyReport:
@@ -230,9 +249,7 @@ def strong_monogamy_report(kind, state: MultipartiteState, focus: int, alpha: fl
     ascending bitmasks 1 .. 2^n - 2; the subset average carries the weight
     1/(2^(n-1) - 1).
     """
-    alpha = float(alpha)
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    alpha = _exponent(alpha, "alpha", 1.0, closed=True)
     kind = as_kind(kind)
     others, whole_cut, _ = _focus_cuts(state.n_subsystems, focus)
     n = len(others)
@@ -243,17 +260,15 @@ def strong_monogamy_report(kind, state: MultipartiteState, focus: int, alpha: fl
     for mask in range(1, 2**n - 1):
         members = tuple(others[i] for i in range(n) if mask >> i & 1)
         terms.append((mask, _pow(evaluate(kind, state, Cut((focus,), members)), alpha)))
-    subset_average = math.fsum(v for _, v in terms) / (2 ** (n - 1) - 1)
-    pair_sum = math.fsum(v for mask, v in terms if mask.bit_count() == 1)
+    subset_average = _fsum((v for _, v in terms), alpha) / (2 ** (n - 1) - 1)
+    pair_sum = _fsum((v for mask, v in terms if mask.bit_count() == 1), alpha)
     return StrongMonogamyReport(kind, alpha, n, whole, subset_average, pair_sum, tuple(terms))
 
 
 def hierarchy_chain(kind, state: MultipartiteState, focus: int, partner: int, alpha: float) -> HierarchyReport:
     """Right-hand sides of the hierarchical chain, splitting the non-partner
     block one subsystem at a time in index order (coarsest first)."""
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = _exponent(alpha, "alpha")
     kind = as_kind(kind)
     n = state.n_subsystems
     if partner == focus or not 0 <= partner < n:
@@ -266,7 +281,9 @@ def hierarchy_chain(kind, state: MultipartiteState, focus: int, partner: int, al
     levels = []
     for k in range(len(rest)):
         tail = _pow(evaluate(kind, state, Cut((focus,), tuple(rest[k:]))), alpha)
-        levels.append(q_ab + math.fsum(singles[:k]) + tail)
+        levels.append(q_ab + _fsum(singles[:k], alpha) + tail)
+    if math.inf in levels:  # the two additions above can leave the float range
+        raise ValueError(f"a hierarchy level at exponent {alpha:g} overflows a float")
     return HierarchyReport(kind, alpha, focus, partner, tuple(levels))
 
 

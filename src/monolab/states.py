@@ -29,7 +29,7 @@ class MultipartiteState:
 
     Invariants checked on construction: Hermitian within 1e-10, unit trace
     within 1e-9, minimum eigenvalue >= -1e-9. The stored matrix is a
-    read-only copy, so instances are safe to share across threads.
+    read-only copy, so no caller can change a state through its input array.
     """
 
     rho: np.ndarray
@@ -50,9 +50,13 @@ class MultipartiteState:
     def from_vector(cls, psi, dims) -> "MultipartiteState":
         """Rank-1 density matrix of a (normalized) state vector."""
         v = np.asarray(psi, dtype=complex).ravel()
-        norm = np.linalg.norm(v)
-        if not 0.0 < norm < math.inf:  # zero, or a NaN or infinite entry
-            raise ValueError(f"state vector norm must be positive and finite, got {norm}")
+        with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+            norm = np.linalg.norm(v)
+        if not 2.0**-500 < norm < 2.0**500:  # zero, non-finite, or squares out of float range
+            scale = np.abs(v.view(float)).max(initial=0.0)
+            if not 0.0 < scale < math.inf:
+                raise ValueError(f"state vector norm must be positive and finite, got {norm}")
+            return cls.from_vector((v.view(float) / scale).view(complex), dims)
         v = v / norm
         return cls(np.outer(v, v.conj()), tuple(dims))
 
@@ -243,6 +247,14 @@ class EnsembleSpec:
     ranks: tuple[int, ...] | None = None
     p_grid: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.family not in ("haar_pure", "random_mixed", "named"):
+            raise ValueError(f"unknown ensemble family {self.family!r}")
+        if self.family == "named" and self.name is None:
+            raise ValueError("named ensemble needs a state name")
+        if self.count < 1:
+            raise ValueError(f"ensemble count must be >= 1, got {self.count}")
+
     def describe(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(self).items()}
 
@@ -250,17 +262,13 @@ class EnsembleSpec:
 def sample_states(spec: EnsembleSpec, seed: int) -> list[MultipartiteState]:
     """Materialize an ensemble; sample i uses substream (seed, i)."""
     if spec.family == "named":
-        if spec.name is None:
-            raise ValueError("named ensemble needs a state name")
         base = [named_state(spec.name)]
     elif spec.family == "haar_pure":
         base = [haar_pure(spec.dims, seed, index=i) for i in range(spec.count)]
-    elif spec.family == "random_mixed":
+    else:
         d = math.prod(spec.dims)
         ranks = spec.ranks or tuple(range(1, d + 1))
         base = [random_mixed(spec.dims, ranks[i % len(ranks)], seed, index=i) for i in range(spec.count)]
-    else:
-        raise ValueError(f"unknown ensemble family {spec.family!r}")
     if spec.p_grid:
         base = [white_noise_mix(s, p) for s in base for p in spec.p_grid]
     return base

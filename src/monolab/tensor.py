@@ -73,23 +73,32 @@ def check_dims(dim: int, dims) -> tuple[int, ...]:
 
 def require_hermitian(m, what: str = "matrix") -> np.ndarray:
     """Check Hermiticity within 1e-10 and return the symmetrized matrix. A NaN
-    or infinite entry fails too, before any arithmetic on it. A stack fails
-    on its largest defect."""
+    or infinite entry fails, and so does an entry so large that the check
+    overflows, without a floating-point warning. A stack fails on its largest
+    defect."""
     m = as_matrices(m)
+    m_dag = m.conj().swapaxes(-1, -2)
+    try:  # the errstate costs less than an isfinite test of every entry
+        with np.errstate(over="raise", invalid="raise"):
+            defect = float(np.abs(m - m_dag).max())
+            h = 0.5 * (m + m_dag)
+    except FloatingPointError:  # inf - inf, inf * 0, or a sum beyond the float range
+        defect = math.nan
+    if defect <= HERMITICITY_TOL:  # false for NaN
+        return h
     if not np.isfinite(m).all():
         raise ValueError(f"{what} is not Hermitian: it has a non-finite entry")
-    m_dag = m.conj().swapaxes(-1, -2)
-    defect = float(np.abs(m - m_dag).max())
     if defect > HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian: max|M - M^dag| = {defect:.3e}")
-    return 0.5 * (m + m_dag)
+    raise ValueError(f"{what} has an entry too large to check: its arithmetic overflows")
 
 
 def require_density(m) -> np.ndarray:
     """Check Hermiticity within 1e-10 and unit trace within 1e-9, and return
     the symmetrized matrix; positivity is left to the caller's eigensolve."""
     h = require_hermitian(m, "density matrix")
-    for tr in h.trace(axis1=-2, axis2=-1).ravel().tolist():
+    # Python sums: a trace beyond the float range is inf, not a numpy warning
+    for tr in map(sum, h.diagonal(0, -2, -1).real.reshape(-1, h.shape[-1]).tolist()):
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} != 1")
     return h

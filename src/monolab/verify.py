@@ -25,7 +25,7 @@ from .measures import (
     as_kind,
     eof_from_concurrence,
 )
-from .monogamy import (_base_values_stack, _delta, _focus_cuts, _stack_values,
+from .monogamy import (_base_values_stack, _delta, _exponent, _focus_cuts, _stack_values,
                        hierarchy_chain, monogamy_score, strong_monogamy_report)
 from .monogamy import base_values  # noqa: F401  perfbench's tracer test rebinds it here
 from .states import (
@@ -236,9 +236,8 @@ def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationS
     States with delta(r) < -1e-9 do not satisfy the hypothesis and are
     counted as skipped.
     """
-    kind, r, alphas = _normalized(kind), float(r), tuple(float(a) for a in alphas)
-    if any(a < r for a in alphas):
-        raise ValueError(f"all alphas must be >= r = {r}")
+    kind, r = _normalized(kind), _exponent(r, "r")
+    alphas = tuple(_exponent(a, "alpha", r, closed=True) for a in alphas)
     return _transfer("power-raising", 1.0, kind, ensemble, r, alphas, seed)
 
 
@@ -248,11 +247,8 @@ def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> Verification
     Slack here is sum_j Q^alpha_j - Q^alpha(whole); states with
     delta(r) > 1e-9 are skipped (hypothesis not met).
     """
-    kind, r, alphas = _normalized(kind), float(r), tuple(float(a) for a in alphas)
-    if any(a > r for a in alphas):
-        raise ValueError(f"all alphas must be <= r = {r}")
-    if any(a <= 0.0 for a in alphas):
-        raise ValueError("alphas must be positive")
+    kind, r = _normalized(kind), _exponent(r, "r")
+    alphas = tuple(_exponent(a, "alpha", hi=r) for a in alphas)
     return _transfer("power-lowering", -1.0, kind, ensemble, r, alphas, seed)
 
 
@@ -272,7 +268,7 @@ def verify_functional_lift(ensemble, m: float, seed: int) -> VerificationSummary
     of range rather than failed. Every state must have two or more parties,
     all qubits.
     """
-    m = float(m)
+    m = _exponent(m, "m")
     extra = {"m": m, "out_of_range": 0, "mixed_restricted": 0}
     concurrence = functools.partial(_evaluate_stack, MeasureKind(Measure.CONCURRENCE))
 
@@ -356,9 +352,7 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
     implication that delta(2) >= 0 with values in [0, 1] forces delta(r) >= 0
     for r > 2.
     """
-    rs = tuple(float(r) for r in r_values)
-    if any(r < 2.0 for r in rs):
-        raise ValueError("probe exponents must be >= 2 (r = 2 allowed as control)")
+    rs = tuple(_exponent(r, "probe exponent", 2.0, closed=True) for r in r_values)
     kind = _mixed_computable(kind)
     per_r = {r: math.inf for r in rs}
     extra = dict(_measure_extra(kind), r_values=list(rs), implication_violations=0)
@@ -424,10 +418,7 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
     negative score found and its state are reported, and every restart's
     best is kept in extra["restart_bests"] for harvesting.
     """
-    kind = as_kind(kind)
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    kind, r = as_kind(kind), _exponent(r, "r")
     restarts = int(restarts)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

@@ -163,6 +163,26 @@ def test_library_value_errors_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+QUTRITS = ("--measure", "lognegativity", "--state", "random-pure", "--dims", "3,3,3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # qutrit log-negativity reaches 1.47 here: a power of 2000 leaves the float range
+        ("sweep", *QUTRITS, "--p-grid", "0", "--r-grid", "2000"),
+        ("rstar", *QUTRITS, "--bracket", "1,2000"),
+        ("verify", "strong", *QUTRITS, "--alpha", "3000", "--count", "1"),
+    ],
+)
+def test_an_overflowing_power_exits_2(argv, tmp_path, capsys):
+    assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows a float" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

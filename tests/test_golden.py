@@ -10,9 +10,14 @@ because the provenance block in the ``.meta.json`` sidecar echoes the path.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monolab
 from monolab import cli, states, verify
 from monolab.measures import Measure, MeasureKind
 from monolab.states import EnsembleSpec
@@ -42,6 +47,20 @@ def test_figure_outputs_match_golden_digests(figure, tmp_path, monkeypatch):
         for name in GOLDEN[figure]
     }
     assert digests == GOLDEN[figure]
+
+
+def test_reproduce_figures_script_writes_the_golden_figures(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(monolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_figures.py"), "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for figure, digests in GOLDEN.items():
+        csv = (tmp_path / f"figure{figure}.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == digests[f"fig{figure}.csv"]
 
 
 SWEEP_ARGV = [

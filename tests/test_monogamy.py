@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -23,7 +24,16 @@ from monolab.monogamy import (
     share_sum,
     strong_monogamy_report,
 )
-from monolab.verify import STATE_TOL
+from monolab.verify import (
+    STATE_TOL,
+    counterexample_search,
+    probe_high_power_mixed,
+    verify_functional_lift,
+    verify_hierarchy_chain,
+    verify_lowering,
+    verify_raising,
+    verify_strong_chain,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -332,3 +342,75 @@ def test_share_sum_tabulates_bounded_values(seed):
     s = states.haar_pure((2, 2, 2), seed)
     total = share_sum(CONC, s, 0)
     assert -1e-12 <= total <= 2.0  # n = 2 pair terms, each normalized to [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# exponent and tolerance checks, overflow
+# ---------------------------------------------------------------------------
+
+# concurrence is undefined on every cut of this state, so a check that ran
+# after an evaluation would raise MeasureUndefinedError, a ValueError subclass
+UNDEFINED = states.random_mixed((2, 2, 2), 8, 0)
+PROBE = MeasureKind(Measure.NEGATIVITY, True)
+
+# name -> (call with the checked value x, the lower bound of x)
+EXPONENT_ARGS = {
+    "monogamy_score": (lambda x: monogamy_score(CONC, UNDEFINED, 0, x), 0.0),
+    "power_sweep": (lambda x: power_sweep(CONC, UNDEFINED, 0, (1.0, x)), 0.0),
+    "bisect_score_crossing-lo": (lambda x: bisect_score_crossing(1.0, (0.5,), (x, 2.0), 1e-3), 0.0),
+    "bisect_score_crossing-hi": (lambda x: bisect_score_crossing(1.0, (0.5,), (1.0, x), 1e-3), 1.0),
+    "bisect_score_crossing-tol": (lambda x: bisect_score_crossing(1.0, (0.5,), (1.0, 2.0), x), 0.0),
+    "critical_exponent-lo": (lambda x: critical_exponent(CONC, UNDEFINED, 0, (x, 2.0), 1e-3), 0.0),
+    "critical_exponent-hi": (lambda x: critical_exponent(CONC, UNDEFINED, 0, (1.0, x), 1e-3), 1.0),
+    "critical_exponent-tol": (lambda x: critical_exponent(CONC, UNDEFINED, 0, (1.0, 2.0), x), 0.0),
+    "strong_monogamy_report": (lambda x: strong_monogamy_report(CONC, UNDEFINED, 0, x), 1.0),
+    "hierarchy_chain": (lambda x: hierarchy_chain(CONC, UNDEFINED, 0, 1, x), 0.0),
+    "verify_raising-r": (lambda x: verify_raising(CONC, [UNDEFINED], x, (2.0,), 0), 0.0),
+    "verify_raising-alpha": (lambda x: verify_raising(CONC, [UNDEFINED], 1.0, (2.0, x), 0), 1.0),
+    "verify_lowering-r": (lambda x: verify_lowering(CONC, [UNDEFINED], x, (0.5,), 0), 0.0),
+    "verify_lowering-alpha": (lambda x: verify_lowering(CONC, [UNDEFINED], 1.0, (0.5, x), 0), 0.0),
+    "verify_functional_lift": (lambda x: verify_functional_lift([UNDEFINED], x, 0), 0.0),
+    "probe_high_power_mixed": (lambda x: probe_high_power_mixed((2.0, x), [UNDEFINED], 0, PROBE), 2.0),
+    "verify_strong_chain": (lambda x: verify_strong_chain(CONC, [UNDEFINED], x, 0), 1.0),
+    "verify_hierarchy_chain": (lambda x: verify_hierarchy_chain(CONC, [UNDEFINED], x, 0), 0.0),
+    # discord is undefined on the 2x4 whole cut of every 3-qubit state
+    "counterexample_search": (
+        lambda x: counterexample_search(MeasureKind(Measure.DISCORD), x, (2, 2, 2), 1, 0, 0), 0.0),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "below"])
+@pytest.mark.parametrize("name", sorted(EXPONENT_ARGS))
+def test_every_exponent_and_tol_is_checked_before_any_measure_runs(name, value):
+    call, bound = EXPONENT_ARGS[name]
+    x = math.nextafter(bound, -math.inf) if value == "below" else float(value)
+    with pytest.raises(ValueError, match="must lie in") as err:
+        call(x)
+    assert type(err.value) is ValueError  # not MeasureUndefinedError or BracketError
+
+
+def test_lowering_rejects_an_alpha_above_r():
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0.0, 1.0\]"):
+        verify_lowering(CONC, [UNDEFINED], 1.0, (math.nextafter(1.0, 2.0),), 0)
+
+
+def test_an_overflowing_power_or_sum_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^2\^2000 overflows a float"):
+        bisect_score_crossing(2.0, (1.0,), (1.0, 2000.0), 1e-3)
+    big = math.sqrt(1.2e308)  # big^2 is a float, twice it is not
+    with pytest.raises(ValueError, match="a sum of powers at exponent 2 overflows a float"):
+        bisect_score_crossing(1.0, (big, big), (1.0, 2.0), 1e-3)
+
+
+def test_an_overflowing_hierarchy_level_is_a_value_error():
+    # party 0 holds two qutrits: one maximally entangled with the qutrit party
+    # 1, the other with a 3-dimensional subspace of the qubit parties 2 and 3.
+    # Both Q(0:1) and Q(0:23) are log2(3), so level 0 = log2(3)^alpha twice
+    # leaves the float range while each power and each sum of powers stays in it
+    psi = np.zeros(108)
+    for a, b in itertools.product(range(3), repeat=2):
+        psi[(3 * (3 * a + b) + a) * 4 + b] = 1.0 / 3.0
+    state = states.MultipartiteState.from_vector(psi, (9, 3, 2, 2))
+    assert math.isfinite(hierarchy_chain(LOGNEG, state, 0, 1, 1530.0).levels[0])
+    with pytest.raises(ValueError, match="hierarchy level at exponent 1540.5 overflows"):
+        hierarchy_chain(LOGNEG, state, 0, 1, 1540.5)

@@ -209,6 +209,17 @@ def test_state_invariant_rejections():
     for psi in ([1.0, np.nan, 0.0, 0.0], [1.0, np.inf, 0.0, 0.0]):
         with pytest.raises(ValueError, match="positive and finite"):
             states.MultipartiteState.from_vector(psi, (2, 2))
+    with pytest.raises(ValueError, match="too large to check"):
+        states.MultipartiteState(np.array([[0.5, 1e308], [1e308, 0.5]]), (2,))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 1e-320])
+def test_from_vector_normalizes_huge_and_tiny_vectors(scale):
+    # the norm of such a vector over- or underflows; it is rescaled first
+    psi = np.array([1.0, 1.0j, 0.0, 1.0])
+    expected = states.MultipartiteState.from_vector(psi, (2, 2)).rho
+    rho = states.MultipartiteState.from_vector(scale * psi, (2, 2)).rho
+    assert np.abs(rho - expected).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +246,13 @@ def test_sample_states_families():
     assert abs(named[0].purity() - 1.0) < 1e-10
     with pytest.raises(ValueError):
         states.sample_states(states.EnsembleSpec("bogus"), 0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(family="named"), "needs a state name"),
+    (dict(family="haar_pure", count=0), "count must be >= 1"),
+    (dict(family="random_mixed", count=-1), "count must be >= 1"),
+])
+def test_ensemble_spec_checks_itself(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        states.EnsembleSpec(**kwargs)

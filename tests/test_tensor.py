@@ -238,6 +238,22 @@ def test_require_density_checks_and_symmetrizes():
         tensor.require_density(np.diag([0.5, 0.5 + 2e-9]))
 
 
+@pytest.mark.parametrize("m", [
+    [[1, 1e308], [-1e308, 1]],  # M - M^dag overflows
+    [[1, 1e308], [1e308, 1]],  # Hermitian, but M + M^dag overflows
+    [[1, 1e308j], [-1e308j, 1]],
+])
+def test_require_hermitian_rejects_huge_entries_without_a_warning(m):
+    # pytest turns every warning into an error, so an overflow warning fails here
+    with pytest.raises(ValueError, match="too large to check"):
+        tensor.require_hermitian(m)
+
+
+def test_require_density_rejects_an_overflowing_trace_without_a_warning():
+    with pytest.raises(ValueError, match="density matrix trace inf != 1"):
+        tensor.require_density(np.diag([8e307] * 4))
+
+
 # ---------------------------------------------------------------------------
 # trace norm
 # ---------------------------------------------------------------------------
