@@ -57,7 +57,7 @@ def main() -> int:
             conc, pure3, 2.0, (2.5, 3.0, 4.0), args.seed
         ),
         "lowering": lambda: verify.verify_lowering(
-            Measure.LOG_NEGATIVITY, EnsembleSpec("named", name="w3"), 1.0, (0.5, 0.8),
+            Measure.LOG_NEGATIVITY, EnsembleSpec("named", count=1, name="w3"), 1.0, (0.5, 0.8),
             args.seed,
         ),
         "functional": lambda: verify.verify_functional_lift(pure3, 2.0, args.seed),

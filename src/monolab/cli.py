@@ -361,6 +361,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_figure(cfg: RunConfig) -> int:
     fid = cfg.figure
+    unread = "r_grid" if fid in (1, 2) else "p_grid"  # figures 1-2 scan p, figure 3 scans r
+    if getattr(cfg, unread) is not None:
+        raise ValueError(f"figure {fid} does not read --{unread.replace('_', '-')}")
     out = cfg.out or f"figure{fid}.csv"
     p_grid = cfg.p_grid or FIGURE_P_GRID
     r_grid = cfg.r_grid or FIGURE_R_GRID

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from . import tensor
-from .states import MultipartiteState, POSITIVITY_TOL, PURITY_TOL
+from .states import MultipartiteState, PURITY_TOL
 
 FLUSH_TOL = 1e-12
 RANK_TOL = 1e-9
@@ -159,11 +159,7 @@ def _require_two_qubit_density(rho: np.ndarray):
     ascending eigenvalues and eigenvectors of the eigensolve that checks it."""
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit density matrix, got {rho.shape[-2:]}")
-    rho = tensor.require_density(rho)
-    evals, evecs = np.linalg.eigh(rho)
-    if min(evals[:, 0].tolist(), default=0.0) < -POSITIVITY_TOL:
-        raise ValueError("density matrix is not positive semidefinite")
-    return rho, evals, evecs
+    return tensor._density_eig(rho, vectors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +241,14 @@ def tangle_rank2(rho, dims, a_index: int) -> float:
 
         tau(rho) = tau_affine(m) + lambda_min(M) (1 - |m|^2).
 
-    Raises MeasureUndefinedError when the numerical rank exceeds 2.
+    The input must be a density matrix (``tensor._density_eig``); raises
+    MeasureUndefinedError when the numerical rank exceeds 2.
     """
     rho = tensor.as_matrix(rho)
     dims = tensor.check_dims(rho.shape[0], dims)
     if dims[a_index] != 2:
         raise ValueError("side A must be a single qubit")
-    evals, evecs = np.linalg.eigh(tensor.require_hermitian(rho, what="density matrix"))
+    _, evals, evecs = tensor._density_eig(rho, vectors=True)
     if rho.shape[0] > 2 and float(evals[-3]) > RANK_TOL:
         raise MeasureUndefinedError(
             f"concurrence undefined on a mixed cut of rank > 2 (third eigenvalue {evals[-3]:.3e})"

@@ -68,7 +68,8 @@ class HierarchyReport:
 
 def _exponent(x, what: str, lo: float = 0.0, closed: bool = False, hi: float = math.inf) -> float:
     """``float(x)`` if it is finite, above ``lo`` (or equal to it when ``closed``)
-    and at most ``hi``, else ValueError: the one check of every exponent and tolerance."""
+    and at most ``hi``, else ValueError: the one check of every exponent and
+    tolerance, and of the measure values a caller hands to the bisection."""
     x = float(x)
     if (lo <= x if closed else lo < x) and x <= hi and x < math.inf:  # NaN fails each test
         return x
@@ -102,6 +103,11 @@ def _terms(whole: float, parts, r: float) -> tuple[float, tuple[float, ...], flo
 def _delta(whole: float, parts, r: float) -> float:
     """The monogamy score whole^r - sum_j part_j^r of unexponentiated values."""
     return _terms(whole, parts, r)[2]
+
+
+# the exponent of each chain, checked by its report and by its verify suite
+_strong_alpha = functools.partial(_exponent, what="alpha", lo=1.0, closed=True)  # alpha >= 1
+_hierarchy_alpha = functools.partial(_exponent, what="alpha")  # alpha > 0
 
 
 @functools.lru_cache(maxsize=64)
@@ -209,12 +215,13 @@ def _bisection(bracket, tol) -> tuple[float, float, float]:
 def bisect_score_crossing(whole: float, parts, bracket, tol: float) -> CriticalExponent:
     """Bisect delta(r) = whole^r - sum parts^r over ``bracket``.
 
-    Requires delta < 0 at the lower endpoint and delta > 0 at the upper one;
-    assumes a single sign change inside the bracket.
+    ``whole`` and each part must be finite and >= 0. Requires delta < 0 at
+    the lower endpoint and delta > 0 at the upper one; assumes a single sign
+    change inside the bracket.
     """
     lo, hi, tol = _bisection(bracket, tol)
     bracket = (lo, hi)
-    parts = tuple(float(p) for p in parts)
+    whole, *parts = (_exponent(v, "measure value", closed=True) for v in (whole, *parts))
     d_lo, d_hi = _delta(whole, parts, lo), _delta(whole, parts, hi)
     if not (d_lo < 0.0 < d_hi):
         raise BracketError(
@@ -249,7 +256,7 @@ def strong_monogamy_report(kind, state: MultipartiteState, focus: int, alpha: fl
     ascending bitmasks 1 .. 2^n - 2; the subset average carries the weight
     1/(2^(n-1) - 1).
     """
-    alpha = _exponent(alpha, "alpha", 1.0, closed=True)
+    alpha = _strong_alpha(alpha)
     kind = as_kind(kind)
     others, whole_cut, _ = _focus_cuts(state.n_subsystems, focus)
     n = len(others)
@@ -268,7 +275,7 @@ def strong_monogamy_report(kind, state: MultipartiteState, focus: int, alpha: fl
 def hierarchy_chain(kind, state: MultipartiteState, focus: int, partner: int, alpha: float) -> HierarchyReport:
     """Right-hand sides of the hierarchical chain, splitting the non-partner
     block one subsystem at a time in index order (coarsest first)."""
-    alpha = _exponent(alpha, "alpha")
+    alpha = _hierarchy_alpha(alpha)
     kind = as_kind(kind)
     n = state.n_subsystems
     if partner == focus or not 0 <= partner < n:

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import tensor
 
-POSITIVITY_TOL = 1e-9
 PURITY_TOL = 1e-9
 
 
@@ -27,9 +26,11 @@ PURITY_TOL = 1e-9
 class MultipartiteState:
     """Density matrix plus ordered subsystem dimensions.
 
-    Invariants checked on construction: Hermitian within 1e-10, unit trace
-    within 1e-9, minimum eigenvalue >= -1e-9. The stored matrix is a
-    read-only copy, so no caller can change a state through its input array.
+    Invariants checked on construction, by the one density rule of
+    ``tensor._density_eig``: Hermitian within 1e-10, unit trace within 1e-9,
+    no eigenvalue below -1e-9 (``tensor.POSITIVITY_TOL``). The stored matrix
+    is a read-only copy, so no caller can change a state through its input
+    array.
     """
 
     rho: np.ndarray
@@ -38,9 +39,7 @@ class MultipartiteState:
     def __post_init__(self):
         rho = tensor.as_matrix(self.rho)
         dims = tensor.check_dims(rho.shape[0], self.dims)
-        lam_min = float(np.linalg.eigvalsh(tensor.require_density(rho))[0])
-        if lam_min < -POSITIVITY_TOL:
-            raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} < -1e-9")
+        tensor._density_eig(rho)
         rho = rho.copy()
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)

@@ -14,6 +14,12 @@ the Python and numpy call overhead is paid once for the whole stack. A
 number-valued kernel gives a float for one matrix and an array for a stack;
 the scoring code in ``measures`` passes stacks only, so it gets arrays.
 
+A density matrix is Hermitian within 1e-10, has unit trace within 1e-9 and
+has no eigenvalue below -1e-9 (``POSITIVITY_TOL``). ``_density_eig`` is the
+one check of this rule, shared by the state constructor and every kernel
+that takes a density matrix; the entropies clamp eigenvalues in [-1e-9, 0)
+to 0.
+
 Index plans are cached per shape: the dimension check, and the reshape and
 axis bookkeeping of the partial trace and transpose, are worked out once per
 (array shape, dimensions, subsystem set) and reused, so repeated calls on one
@@ -30,8 +36,8 @@ import math
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-EIGENVALUE_CLAMP = 1e-10
 TRACE_TOL = 1e-9
+POSITIVITY_TOL = 1e-9
 
 
 def as_matrix(m) -> np.ndarray:
@@ -95,7 +101,7 @@ def require_hermitian(m, what: str = "matrix") -> np.ndarray:
 
 def require_density(m) -> np.ndarray:
     """Check Hermiticity within 1e-10 and unit trace within 1e-9, and return
-    the symmetrized matrix; positivity is left to the caller's eigensolve."""
+    the symmetrized matrix; positivity needs the eigensolve of _density_eig."""
     h = require_hermitian(m, "density matrix")
     # Python sums: a trace beyond the float range is inf, not a numpy warning
     for tr in map(sum, h.diagonal(0, -2, -1).real.reshape(-1, h.shape[-1]).tolist()):
@@ -182,25 +188,34 @@ def purity(rho):
     return _number_or_stack(np.real(np.trace(rho @ rho, axis1=-2, axis2=-1)))
 
 
+def _density_eig(m, vectors: bool = False):
+    """(h, evals, evecs or None): the symmetrized density matrix (or stack)
+    from require_density, its ascending eigenvalues and, with ``vectors``,
+    its eigenvectors. The one positivity test: no eigenvalue below -1e-9."""
+    h = require_density(m)
+    # numpy.linalg is read at call time, so a rebinding of eigh or eigvalsh is seen
+    evals, evecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    lam_min = min(evals[..., 0].ravel().tolist(), default=0.0)
+    if lam_min < -POSITIVITY_TOL:
+        raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} < -1e-9")
+    return h, evals, evecs
+
+
 def von_neumann_entropy(rho):
     """Spectral entropy -sum(lam log2 lam) in bits, with 0 log 0 := 0.
 
-    Requires unit trace within 1e-9 and positive semidefiniteness within
-    -1e-10. Eigenvalues in [-1e-10, 0) are clamped to zero; anything more
-    negative is an error, not a clamp. A stack is diagonalised in one call
-    and summed matrix by matrix: the kept eigenvalues differ in number, and
-    numpy's summation order depends on it.
+    The input must pass _density_eig; eigenvalues in [-1e-9, 0) are clamped
+    to zero. A stack is diagonalised in one call and summed matrix by
+    matrix: the kept eigenvalues differ in number, and numpy's summation
+    order depends on it.
     """
-    lam = np.linalg.eigvalsh(require_density(rho))
+    lam = _density_eig(rho)[1]
     s = [_spectral_entropy(row) for row in lam.reshape(-1, lam.shape[-1])]
     return _number_or_stack(np.array(s).reshape(lam.shape[:-1]))
 
 
 def _spectral_entropy(lam: np.ndarray) -> float:
-    """-sum(lam log2 lam) of an ascending spectrum, with von_neumann_entropy's
-    clamp of [-1e-10, 0) to zero and error below it."""
-    if lam[0] < -EIGENVALUE_CLAMP:
-        raise ValueError(f"not positive semidefinite: min eigenvalue {lam[0]:.3e}")
+    """-sum(lam log2 lam) of a checked spectrum, negative eigenvalues clamped to 0."""
     lam = lam[lam > 0.0]
     if lam.size == 0:
         return 0.0

@@ -25,8 +25,9 @@ from .measures import (
     as_kind,
     eof_from_concurrence,
 )
-from .monogamy import (_base_values_stack, _delta, _exponent, _focus_cuts, _stack_values,
-                       hierarchy_chain, monogamy_score, strong_monogamy_report)
+from .monogamy import (_base_values_stack, _delta, _exponent, _focus_cuts, _hierarchy_alpha,
+                       _stack_values, _strong_alpha, hierarchy_chain, monogamy_score,
+                       strong_monogamy_report)
 from .monogamy import base_values  # noqa: F401  perfbench's tracer test rebinds it here
 from .states import (
     EnsembleSpec,
@@ -377,20 +378,20 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
 
 def verify_strong_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0) -> VerificationSummary:
     """Both gaps of the strong monogamy chain on every sampled state."""
-    kind = as_kind(kind)
+    kind, alpha = as_kind(kind), _strong_alpha(alpha)
 
     def slack(state):
         rep = strong_monogamy_report(kind, state, focus, alpha)
         return min(rep.whole - rep.subset_average, rep.subset_average - rep.pair_sum)
 
     return _run_suite("strong-monogamy", ensemble, seed,
-                      dict(_measure_extra(kind), alpha=float(alpha)), lambda states: map(slack, states))
+                      dict(_measure_extra(kind), alpha=alpha), lambda states: map(slack, states))
 
 
 def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int = 0) -> VerificationSummary:
     """Every hierarchy level must stay below the whole-cut value. The
     hierarchy's partner is the first party other than the focus."""
-    kind = as_kind(kind)
+    kind, alpha = as_kind(kind), _hierarchy_alpha(alpha)
 
     def slack(state):
         partner = next(i for i in range(state.n_subsystems) if i != focus)
@@ -399,7 +400,7 @@ def verify_hierarchy_chain(kind, ensemble, alpha: float, seed: int, focus: int =
         return min(whole - lvl for lvl in rep.levels)
 
     return _run_suite("hierarchy", ensemble, seed,
-                      dict(_measure_extra(kind), alpha=float(alpha)), lambda states: map(slack, states))
+                      dict(_measure_extra(kind), alpha=alpha), lambda states: map(slack, states))
 
 
 # ---------------------------------------------------------------------------

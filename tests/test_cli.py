@@ -143,6 +143,10 @@ RSTAR_W3 = ("rstar", "--measure", "lognegativity", "--state", "w3")
         ("state-export", "--state", "ghz3", "--format", "csv"),
         (*RSTAR_W3, "--bracket", "1,2", "--format", "csv"),  # rstar writes text or JSON
         ("figure", "1", "--seed", "7"),
+        # figures 1-2 read --p-grid only, figure 3 --r-grid only
+        ("figure", "1", "--r-grid", "nan"),
+        ("figure", "2", "--r-grid", "1,2,3"),
+        ("figure", "3", "--p-grid", "0.5"),
     ],
 )
 def test_config_rejects_non_finite_and_zero_values(argv, tmp_path):

@@ -23,6 +23,7 @@ from monolab.measures import (
     negativity,
     tangle_rank2,
 )
+from monolab.monogamy import share_sum
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -441,3 +442,42 @@ def test_pure_state_consistency(seed):
     s = states.haar_pure((2, 2), seed)
     assert abs(eof_pure_cut(s, A_B) - eof_two_qubit(s.rho)) < 1e-8
     assert abs(concurrence_pure_cut(s, A_B) - concurrence_two_qubit(s.rho)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the one density-matrix rule
+# ---------------------------------------------------------------------------
+
+DENSITY_KERNELS = {
+    "MultipartiteState": lambda m: states.MultipartiteState(m, (2, 2)),
+    "concurrence_two_qubit": concurrence_two_qubit,
+    "eof_two_qubit": eof_two_qubit,
+    "tangle_rank2": lambda m: tangle_rank2(m, (2, 2), 0),
+    "von_neumann_entropy": tensor.von_neumann_entropy,
+    "discord": discord,
+    "classical_correlation": classical_correlation,
+}
+_HH = np.kron(*2 * [np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)])  # real orthogonal
+
+
+def with_spectrum(*lam):
+    """A two-qubit matrix with eigenvalues lam, in a basis other than the standard one."""
+    return _HH @ np.diag(lam) @ _HH.T
+
+
+@pytest.mark.parametrize("name", sorted(DENSITY_KERNELS))
+def test_every_density_kernel_applies_the_one_rule(name):
+    kernel = DENSITY_KERNELS[name]
+    with pytest.raises(ValueError, match="^density matrix trace 2 != 1$"):
+        kernel(np.eye(4) / 2)
+    with pytest.raises(ValueError, match=r"^density matrix has eigenvalue -1\.000e-02 < -1e-9$"):
+        kernel(with_spectrum(0.51, 0.5, 0.0, -0.01))
+
+
+def test_an_eigenvalue_the_constructor_accepts_is_clamped_by_every_kernel():
+    rho = with_spectrum(0.6, 0.4 + 5e-10, 0.0, -5e-10)
+    states.MultipartiteState(rho, (2, 2))
+    for kernel in (tensor.von_neumann_entropy, discord, classical_correlation):
+        assert math.isfinite(kernel(rho))
+    state = states.MultipartiteState(np.kron(rho, np.diag([1.0, 0.0])), (2, 2, 2))
+    assert math.isfinite(share_sum(Measure.DISCORD, state, 0))

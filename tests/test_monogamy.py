@@ -373,6 +373,9 @@ EXPONENT_ARGS = {
     "probe_high_power_mixed": (lambda x: probe_high_power_mixed((2.0, x), [UNDEFINED], 0, PROBE), 2.0),
     "verify_strong_chain": (lambda x: verify_strong_chain(CONC, [UNDEFINED], x, 0), 1.0),
     "verify_hierarchy_chain": (lambda x: verify_hierarchy_chain(CONC, [UNDEFINED], x, 0), 0.0),
+    # with no state to score, only the suite itself can check its exponent
+    "verify_strong_chain-empty": (lambda x: verify_strong_chain(CONC, [], x, 0), 1.0),
+    "verify_hierarchy_chain-empty": (lambda x: verify_hierarchy_chain(CONC, [], x, 0), 0.0),
     # discord is undefined on the 2x4 whole cut of every 3-qubit state
     "counterexample_search": (
         lambda x: counterexample_search(MeasureKind(Measure.DISCORD), x, (2, 2, 2), 1, 0, 0), 0.0),
@@ -387,6 +390,13 @@ def test_every_exponent_and_tol_is_checked_before_any_measure_runs(name, value):
     with pytest.raises(ValueError, match="must lie in") as err:
         call(x)
     assert type(err.value) is ValueError  # not MeasureUndefinedError or BracketError
+
+
+@pytest.mark.parametrize("whole, parts", [(-0.5, (0.1,)), (math.nan, (0.1,)), (0.5, (math.inf,))])
+def test_bisect_score_crossing_rejects_a_negative_or_non_finite_value(whole, parts):
+    with pytest.raises(ValueError, match="measure value must lie in") as err:
+        bisect_score_crossing(whole, parts, (1.0, 2.5), 1e-3)
+    assert type(err.value) is ValueError  # not TypeError or BracketError
 
 
 def test_lowering_rejects_an_alpha_above_r():
