@@ -24,7 +24,8 @@ dimensions only: ``_evaluate_stack`` scores one cut of a whole stack, each
 matrix taking its own branch (Wootters, pure cut, rank-2 roof or
 undefined), and ``evaluate`` runs it on a stack of one. A stacked numpy call
 gives the same bits as one call per matrix, so a value does not depend on
-its stack. One matrix becomes a float only in the public kernels.
+its stack. One matrix becomes a float only in the public kernels. The
+matrices it derives from a checked state are symmetrized, not checked again.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def _pure_cut_concurrence(red: np.ndarray, rdims, a_pos) -> list[float]:
 def _side_entropy(red: np.ndarray, rdims, a_pos) -> list[float]:
     """Flushed entropy of side A of each matrix of a stack."""
     ra = tensor.partial_trace(red, rdims, a_pos)
-    return [_flush(e) for e in tensor.von_neumann_entropy(ra).tolist()]
+    return [_flush(e) for e in tensor._entropy(ra).tolist()]
 
 
 def _is_pure(red: np.ndarray) -> list[bool]:
@@ -499,24 +500,26 @@ def _evaluate_stack(kind: MeasureKind, rho: np.ndarray, dims, cut: Cut) -> list[
 
     if tag is Measure.NEGATIVITY or tag is Measure.LOG_NEGATIVITY:
         pt = tensor.partial_transpose(red, rdims, a_pos)
-        return [_negativity(kind, t) for t in tensor.trace_norm_hermitian(pt).tolist()]
+        return [_negativity(kind, t) for t in tensor._trace_norm(pt).tolist()]
+    # the public kernels below check their input again: the symmetrized
+    # marginal passes, and symmetrizing it once more changes no value
     if tag is Measure.CONCURRENCE:
         if da == 2 and db == 2:
-            return concurrence_two_qubit(red).tolist()
+            return concurrence_two_qubit(tensor._hermitian(red)).tolist()
         if len(a_pos) == 1 and rdims[a_pos[0]] == 2:
             # the pure-cut formula runs on the whole stack; a mixed matrix
             # discards its value and takes the rank-2 roof
             val = _pure_cut_concurrence(red, rdims, a_pos)
             for i, pure in enumerate(_is_pure(red)):
                 if not pure:
-                    val[i] = _flush(math.sqrt(tangle_rank2(red[i], rdims, a_pos[0])))
+                    val[i] = _flush(math.sqrt(tangle_rank2(tensor._hermitian(red[i]), rdims, a_pos[0])))
             return val
         raise MeasureUndefinedError(
             f"concurrence undefined on a {da}x{db} cut with a non-qubit A side"
         )
     if tag is Measure.EOF:
         if da == 2 and db == 2:
-            return eof_two_qubit(red).tolist()
+            return eof_two_qubit(tensor._hermitian(red)).tolist()
         if all(_is_pure(red)):
             return _side_entropy(red, rdims, a_pos)
         raise MeasureUndefinedError(
@@ -526,4 +529,4 @@ def _evaluate_stack(kind: MeasureKind, rho: np.ndarray, dims, cut: Cut) -> list[
         raise MeasureUndefinedError(f"{tag.value} defined only on 2x2 cuts, requested {da}x{db}")
     measured = "a" if b_pos[0] == 0 else "b"  # measurement acts on side B
     fn = discord if tag is Measure.DISCORD else classical_correlation
-    return [fn(m, measured) for m in red]
+    return [fn(m, measured) for m in tensor._hermitian(red)]

@@ -6,12 +6,18 @@ spawn_key=stream)``, and Gaussian variates come from an explicit Box-Muller
 transform of Philox uniforms. The same seed therefore reproduces an ensemble
 bit for bit, and per-sample substreams make parallel sampling
 schedule-independent.
+
+A state is checked once, when it is constructed (``tensor._density_eig``).
+The one exception is ``sample_states``: its Haar and induced draws are
+density matrices by construction, so they are wrapped read-only without the
+validation eigensolve, and the fields of the ``EnsembleSpec`` are checked.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import asdict, dataclass
 
@@ -44,6 +50,16 @@ class MultipartiteState:
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "dims", dims)
+
+    @classmethod
+    def _trusted(cls, rho: np.ndarray, dims: tuple[int, ...]) -> "MultipartiteState":
+        """Wrap a fresh density matrix that is valid by construction, on
+        checked ``dims``, read-only and without the check."""
+        state = object.__new__(cls)
+        rho.flags.writeable = False
+        object.__setattr__(state, "rho", rho)
+        object.__setattr__(state, "dims", dims)
+        return state
 
     @classmethod
     def from_vector(cls, psi, dims) -> "MultipartiteState":
@@ -83,9 +99,23 @@ class MultipartiteState:
 # seeded randomness
 # ---------------------------------------------------------------------------
 
+def _integer(x, what: str, lo: int, hi: float = math.inf) -> int:
+    """``x`` as an int in lo..hi, else ValueError; bools and non-integers fail."""
+    try:
+        n = operator.index(x)
+    except TypeError:
+        n = None
+    if n is None or isinstance(x, bool) or not lo <= n <= hi:
+        raise ValueError(f"{what}, got {x!r}")
+    return n
+
+
 def generator(seed: int, *stream: int) -> np.random.Generator:
-    """Philox generator for ``seed``; extra integers select a substream."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
+    """Philox generator for the non-negative integer ``seed``; extra
+    non-negative integers select a substream."""
+    seed = _integer(seed, "seed must be a non-negative integer", 0)
+    key = tuple(_integer(s, "stream must be a non-negative integer", 0) for s in stream)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -160,9 +190,7 @@ def haar_pure(dims, seed: int, index: int = 0) -> MultipartiteState:
         ensembles can be generated in any order or in parallel.
     """
     dims = tuple(int(d) for d in dims)
-    d = math.prod(dims)
-    rng = generator(seed, index)
-    return MultipartiteState.from_vector(haar_vector(d, rng), dims)
+    return MultipartiteState(_draw(dims, None, seed, index), dims)
 
 
 def random_mixed(dims, rank: int, seed: int, index: int = 0) -> MultipartiteState:
@@ -173,13 +201,21 @@ def random_mixed(dims, rank: int, seed: int, index: int = 0) -> MultipartiteStat
     """
     dims = tuple(int(d) for d in dims)
     d = math.prod(dims)
-    rank = int(rank)
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank {rank} outside 1..{d}")
+    rank = _integer(rank, f"rank must be an integer in 1..{d}", 1, d)
+    return MultipartiteState(_draw(dims, rank, seed, index), dims)
+
+
+def _draw(dims: tuple[int, ...], rank: int | None, seed: int, index: int) -> np.ndarray:
+    """The density matrix of ``haar_pure`` (rank None) or ``random_mixed``
+    on substream (seed, index), unchecked."""
+    d = math.prod(dims)
     rng = generator(seed, index)
+    if rank is None:
+        v = haar_vector(d, rng)
+        v = v / np.linalg.norm(v)  # from_vector's normalisation, kept for the same bits
+        return np.outer(v, v.conj())
     v = haar_vector(d * rank, rng).reshape(d, rank)
-    rho = v @ v.conj().T
-    return MultipartiteState(rho, dims)
+    return v @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +273,11 @@ class EnsembleSpec:
     "random_mixed" the ranks tuple is cycled over samples; for "named" the
     single base state named by ``name`` is used. If ``p_grid`` is set, every
     base state is expanded into its white-noise family over that grid.
+
+    The fields are checked on construction, so ``describe`` records what is
+    drawn: integer dims >= 2, an integer count >= 1, and ranks None (every
+    rank) or a nonempty tuple of integers in 1..prod(dims). numpy integers
+    pass; bools do not.
     """
 
     family: str
@@ -251,23 +292,34 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble family {self.family!r}")
         if self.family == "named" and self.name is None:
             raise ValueError("named ensemble needs a state name")
-        if self.count < 1:
-            raise ValueError(f"ensemble count must be >= 1, got {self.count}")
+        dims = tuple(_integer(d, "subsystem dimension must be an integer >= 2", 2) for d in self.dims)
+        if not dims:
+            raise ValueError("ensemble dims must be nonempty")
+        count = _integer(self.count, "ensemble count must be >= 1 and an integer", 1)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "count", count)
+        if self.ranks is not None:
+            d = math.prod(dims)
+            ranks = tuple(_integer(r, f"rank must be an integer in 1..{d}", 1, d) for r in self.ranks)
+            if not ranks:
+                raise ValueError("ensemble ranks must be nonempty, or None for every rank")
+            object.__setattr__(self, "ranks", ranks)
 
     def describe(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(self).items()}
 
 
 def sample_states(spec: EnsembleSpec, seed: int) -> list[MultipartiteState]:
-    """Materialize an ensemble; sample i uses substream (seed, i)."""
+    """Materialize an ensemble; sample i uses substream (seed, i) and equals
+    ``haar_pure`` or ``random_mixed`` at index i bit for bit. The draws are
+    trusted (see the module docstring); noise mixtures are checked."""
     if spec.family == "named":
         base = [named_state(spec.name)]
-    elif spec.family == "haar_pure":
-        base = [haar_pure(spec.dims, seed, index=i) for i in range(spec.count)]
     else:
         d = math.prod(spec.dims)
-        ranks = spec.ranks or tuple(range(1, d + 1))
-        base = [random_mixed(spec.dims, ranks[i % len(ranks)], seed, index=i) for i in range(spec.count)]
+        ranks = (None,) if spec.family == "haar_pure" else spec.ranks or range(1, d + 1)
+        base = [MultipartiteState._trusted(_draw(spec.dims, ranks[i % len(ranks)], seed, i), spec.dims)
+                for i in range(spec.count)]
     if spec.p_grid:
         base = [white_noise_mix(s, p) for s in base for p in spec.p_grid]
     return base

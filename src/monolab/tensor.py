@@ -16,9 +16,13 @@ the scoring code in ``measures`` passes stacks only, so it gets arrays.
 
 A density matrix is Hermitian within 1e-10, has unit trace within 1e-9 and
 has no eigenvalue below -1e-9 (``POSITIVITY_TOL``). ``_density_eig`` is the
-one check of this rule, shared by the state constructor and every kernel
-that takes a density matrix; the entropies clamp eigenvalues in [-1e-9, 0)
-to 0.
+one check of this rule, shared by the state constructor and every public
+kernel that takes a density matrix; the entropies clamp eigenvalues in
+[-1e-9, 0) to 0. A matrix is checked once, where it enters the library:
+public kernels check their input, while the partial traces and transposes
+``measures`` derives from checked states go unchecked to the private cores
+``_hermitian``, ``_trace_norm`` and ``_entropy``. A public kernel is its
+check followed by the same core, so both paths give the same bits.
 
 Index plans are cached per shape: the dimension check, and the reshape and
 axis bookkeeping of the partial trace and transpose, are worked out once per
@@ -171,15 +175,27 @@ def partial_transpose(rho, dims, transposed) -> np.ndarray:
     return np.ascontiguousarray(rho.reshape(shape).transpose(perm).reshape(rho.shape))
 
 
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """(M + M^dag)/2 of a matrix or stack, unchecked: the symmetrization of
+    require_hermitian, for matrices derived from a checked state. Applied to
+    its own output it returns the same values."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
 def eigvals_hermitian(h) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (or of each matrix of a
     stack), symmetrized as (H + H^dag)/2 after the Hermiticity check."""
     return np.linalg.eigvalsh(require_hermitian(h))
 
 
+def _trace_norm(m: np.ndarray) -> np.ndarray:
+    """Trace norms of the symmetrized matrices of a stack, unchecked."""
+    return np.abs(np.linalg.eigvalsh(_hermitian(m))).sum(-1)
+
+
 def trace_norm_hermitian(h):
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
-    return _number_or_stack(np.abs(eigvals_hermitian(h)).sum(-1))
+    return _number_or_stack(_trace_norm(require_hermitian(h)))
 
 
 def purity(rho):
@@ -205,13 +221,22 @@ def von_neumann_entropy(rho):
     """Spectral entropy -sum(lam log2 lam) in bits, with 0 log 0 := 0.
 
     The input must pass _density_eig; eigenvalues in [-1e-9, 0) are clamped
-    to zero. A stack is diagonalised in one call and summed matrix by
-    matrix: the kept eigenvalues differ in number, and numpy's summation
-    order depends on it.
+    to zero.
     """
-    lam = _density_eig(rho)[1]
+    return _number_or_stack(_entropies(_density_eig(rho)[1]))
+
+
+def _entropy(m: np.ndarray) -> np.ndarray:
+    """Entropies of the symmetrized matrices of a stack, unchecked."""
+    return _entropies(np.linalg.eigvalsh(_hermitian(m)))
+
+
+def _entropies(lam: np.ndarray) -> np.ndarray:
+    """_spectral_entropy of each spectrum of a stack (..., d). The spectra
+    are summed one by one: the kept eigenvalues differ in number, and
+    numpy's summation order depends on it."""
     s = [_spectral_entropy(row) for row in lam.reshape(-1, lam.shape[-1])]
-    return _number_or_stack(np.array(s).reshape(lam.shape[:-1]))
+    return np.array(s).reshape(lam.shape[:-1])
 
 
 def _spectral_entropy(lam: np.ndarray) -> float:

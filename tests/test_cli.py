@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from monolab import cli, states
@@ -542,6 +543,29 @@ def test_state_export_random_reproducible(tmp_path):
             "--rank", "2", "--seed", "9", "--out", str(path),
         ) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_scores_a_state_within_the_hermiticity_rule(tmp_path):
+    # the defect is 9e-11; the (0, 1) marginal sums two of them, 1.8e-10,
+    # but a matrix derived from a checked state is not checked again
+    rho = np.eye(8, dtype=complex) / 8
+    for k in (0, 1):
+        rho[k, 2 + k] = rho[2 + k, k] = 4.5e-11j
+    path = tmp_path / "edge.json"
+    states.save_state(states.MultipartiteState(rho, (2, 2, 2)), path)
+    assert run(
+        "sweep", "--measure", "negativity", "--state-file", str(path),
+        "--p-grid", "0", "--r-grid", "1", "--out", str(tmp_path / "s.csv"),
+    ) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "raising", "--count", "1"),
+    ("state-export", "--state", "random-pure"),
+])
+def test_a_negative_seed_exits_2_with_its_own_message(argv, capsys):
+    assert run(*argv, "--seed", "-1") == EXIT_CONFIG
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("defect", ["nan-entry", "null-rho-im"])

@@ -468,6 +468,8 @@ def with_spectrum(*lam):
 @pytest.mark.parametrize("name", sorted(DENSITY_KERNELS))
 def test_every_density_kernel_applies_the_one_rule(name):
     kernel = DENSITY_KERNELS[name]
+    with pytest.raises(ValueError, match="^density matrix is not Hermitian"):
+        kernel(np.eye(4) / 4 + np.diag([2e-10j, 0.0, 0.0], 1))
     with pytest.raises(ValueError, match="^density matrix trace 2 != 1$"):
         kernel(np.eye(4) / 2)
     with pytest.raises(ValueError, match=r"^density matrix has eigenvalue -1\.000e-02 < -1e-9$"):
@@ -481,3 +483,24 @@ def test_an_eigenvalue_the_constructor_accepts_is_clamped_by_every_kernel():
         assert math.isfinite(kernel(rho))
     state = states.MultipartiteState(np.kron(rho, np.diag([1.0, 0.0])), (2, 2, 2))
     assert math.isfinite(share_sum(Measure.DISCORD, state, 0))
+
+
+def hermitian_edge_state():
+    """I/8 plus i 4.5e-11 at (k, 2+k) and (2+k, k), k = 0, 1: its Hermiticity
+    defect is 9e-11, within the 1e-10 rule, while its (0, 1) marginal adds
+    both defects up to 1.8e-10."""
+    rho = np.eye(8, dtype=complex) / 8
+    for k in (0, 1):
+        rho[k, 2 + k] = rho[2 + k, k] = 4.5e-11j
+    return states.MultipartiteState(rho, (2, 2, 2))
+
+
+@pytest.mark.parametrize("measure", [Measure.NEGATIVITY, Measure.CONCURRENCE, Measure.EOF,
+                                     Measure.DISCORD])
+def test_a_checked_state_scores_on_every_pair_cut(measure):
+    # a matrix derived from a checked state is symmetrized, not checked again
+    state = hermitian_edge_state()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        tensor.require_hermitian(tensor.partial_trace(state.rho, state.dims, (0, 1)))
+    for cut in (A_B, A_C, Cut((1,), (2,))):
+        assert 0.0 <= evaluate(measure, state, cut) < 1e-9

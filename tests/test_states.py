@@ -155,6 +155,8 @@ def test_random_mixed_rejects_bad_rank():
         states.random_mixed((2, 2), 0, seed=1)
     with pytest.raises(ValueError):
         states.random_mixed((2, 2), 5, seed=1)
+    with pytest.raises(ValueError, match=r"^rank must be an integer in 1\.\.4, got 2\.7$"):
+        states.random_mixed((2, 2), 2.7, seed=1)  # once drew rank 2
 
 
 @given(seed=seeds)
@@ -252,7 +254,59 @@ def test_sample_states_families():
     (dict(family="named"), "needs a state name"),
     (dict(family="haar_pure", count=0), "count must be >= 1"),
     (dict(family="random_mixed", count=-1), "count must be >= 1"),
+    (dict(family="haar_pure", count=2.5), "count must be >= 1 and an integer, got 2.5"),
+    (dict(family="haar_pure", count=True), "count must be >= 1 and an integer, got True"),
+    (dict(family="random_mixed", ranks=()), "ranks must be nonempty"),
+    (dict(family="random_mixed", ranks=(2.7,)), r"rank must be an integer in 1\.\.8, got 2\.7"),
+    (dict(family="random_mixed", ranks=(9,)), r"rank must be an integer in 1\.\.8, got 9"),
+    (dict(family="haar_pure", dims=(2.5, 2)), "dimension must be an integer >= 2, got 2.5"),
+    (dict(family="haar_pure", dims=()), "dims must be nonempty"),
 ])
 def test_ensemble_spec_checks_itself(kwargs, message):
     with pytest.raises(ValueError, match=message):
         states.EnsembleSpec(**kwargs)
+
+
+def test_ensemble_spec_records_what_it_draws():
+    spec = states.EnsembleSpec("random_mixed", [np.int64(2), 3], np.int64(4), ranks=[np.int8(2)])
+    assert json.dumps(spec.describe()) == json.dumps(
+        {"family": "random_mixed", "dims": [2, 3], "count": 4, "name": None, "ranks": [2],
+         "p_grid": None})
+    assert [s.dims for s in states.sample_states(spec, 0)] == [(2, 3)] * 4
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3), (2, 2, 2, 2)])
+def test_sampled_states_are_the_checked_draws_bit_for_bit(dims):
+    # sample_states skips the validation eigensolve; each draw must still
+    # equal the public constructor's state and pass the density rule
+    d = math.prod(dims)
+    for seed in range(20):
+        pure = states.sample_states(states.EnsembleSpec("haar_pure", dims, 2), seed)
+        mixed = states.sample_states(
+            states.EnsembleSpec("random_mixed", dims, d, ranks=tuple(range(1, d + 1))), seed)
+        checked = [states.haar_pure(dims, seed, index=i) for i in range(2)]
+        checked += [states.random_mixed(dims, i + 1, seed, index=i) for i in range(d)]
+        for got, want in zip(pure + mixed, checked, strict=True):
+            assert got.rho.tobytes() == want.rho.tobytes()
+            assert got.dims == want.dims == dims
+            assert not got.rho.flags.writeable
+            tensor._density_eig(got.rho)
+
+
+@pytest.mark.parametrize("draw,bad", [
+    (lambda: states.generator(2.7), "2.7"),
+    (lambda: states.generator(-1), "-1"),
+    (lambda: states.generator(True), "True"),
+    (lambda: states.haar_pure((2, 2), seed=-1), "-1"),
+    (lambda: states.sample_states(states.EnsembleSpec("haar_pure", (2, 2), 2), 2.7), "2.7"),
+])
+def test_seed_must_be_a_non_negative_integer(draw, bad):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {bad}$"):
+        draw()
+
+
+def test_stream_must_be_a_non_negative_integer():
+    with pytest.raises(ValueError, match="^stream must be a non-negative integer, got -1$"):
+        states.random_mixed((2, 2), 2, seed=0, index=-1)
+    a = states.generator(np.uint32(3), np.int64(1)).random(4)
+    assert np.array_equal(a, states.generator(3, 1).random(4))

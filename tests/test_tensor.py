@@ -225,8 +225,25 @@ def test_eig_hermitian_recovers_known_spectrum(seed):
 
 
 def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        tensor.eigvals_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for kernel in (tensor.eigvals_hermitian, tensor.trace_norm_hermitian):
+        for m in (bad, np.stack([np.eye(2), bad])):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                kernel(m)
+
+
+def test_private_cores_give_the_public_kernels_bits():
+    # the scoring path runs the cores on derived matrices without the check
+    rng = np.random.default_rng(5)
+    for dims in [(2, 2), (2, 3), (2, 2, 2)]:
+        rho = np.stack([random_density(int(np.prod(dims)), rng) for _ in range(4)])
+        pt = tensor.partial_transpose(rho, dims, [0])
+        ra = tensor.partial_trace(rho, dims, [0])
+        assert tensor._trace_norm(pt).tobytes() == tensor.trace_norm_hermitian(pt).tobytes()
+        assert tensor._entropy(ra).tobytes() == tensor.von_neumann_entropy(ra).tobytes()
+        h = tensor._hermitian(rho)
+        assert h.tobytes() == tensor.require_hermitian(rho).tobytes()
+        assert tensor._hermitian(h).tobytes() == h.tobytes()
 
 
 def test_require_density_checks_and_symmetrizes():
