@@ -20,12 +20,17 @@ sits in the reduced state, the side dimensions) is cached per (dimensions,
 cut), as are the trace and transpose plans of ``tensor``.
 
 Private code sees stacks (m, d, d) of density matrices on shared subsystem
-dimensions only: ``_evaluate_stack`` scores one cut of a whole stack, each
-matrix taking its own branch (Wootters, pure cut, rank-2 roof or
-undefined), and ``evaluate`` runs it on a stack of one. A stacked numpy call
-gives the same bits as one call per matrix, so a value does not depend on
-its stack. One matrix becomes a float only in the public kernels. The
-matrices it derives from a checked state are symmetrized, not checked again.
+dimensions only. ``_reduced`` traces a stack down to a cut and returns the
+cut's plan (rdims, a_pos, b_pos, da, db); ``_score_stack`` scores one
+reduced stack, each matrix taking its own branch (Wootters, pure cut,
+rank-2 roof or undefined), with one call of the branch's kernel for all
+the matrices that take it. ``evaluate`` runs the two on a stack of one, and
+``monogamy._cut_table`` runs ``_score_stack`` once per plan on every cut
+that shares it. A stacked numpy call gives the same bits as one call per
+matrix, so a value does not depend on its stack. One matrix becomes a
+float only in the public kernels (``concurrence_two_qubit``,
+``tangle_rank2`` and ``eof_two_qubit`` also take stacks). The matrices it
+derives from a checked state are symmetrized, not checked again.
 """
 
 from __future__ import annotations
@@ -230,8 +235,9 @@ def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     return _pure_cut_concurrence(red, rdims, a_pos)[0]
 
 
-def tangle_rank2(rho, dims, a_index: int) -> float:
-    """Convex-roof squared concurrence of a rank <= 2 state across qubit A : rest.
+def tangle_rank2(rho, dims, a_index: int):
+    """Convex-roof squared concurrence of a rank <= 2 state across qubit A : rest,
+    or of each matrix of a stack (..., d, d).
 
     Every pure-state decomposition of a rank-2 state lives on the Bloch
     sphere of its two-dimensional support, where the squared concurrence
@@ -242,36 +248,44 @@ def tangle_rank2(rho, dims, a_index: int) -> float:
 
         tau(rho) = tau_affine(m) + lambda_min(M) (1 - |m|^2).
 
-    The input must be a density matrix (``tensor._density_eig``); raises
-    MeasureUndefinedError when the numerical rank exceeds 2.
+    The input must be a density matrix (``tensor._density_eig``, one
+    eigensolve for the whole stack); raises MeasureUndefinedError for the
+    first matrix whose numerical rank exceeds 2.
     """
-    rho = tensor.as_matrix(rho)
-    dims = tensor.check_dims(rho.shape[0], dims)
+    rho = tensor.as_matrices(rho)
+    lead, d = rho.shape[:-2], rho.shape[-1]
+    dims = tensor.check_dims(d, dims)
     if dims[a_index] != 2:
         raise ValueError("side A must be a single qubit")
-    _, evals, evecs = tensor._density_eig(rho, vectors=True)
-    if rho.shape[0] > 2 and float(evals[-3]) > RANK_TOL:
-        raise MeasureUndefinedError(
-            f"concurrence undefined on a mixed cut of rank > 2 (third eigenvalue {evals[-3]:.3e})"
-        )
-    lam0 = float(evals[-1])
-    lam1 = float(max(evals[-2], 0.0))
-    support = evecs[:, -2:][:, ::-1]  # columns: dominant, subdominant
+    _, evals, evecs = tensor._density_eig(rho.reshape(-1, d, d), vectors=True)
+    for third in evals[:, -3].tolist() if d > 2 else ():
+        if third > RANK_TOL:
+            raise MeasureUndefinedError(
+                f"concurrence undefined on a mixed cut of rank > 2 (third eigenvalue {third:.3e})"
+            )
+    # the barycenter m = (0, 0, lam0 - lam1) in the support's Bloch frame
+    x = evals[:, -1] - np.maximum(evals[:, -2], 0.0)
+    support = evecs[..., -2:][..., ::-1]  # columns: dominant, subdominant
     # Phi(sigma_mu) = tr_B(W sigma_mu W^dag) maps the support qubit to A.
-    l_ops = tensor.partial_trace(support @ _PAULI_STACK @ support.conj().T, dims, [a_index])
+    l_ops = tensor.partial_trace(
+        support[:, None] @ _PAULI_STACK @ support.conj().swapaxes(-1, -2)[:, None], dims, [a_index]
+    )
     # polarization of the 2x2 determinant, det(A+B) = detA + detB + 2 D(A,B),
-    # with D(A, B) = (tr A tr B - tr AB)/2 for each pair i <= j
-    tr = np.trace(l_ops, axis1=-2, axis2=-1).tolist()
+    # with D(A, B) = (tr A tr B - tr AB)/2 for each pair i <= j; the complex
+    # product tr A tr B is spelled out in real arithmetic
+    tr = np.trace(l_ops, axis1=-2, axis2=-1)
     rows, cols = _PAIRS
-    tr_ab = np.trace(l_ops[rows] @ l_ops[cols], axis1=-2, axis2=-1).tolist()
-    d = np.empty((4, 4))
-    for i, j, t in zip(rows.tolist(), cols.tolist(), tr_ab):
-        d[i, j] = d[j, i] = 0.5 * (tr[i] * tr[j] - t).real
-    m = np.array([0.0, 0.0, lam0 - lam1])
-    q_m = d[0, 0] + 2.0 * float(d[0, 1:] @ m) + float(m @ d[1:, 1:] @ m)
-    lam_min = float(np.linalg.eigvalsh(d[1:, 1:])[0])
-    tau = q_m + lam_min * (1.0 - float(m @ m))
-    return max(tau, 0.0)
+    tr_ab = np.trace(l_ops[:, rows] @ l_ops[:, cols], axis1=-2, axis2=-1)
+    re, im = tr.real, tr.imag
+    q = np.empty((len(x), 4, 4))
+    q[:, rows, cols] = q[:, cols, rows] = 0.5 * (
+        (re[:, rows] * re[:, cols] - im[:, rows] * im[:, cols]) - tr_ab.real
+    )
+    # Q(m) = q00 + 2 q0.m + m.q.m and |m|^2, with m's zero entries dropped
+    q_m = q[:, 0, 0] + 2.0 * (q[:, 0, 3] * x) + (x * q[:, 3, 3]) * x
+    lam_min = np.linalg.eigvalsh(q[:, 1:, 1:])[:, 0]
+    tau = q_m + lam_min * (1.0 - x * x)
+    return tensor._number_or_stack(np.maximum(tau, 0.0).reshape(lead))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +336,12 @@ def eof_two_qubit(rho):
 
 def eof_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     """Entanglement entropy of side A for a pure cut, in ebits."""
-    return _pure_cut_entropy(state.rho[None], state.dims, cut)[0]
+    return _pure_cut_entropy(*_reduced(state.rho[None], state.dims, cut))[0]
 
 
-def _pure_cut_entropy(rho: np.ndarray, dims, cut: Cut) -> list[float]:
-    """eof_pure_cut of each density matrix of a stack (m, d, d) on ``dims``."""
-    red, rdims, a_pos, *_ = _reduced(rho, dims, cut)
+def _pure_cut_entropy(red: np.ndarray, rdims, a_pos, *_) -> list[float]:
+    """eof_pure_cut of each matrix of a reduced stack and its cut plan
+    (``_reduced``); every matrix must be pure."""
     if not all(_is_pure(red)):
         raise ValueError("state on the cut is not pure")
     return _side_entropy(red, rdims, a_pos)
@@ -407,6 +421,21 @@ def _golden_step(g, lo: float, hi: float):
     return m1, hi, m2, f2
 
 
+@functools.cache
+def _direction_grid() -> tuple[list[float], list[float], np.ndarray]:
+    """The optimizer's 64 x 64 (theta, phi) grid: theta over [0, pi] and phi
+    over [0, 2 pi), as lists, and the unit vectors (3, 64 * 64) in
+    row-major (theta, phi) order, read-only. Built once, on first use."""
+    thetas = np.linspace(0.0, np.pi, _GRID_POINTS)
+    phis = np.linspace(0.0, 2.0 * np.pi, _GRID_POINTS, endpoint=False)
+    sin_t, cos_t = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+    n = np.stack(
+        [sin_t * np.cos(phis), sin_t * np.sin(phis), np.broadcast_to(cos_t, (_GRID_POINTS,) * 2)]
+    ).reshape(3, -1)
+    n.flags.writeable = False
+    return thetas.tolist(), phis.tolist(), n
+
+
 def classical_correlation(rho, measured: str = "b") -> float:
     """Measurement-maximized classical correlation of a two-qubit state, in bits.
 
@@ -422,16 +451,11 @@ def classical_correlation(rho, measured: str = "b") -> float:
     _, a, b, t = _bloch_form(tensor.as_matrix(rho)[None], measured)
     s_other = tensor.binary_entropy(0.5 * (1.0 + math.sqrt(float(a @ a))))
 
-    thetas = np.linspace(0.0, np.pi, _GRID_POINTS)
-    phis = np.linspace(0.0, 2.0 * np.pi, _GRID_POINTS, endpoint=False)
-    sin_t, cos_t = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    n = np.stack(
-        [sin_t * np.cos(phis), sin_t * np.sin(phis), np.broadcast_to(cos_t, (_GRID_POINTS,) * 2)]
-    )
-    cond = _conditional_entropy_grid(a, b, t, n.reshape(3, -1))  # row-major (theta, phi)
+    thetas, phis, n = _direction_grid()
+    cond = _conditional_entropy_grid(a, b, t, n)  # row-major (theta, phi)
     k = int(np.argmin(cond))
     best = float(cond[k])
-    th, ph = float(thetas[k // _GRID_POINTS]), float(phis[k % _GRID_POINTS])
+    th, ph = thetas[k // _GRID_POINTS], phis[k % _GRID_POINTS]
     f = functools.partial(_conditional_entropy, a.tolist(), b.tolist(), t.tolist())
 
     lo_t, hi_t = th - np.pi / (_GRID_POINTS - 1), th + np.pi / (_GRID_POINTS - 1)
@@ -484,20 +508,18 @@ def evaluate(kind, state: MultipartiteState, cut: Cut) -> float:
     Raises MeasureUndefinedError when the measure has no exact expression on
     the requested cut dimensions.
     """
-    return _evaluate_stack(as_kind(kind), state.rho[None], state.dims, cut)[0]
+    return _score_stack(as_kind(kind), *_reduced(state.rho[None], state.dims, cut))[0]
 
 
-def _evaluate_stack(kind: MeasureKind, rho: np.ndarray, dims, cut: Cut) -> list[float]:
-    """``evaluate`` on each density matrix of a stack (m, d, d) on the
-    subsystem dimensions ``dims``, as a list of floats in stack order.
+def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db) -> list[float]:
+    """The measure on each matrix of a reduced stack (m, d, d) and its cut
+    plan (``_reduced``), as a list of floats in stack order.
 
     Each matrix takes its own branch, and every branch returns flushed
     values. Raises MeasureUndefinedError if any matrix has no exact
     expression on the cut.
     """
-    red, rdims, a_pos, b_pos, da, db = _reduced(rho, dims, cut)
     tag = kind.tag
-
     if tag is Measure.NEGATIVITY or tag is Measure.LOG_NEGATIVITY:
         pt = tensor.partial_transpose(red, rdims, a_pos)
         return [_negativity(kind, t) for t in tensor._trace_norm(pt).tolist()]
@@ -507,12 +529,14 @@ def _evaluate_stack(kind: MeasureKind, rho: np.ndarray, dims, cut: Cut) -> list[
         if da == 2 and db == 2:
             return concurrence_two_qubit(tensor._hermitian(red)).tolist()
         if len(a_pos) == 1 and rdims[a_pos[0]] == 2:
-            # the pure-cut formula runs on the whole stack; a mixed matrix
-            # discards its value and takes the rank-2 roof
+            # the pure-cut formula runs on the whole stack; the mixed
+            # matrices discard their values and take the rank-2 roof, in one call
             val = _pure_cut_concurrence(red, rdims, a_pos)
-            for i, pure in enumerate(_is_pure(red)):
-                if not pure:
-                    val[i] = _flush(math.sqrt(tangle_rank2(tensor._hermitian(red[i]), rdims, a_pos[0])))
+            mixed = [i for i, pure in enumerate(_is_pure(red)) if not pure]
+            if mixed:
+                taus = tangle_rank2(tensor._hermitian(red[mixed]), rdims, a_pos[0])
+                for i, tau in zip(mixed, taus.tolist()):
+                    val[i] = _flush(math.sqrt(tau))
             return val
         raise MeasureUndefinedError(
             f"concurrence undefined on a {da}x{db} cut with a non-qubit A side"

@@ -9,6 +9,14 @@ on A, B_1, ..., B_n, is
 with the convention 0^r := 0. Nonnegative score means the state is
 monogamous under Q^r (tolerance -1e-9 across the package, covering the
 accumulated eigensolver error budget).
+
+``base_values`` and the reports built on it (``monogamy_score``,
+``power_sweep``, ``critical_exponent``, ``share_sum``) call ``evaluate``
+once per cut. The strong and hierarchy reports, and the sampled suites of
+``verify``, read one private cut table instead (``_cut_table``): every cut
+of every state is reduced, and the reduced stacks that share a cut plan
+are scored in one stacked call. Its values are bit-identical to those of
+``evaluate``, and its errors are those of a per-state, per-cut loop.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Cut, MeasureKind, _evaluate_stack, _normalized, as_kind, evaluate
+from .measures import Cut, MeasureKind, _normalized, _reduced, _score_stack, as_kind, evaluate
 from .states import MultipartiteState
 
 
@@ -139,40 +147,50 @@ def base_values(kind, state: MultipartiteState, focus: int) -> tuple[float, tupl
     return whole, parts
 
 
-def _stack_values(value_fn, states, cuts_of) -> list[tuple[float, ...]]:
-    """For each state of a list, in order, the tuple of
-    ``value_fn(rho, dims, cut)`` over ``cuts_of(n)``.
+def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
+    """For each state of a list, in order, the tuple of ``post(value)`` over
+    its cuts ``cuts_of(n)``; the default ``post`` keeps each value as is.
 
-    ``value_fn`` scores a stack (m, d, d) of density matrices on ``dims``
-    and returns a list, so the states that share their dims are stacked and
-    each of their cuts costs one call. When a call raises ValueError, the
-    states are replayed one at a time, each as a stack of one, so the error
-    raised is the one a per-state loop raises first.
+    ``score(red, *plan)`` scores a reduced stack and its cut plan
+    (``measures._reduced``) and returns a list. The states that share their
+    dims are stacked and reduced once per cut; the reduced stacks that share
+    a plan (rdims, a_pos, b_pos), across cuts and dims, are scored in one
+    call. When anything raises ValueError, the work is replayed one state
+    and one cut at a time, so the error raised is the one a per-state loop
+    raises first.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, state in enumerate(states):
         groups.setdefault(state.dims, []).append(i)
-    out: list = [None] * len(states)
+    table: list = [None] * len(states)
+    by_plan: dict[tuple, list] = {}  # plan -> [(reduced stack, state indices, cut position)]
     try:
         for dims, idx in groups.items():
             rho = np.stack([states[i].rho for i in idx])
-            cols = [value_fn(rho, dims, cut) for cut in cuts_of(len(dims))]
-            for i, row in zip(idx, zip(*cols)):
-                out[i] = row
+            cuts = cuts_of(len(dims))
+            for i in idx:
+                table[i] = [None] * len(cuts)
+            for j, cut in enumerate(cuts):
+                red, *plan = _reduced(rho, dims, cut)
+                by_plan.setdefault(tuple(plan), []).append((red, idx, j))
+        for plan, parts in by_plan.items():
+            values = iter(score(np.concatenate([red for red, _, _ in parts]), *plan))
+            for _, idx, j in parts:
+                for i in idx:
+                    table[i][j] = post(next(values))
     except ValueError:
         for state in states:
             for cut in cuts_of(state.n_subsystems):
-                value_fn(state.rho[None], state.dims, cut)
+                post(score(*_reduced(state.rho[None], state.dims, cut))[0])
         raise
-    return out
+    return [tuple(row) for row in table]
 
 
 def _base_values_stack(kind, states, focus: int) -> list[tuple[float, tuple[float, ...]]]:
-    """``base_values`` of each state of a list, with one stacked evaluation
-    per cut for all states of the same dims; values and errors are those of
-    a per-state loop."""
-    value_fn = functools.partial(_evaluate_stack, as_kind(kind))
-    values = _stack_values(value_fn, states, lambda n: _monogamy_cuts(n, focus))
+    """``base_values`` of each state of a list, from one cut table; values
+    and errors are those of a per-state loop."""
+    score = functools.partial(_score_stack, as_kind(kind))
+    values = _cut_table(score, states, lambda n: _monogamy_cuts(n, focus))
     return [(v[0], v[1:]) for v in values]
 
 
@@ -249,6 +267,24 @@ def critical_exponent(kind, state: MultipartiteState, focus: int, bracket, tol: 
     return bisect_score_crossing(whole, parts, (lo, hi), tol)
 
 
+def _cut_powers(kind: MeasureKind, state: MultipartiteState, cuts, alpha: float) -> tuple[float, ...]:
+    """Q^alpha of one state on each of ``cuts``, from a cut table of one row."""
+    power = functools.partial(_pow, r=alpha)
+    return _cut_table(functools.partial(_score_stack, kind), [state], lambda _: cuts, power)[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _strong_cuts(n: int, focus: int) -> tuple[Cut, ...]:
+    """The whole cut focus : others, then focus : X for each nonempty proper
+    subset X of the others, in ascending bitmask order."""
+    others, whole_cut, _ = _focus_cuts(n, focus)
+    k = len(others)
+    if k < 2:
+        raise ValueError("strong monogamy needs at least 2 non-focus parties")
+    subsets = (tuple(others[i] for i in range(k) if mask >> i & 1) for mask in range(1, 2**k - 1))
+    return (whole_cut, *(Cut((focus,), members) for members in subsets))
+
+
 def strong_monogamy_report(kind, state: MultipartiteState, focus: int, alpha: float) -> StrongMonogamyReport:
     """Evaluate the strong monogamy chain terms at exponent alpha >= 1.
 
@@ -258,18 +294,27 @@ def strong_monogamy_report(kind, state: MultipartiteState, focus: int, alpha: fl
     """
     alpha = _strong_alpha(alpha)
     kind = as_kind(kind)
-    others, whole_cut, _ = _focus_cuts(state.n_subsystems, focus)
-    n = len(others)
-    if n < 2:
-        raise ValueError("strong monogamy needs at least 2 non-focus parties")
-    whole = _pow(evaluate(kind, state, whole_cut), alpha)
-    terms = []
-    for mask in range(1, 2**n - 1):
-        members = tuple(others[i] for i in range(n) if mask >> i & 1)
-        terms.append((mask, _pow(evaluate(kind, state, Cut((focus,), members)), alpha)))
+    cuts = _strong_cuts(state.n_subsystems, focus)
+    n = len(cuts[0].side_b)
+    whole, *values = _cut_powers(kind, state, cuts, alpha)
+    terms = tuple(enumerate(values, start=1))
     subset_average = _fsum((v for _, v in terms), alpha) / (2 ** (n - 1) - 1)
     pair_sum = _fsum((v for mask, v in terms if mask.bit_count() == 1), alpha)
-    return StrongMonogamyReport(kind, alpha, n, whole, subset_average, pair_sum, tuple(terms))
+    return StrongMonogamyReport(kind, alpha, n, whole, subset_average, pair_sum, terms)
+
+
+@functools.lru_cache(maxsize=64)
+def _hierarchy_cuts(n: int, focus: int, partner: int) -> tuple[Cut, ...]:
+    """focus : partner, focus : j for each j of the rest (the parties other
+    than focus and partner, in index order), then the tails focus : rest[k:]
+    but the last, which is the last single cut."""
+    if partner == focus or not 0 <= partner < n:
+        raise ValueError(f"invalid partner {partner}")
+    rest = tuple(i for i in range(n) if i not in (focus, partner))
+    if not rest:
+        raise ValueError("hierarchy needs at least one subsystem beyond focus and partner")
+    return tuple(Cut((focus,), side) for side in
+                 ((partner,), *((j,) for j in rest), *(rest[k:] for k in range(len(rest) - 1))))
 
 
 def hierarchy_chain(kind, state: MultipartiteState, focus: int, partner: int, alpha: float) -> HierarchyReport:
@@ -277,18 +322,11 @@ def hierarchy_chain(kind, state: MultipartiteState, focus: int, partner: int, al
     block one subsystem at a time in index order (coarsest first)."""
     alpha = _hierarchy_alpha(alpha)
     kind = as_kind(kind)
-    n = state.n_subsystems
-    if partner == focus or not 0 <= partner < n:
-        raise ValueError(f"invalid partner {partner}")
-    rest = [i for i in range(n) if i not in (focus, partner)]
-    if not rest:
-        raise ValueError("hierarchy needs at least one subsystem beyond focus and partner")
-    q_ab = _pow(evaluate(kind, state, Cut((focus,), (partner,))), alpha)
-    singles = [_pow(evaluate(kind, state, Cut((focus,), (j,))), alpha) for j in rest]
-    levels = []
-    for k in range(len(rest)):
-        tail = _pow(evaluate(kind, state, Cut((focus,), tuple(rest[k:]))), alpha)
-        levels.append(q_ab + _fsum(singles[:k], alpha) + tail)
+    cuts = _hierarchy_cuts(state.n_subsystems, focus, partner)
+    q_ab, *values = _cut_powers(kind, state, cuts, alpha)
+    m = (len(values) + 1) // 2  # the number of single cuts
+    singles, tails = values[:m], values[m:] + values[m - 1:m]
+    levels = [q_ab + _fsum(singles[:k], alpha) + tail for k, tail in enumerate(tails)]
     if math.inf in levels:  # the two additions above can leave the float range
         raise ValueError(f"a hierarchy level at exponent {alpha:g} overflows a float")
     return HierarchyReport(kind, alpha, focus, partner, tuple(levels))

@@ -5,7 +5,10 @@ generator keyed through ``numpy.random.SeedSequence(entropy=seed,
 spawn_key=stream)``, and Gaussian variates come from an explicit Box-Muller
 transform of Philox uniforms. The same seed therefore reproduces an ensemble
 bit for bit, and per-sample substreams make parallel sampling
-schedule-independent.
+schedule-independent. ``sample_states`` draws each sample's uniforms from
+its own substream, then runs one Box-Muller transform for all samples of
+one vector length; the transform is elementwise, so each sample keeps the
+bits it has on its own (``haar_pure``, ``random_mixed``).
 
 A state is checked once, when it is constructed (``tensor._density_eig``).
 The one exception is ``sample_states``: its Haar and induced draws are
@@ -124,9 +127,16 @@ def box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
     half = (n + 1) // 2
     u1 = rng.random(half)
     u2 = rng.random(half)
+    return _box_muller(u1, u2)[:n]
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The Box-Muller transform of uniforms u1, u2 of shape (..., h): the
+    cosine variates, then the sine variates, along the last axis. Each
+    variate depends on its own two uniforms only, so a stack of rows gives
+    each row's own bits."""
     r = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], so the log is finite
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-    return z[:n]
+    return np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)], axis=-1)
 
 
 def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,12 +171,18 @@ def w(n: int) -> MultipartiteState:
 
 def white_noise_mix(state: MultipartiteState, p: float) -> MultipartiteState:
     """(1-p) rho + p I/d, the white-noise admixture with weight p in [0, 1]."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise weight p = {p} outside [0, 1]")
+    p = _noise_weight(p)
     d = state.dim
     rho = (1.0 - p) * state.rho + p * np.eye(d) / d
     return MultipartiteState(rho, state.dims)
+
+
+def _noise_weight(p) -> float:
+    """``float(p)`` if it lies in [0, 1], else ValueError (NaN included)."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"noise weight p = {p} outside [0, 1]")
+    return p
 
 
 def classical_corr_state() -> MultipartiteState:
@@ -182,15 +198,15 @@ def haar_pure(dims, seed: int, index: int = 0) -> MultipartiteState:
     Parameters
     ----------
     dims : sequence of int
-        Subsystem dimensions.
+        Subsystem dimensions, integers >= 2.
     seed : int
         Ensemble seed; the same seed reproduces the state bit for bit.
     index : int, optional
         Sample index selecting an independent substream of the seed, so that
         ensembles can be generated in any order or in parallel.
     """
-    dims = tuple(int(d) for d in dims)
-    return MultipartiteState(_draw(dims, None, seed, index), dims)
+    dims = _dims(dims)
+    return MultipartiteState(_draw(dims, None, seed, [index])[0], dims)
 
 
 def random_mixed(dims, rank: int, seed: int, index: int = 0) -> MultipartiteState:
@@ -199,23 +215,37 @@ def random_mixed(dims, rank: int, seed: int, index: int = 0) -> MultipartiteStat
     A Haar pure state is drawn on system x ancilla with ancilla dimension
     ``rank`` and the ancilla is traced out.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     d = math.prod(dims)
     rank = _integer(rank, f"rank must be an integer in 1..{d}", 1, d)
-    return MultipartiteState(_draw(dims, rank, seed, index), dims)
+    return MultipartiteState(_draw(dims, rank, seed, [index])[0], dims)
 
 
-def _draw(dims: tuple[int, ...], rank: int | None, seed: int, index: int) -> np.ndarray:
-    """The density matrix of ``haar_pure`` (rank None) or ``random_mixed``
-    on substream (seed, index), unchecked."""
+def _dims(dims) -> tuple[int, ...]:
+    """``dims`` as a nonempty tuple of integers >= 2, else ValueError."""
+    out = tuple(_integer(d, "subsystem dimension must be an integer >= 2", 2) for d in dims)
+    if not out:
+        raise ValueError("dims must be nonempty")
+    return out
+
+
+def _draw(dims: tuple[int, ...], rank: int | None, seed: int, indices) -> np.ndarray:
+    """The density matrices (k, d, d), unchecked, of ``haar_pure`` (rank None)
+    or ``random_mixed`` at each sample index. Sample i draws its uniforms
+    from substream (seed, i); one Box-Muller transform serves them all."""
     d = math.prod(dims)
-    rng = generator(seed, index)
+    n = d * (rank or 1)  # the length of each Haar vector
+    u = np.array([[rng.random(n), rng.random(n)] for rng in (generator(seed, i) for i in indices)])
+    z = _box_muller(u[:, 0], u[:, 1])
+    v = z[:, :n] + 1j * z[:, n:]
+    # haar_vector's normalisation, and for a pure state from_vector's second
+    # one, row by row: a stacked norm would sum in another order
+    for _ in range(2 if rank is None else 1):
+        v = np.array([row / np.linalg.norm(row) for row in v])
     if rank is None:
-        v = haar_vector(d, rng)
-        v = v / np.linalg.norm(v)  # from_vector's normalisation, kept for the same bits
-        return np.outer(v, v.conj())
-    v = haar_vector(d * rank, rng).reshape(d, rank)
-    return v @ v.conj().T
+        return v[:, :, None] * v.conj()[:, None, :]
+    v = v.reshape(-1, d, rank)
+    return v @ v.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +305,9 @@ class EnsembleSpec:
     base state is expanded into its white-noise family over that grid.
 
     The fields are checked on construction, so ``describe`` records what is
-    drawn: integer dims >= 2, an integer count >= 1, and ranks None (every
-    rank) or a nonempty tuple of integers in 1..prod(dims). numpy integers
+    drawn: integer dims >= 2, an integer count >= 1, ranks None (every
+    rank) or a nonempty tuple of integers in 1..prod(dims), and p_grid None
+    (no noise) or a nonempty tuple of floats in [0, 1]. numpy integers
     pass; bools do not.
     """
 
@@ -292,9 +323,7 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble family {self.family!r}")
         if self.family == "named" and self.name is None:
             raise ValueError("named ensemble needs a state name")
-        dims = tuple(_integer(d, "subsystem dimension must be an integer >= 2", 2) for d in self.dims)
-        if not dims:
-            raise ValueError("ensemble dims must be nonempty")
+        dims = _dims(self.dims)
         count = _integer(self.count, "ensemble count must be >= 1 and an integer", 1)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "count", count)
@@ -304,6 +333,11 @@ class EnsembleSpec:
             if not ranks:
                 raise ValueError("ensemble ranks must be nonempty, or None for every rank")
             object.__setattr__(self, "ranks", ranks)
+        if self.p_grid is not None:
+            p_grid = tuple(_noise_weight(p) for p in self.p_grid)
+            if not p_grid:
+                raise ValueError("ensemble p_grid must be nonempty, or None for no noise")
+            object.__setattr__(self, "p_grid", p_grid)
 
     def describe(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(self).items()}
@@ -318,8 +352,13 @@ def sample_states(spec: EnsembleSpec, seed: int) -> list[MultipartiteState]:
     else:
         d = math.prod(spec.dims)
         ranks = (None,) if spec.family == "haar_pure" else spec.ranks or range(1, d + 1)
-        base = [MultipartiteState._trusted(_draw(spec.dims, ranks[i % len(ranks)], seed, i), spec.dims)
-                for i in range(spec.count)]
+        by_rank: dict[int | None, list[int]] = {}
+        for i in range(spec.count):
+            by_rank.setdefault(ranks[i % len(ranks)], []).append(i)
+        base = [None] * spec.count
+        for rank, idx in by_rank.items():
+            for i, rho in zip(idx, _draw(spec.dims, rank, seed, idx)):
+                base[i] = MultipartiteState._trusted(rho, spec.dims)
     if spec.p_grid:
         base = [white_noise_mix(s, p) for s in base for p in spec.p_grid]
     return base

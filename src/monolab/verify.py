@@ -19,19 +19,20 @@ import numpy as np
 from .measures import (
     Measure,
     MeasureKind,
-    _evaluate_stack,
     _normalized,
     _pure_cut_entropy,
+    _score_stack,
     as_kind,
     eof_from_concurrence,
 )
-from .monogamy import (_base_values_stack, _delta, _exponent, _focus_cuts, _hierarchy_alpha,
-                       _stack_values, _strong_alpha, hierarchy_chain, monogamy_score,
+from .monogamy import (_base_values_stack, _cut_table, _delta, _exponent, _focus_cuts,
+                       _hierarchy_alpha, _strong_alpha, hierarchy_chain, monogamy_score,
                        strong_monogamy_report)
 from .monogamy import base_values  # noqa: F401  perfbench's tracer test rebinds it here
 from .states import (
     EnsembleSpec,
     MultipartiteState,
+    _dims,
     box_muller,
     generator,
     haar_vector,
@@ -271,7 +272,7 @@ def verify_functional_lift(ensemble, m: float, seed: int) -> VerificationSummary
     """
     m = _exponent(m, "m")
     extra = {"m": m, "out_of_range": 0, "mixed_restricted": 0}
-    concurrence = functools.partial(_evaluate_stack, MeasureKind(Measure.CONCURRENCE))
+    concurrence = functools.partial(_score_stack, MeasureKind(Measure.CONCURRENCE))
 
     def slack(cs, whole):
         eofs = [eof_from_concurrence(c) for c in cs]
@@ -293,11 +294,11 @@ def verify_functional_lift(ensemble, m: float, seed: int) -> VerificationSummary
                 raise ValueError(
                     f"functional lift needs two or more qubits, got dims {list(state.dims)}"
                 )
-        cs = _stack_values(concurrence, states, lambda n: _focus_cuts(n, 0)[2])
+        cs = _cut_table(concurrence, states, lambda n: _focus_cuts(n, 0)[2])
         pure = [state.is_pure() for state in states]
         # entanglement entropy: evaluate(EOF) runs Wootters on 2 qubits
-        entropies = iter(_stack_values(_pure_cut_entropy, list(itertools.compress(states, pure)),
-                                       lambda n: _focus_cuts(n, 0)[1:2]))
+        entropies = iter(_cut_table(_pure_cut_entropy, list(itertools.compress(states, pure)),
+                                    lambda n: _focus_cuts(n, 0)[1:2]))
         return [slack(c, next(entropies)[0] if p else None) for c, p in zip(cs, pure)]
 
     return _run_suite("functional-lift-eof", ensemble, seed, extra, slacks)
@@ -423,7 +424,7 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
     restarts = int(restarts)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     d = math.prod(dims)
 
     def state_of(params: np.ndarray) -> MultipartiteState:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monolab
 import oracles
 from monolab import measures, states, tensor
 from monolab.measures import (
@@ -232,6 +237,24 @@ def test_classical_correlation_product_state():
 
 def test_classical_correlation_bell_state():
     assert abs(classical_correlation(states.ghz(2).rho, "b") - 1.0) < 1e-4
+
+
+def test_the_direction_grid_is_built_once_on_first_use():
+    src = str(Path(monolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import monolab; print(monolab.measures._direction_grid.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.strip() == "0", proc.stderr  # importing does not build it
+    rho = states.random_mixed((2, 2), 3, 4).rho
+    measures._direction_grid.cache_clear()
+    first = classical_correlation(rho, "b")
+    assert classical_correlation(rho, "b") == first
+    info = measures._direction_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    thetas, phis, n = measures._direction_grid()
+    assert n.shape == (3, 64 * 64) and not n.flags.writeable
+    assert (thetas[0], thetas[-1], phis[0], len(phis)) == (0.0, math.pi, 0.0, 64)
 
 
 def test_classical_correlation_against_dense_grid_oracle():

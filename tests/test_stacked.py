@@ -18,14 +18,17 @@ from monolab.measures import (
     Measure,
     MeasureKind,
     MeasureUndefinedError,
-    _evaluate_stack,
+    _reduced,
+    _score_stack,
     concurrence_two_qubit,
     eof_from_concurrence,
     eof_pure_cut,
     eof_two_qubit,
     evaluate,
+    tangle_rank2,
 )
-from monolab.monogamy import _base_values_stack, _delta, base_values
+from monolab.monogamy import (HierarchyReport, StrongMonogamyReport, _base_values_stack, _delta,
+                              _pow, base_values, hierarchy_chain, strong_monogamy_report)
 
 
 def ensemble(family, n, count=12, seed=5):
@@ -79,6 +82,9 @@ def test_rank2_roof_and_pure_cut_mix_in_one_stack():
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("family", ["haar", "mixed"])
 def test_every_cut_of_a_stack_equals_evaluate(family, n):
+    def scored(kind, rho, dims, cut):
+        return _score_stack(kind, *_reduced(rho, dims, cut))
+
     sts = ensemble(family, n, count=8)
     rho = np.stack([s.rho for s in sts])
     dims = (2,) * n
@@ -92,9 +98,9 @@ def test_every_cut_of_a_stack_equals_evaluate(family, n):
                 want = [evaluate(kind, s, cut) for s in sts]
             except MeasureUndefinedError:
                 want = raised_by(lambda: [evaluate(kind, s, cut) for s in sts])
-                assert raised_by(lambda: _evaluate_stack(kind, rho, dims, cut)) == want
+                assert raised_by(lambda: scored(kind, rho, dims, cut)) == want
                 continue
-            assert _evaluate_stack(kind, rho, dims, cut) == want, (kind, cut)
+            assert scored(kind, rho, dims, cut) == want, (kind, cut)
 
 
 def test_empty_ensemble():
@@ -237,3 +243,109 @@ def test_functional_lift_on_two_qubits_keeps_the_entanglement_entropy():
     want = min(_delta(eof_pure_cut(s, cut), eofs, 2.0),
                _delta(eof_from_concurrence(math.sqrt(min(c * c, 1.0))), eofs, 2.0))
     assert verify.verify_functional_lift([s], 2.0, 0).worst_margin == want
+
+
+ROOF_STACKS = {
+    "3q-rank2": [states.random_mixed((2, 2, 2), 2, 21, index=i).rho for i in range(12)],
+    "3q-marginals-of-4q-pure": [states.haar_pure((2, 2, 2, 2), 22, index=i).marginal([0, 1, 2]).rho
+                                for i in range(12)],
+    "4q-rank2": [states.random_mixed((2, 2, 2, 2), 2, 23, index=i).rho for i in range(12)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOF_STACKS))
+def test_stacked_roof_equals_the_per_row_roof_bit_for_bit(name):
+    rows = ROOF_STACKS[name]
+    dims = (2,) * int(math.log2(rows[0].shape[0]))
+    for a in range(len(dims)):
+        one_by_one = np.array([tangle_rank2(rho, dims, a) for rho in rows])
+        stacked = tangle_rank2(np.stack(rows), dims, a)
+        assert stacked.tobytes() == one_by_one.tobytes()
+        assert tangle_rank2(np.stack(rows).reshape(3, 4, *rows[0].shape), dims, a).shape == (3, 4)
+        assert type(tangle_rank2(rows[0], dims, a)) is float
+
+
+def test_stacked_roof_raises_for_its_first_row_of_rank_above_two():
+    rank2, rank3, rank4 = (states.random_mixed((2, 2, 2), r, 5).rho for r in (2, 3, 4))
+    want = raised_by(lambda: tangle_rank2(rank3, (2, 2, 2), 0))
+    assert want[0] is MeasureUndefinedError
+    assert raised_by(lambda: tangle_rank2(np.stack([rank2, rank3, rank4]), (2, 2, 2), 0)) == want
+
+
+def strong_by_loop(kind, state, focus, alpha):
+    """strong_monogamy_report as a loop of one evaluate per cut."""
+    kind = MeasureKind(kind) if isinstance(kind, Measure) else kind
+    others = [i for i in range(state.n_subsystems) if i != focus]
+    n = len(others)
+    whole = _pow(evaluate(kind, state, Cut((focus,), tuple(others))), alpha)
+    terms = []
+    for mask in range(1, 2**n - 1):
+        members = tuple(others[i] for i in range(n) if mask >> i & 1)
+        terms.append((mask, _pow(evaluate(kind, state, Cut((focus,), members)), alpha)))
+    subset_average = math.fsum(v for _, v in terms) / (2 ** (n - 1) - 1)
+    pair_sum = math.fsum(v for mask, v in terms if mask.bit_count() == 1)
+    return StrongMonogamyReport(kind, alpha, n, whole, subset_average, pair_sum, tuple(terms))
+
+
+def hierarchy_by_loop(kind, state, focus, partner, alpha):
+    """hierarchy_chain as a loop of one evaluate per cut, every tail included."""
+    kind = MeasureKind(kind) if isinstance(kind, Measure) else kind
+    rest = [i for i in range(state.n_subsystems) if i not in (focus, partner)]
+    q_ab = _pow(evaluate(kind, state, Cut((focus,), (partner,))), alpha)
+    singles = [_pow(evaluate(kind, state, Cut((focus,), (j,))), alpha) for j in rest]
+    levels = []
+    for k in range(len(rest)):
+        tail = _pow(evaluate(kind, state, Cut((focus,), tuple(rest[k:]))), alpha)
+        levels.append(q_ab + math.fsum(singles[:k]) + tail)
+    return HierarchyReport(kind, alpha, focus, partner, tuple(levels))
+
+
+REPORT_CASES = [  # (kind, ensemble family, qubits, alpha)
+    # the whole cut by the pure-cut formula, three-qubit cuts by the stacked
+    # rank-2 roof, pair cuts by Wootters
+    (MeasureKind(Measure.CONCURRENCE, normalized=True), "haar", 4, 2.0),
+    (MeasureKind(Measure.NEGATIVITY), "mixed", 4, 1.5),
+    (MeasureKind(Measure.NEGATIVITY, normalized=True), "mixed", 5, 2.5),
+    (MeasureKind(Measure.LOG_NEGATIVITY), "haar", 4, 1.0),
+    (MeasureKind(Measure.LOG_NEGATIVITY), "haar", 5, 1.0),
+]
+
+
+@pytest.mark.parametrize("focus", [0, 2])
+@pytest.mark.parametrize("kind,family,n,alpha", REPORT_CASES,
+                         ids=[f"{k.label()}-{f}{n}q" for k, f, n, _ in REPORT_CASES])
+def test_strong_and_hierarchy_equal_a_per_cut_loop_bit_for_bit(kind, family, n, alpha, focus):
+    partner = n - 1 if focus == 0 else 0
+    for state in ensemble(family, n, count=3, seed=n + focus):
+        assert strong_monogamy_report(kind, state, focus, alpha) == strong_by_loop(kind, state, focus, alpha)
+        got = hierarchy_chain(kind, state, focus, partner, alpha)
+        assert got == hierarchy_by_loop(kind, state, focus, partner, alpha)
+
+
+def test_a_concurrence_roof_in_the_reports_equals_the_loop():
+    # rank-2 four-qubit states: the whole cut takes the stacked roof
+    spec = states.EnsembleSpec("random_mixed", (2, 2, 2, 2), 6, ranks=(1, 2))
+    for state in states.sample_states(spec, 4):
+        for focus in (0, 3):
+            try:
+                want = strong_by_loop(Measure.CONCURRENCE, state, focus, 2.0)
+            except MeasureUndefinedError:
+                want = raised_by(lambda: strong_by_loop(Measure.CONCURRENCE, state, focus, 2.0))
+                assert raised_by(lambda: strong_monogamy_report(Measure.CONCURRENCE, state, focus, 2.0)) == want
+                continue
+            assert strong_monogamy_report(Measure.CONCURRENCE, state, focus, 2.0) == want
+
+
+@pytest.mark.parametrize("kind", [Measure.CONCURRENCE, Measure.EOF, Measure.DISCORD])
+@pytest.mark.parametrize("rank", [2, 3, 16])
+@pytest.mark.parametrize("focus", [0, 2])
+def test_strong_and_hierarchy_raise_the_first_error_of_the_loop(kind, rank, focus):
+    state = states.random_mixed((2, 2, 2, 2), rank, 9)
+    partner = 3 - focus
+    for report, loop in [
+        (lambda: strong_monogamy_report(kind, state, focus, 2.0), lambda: strong_by_loop(kind, state, focus, 2.0)),
+        (lambda: hierarchy_chain(kind, state, focus, partner, 2.0),
+         lambda: hierarchy_by_loop(kind, state, focus, partner, 2.0)),
+    ]:
+        want = raised_by(loop)
+        assert raised_by(report) == want

@@ -261,6 +261,11 @@ def test_sample_states_families():
     (dict(family="random_mixed", ranks=(9,)), r"rank must be an integer in 1\.\.8, got 9"),
     (dict(family="haar_pure", dims=(2.5, 2)), "dimension must be an integer >= 2, got 2.5"),
     (dict(family="haar_pure", dims=()), "dims must be nonempty"),
+    (dict(family="haar_pure", p_grid=()), "p_grid must be nonempty, or None for no noise"),
+    (dict(family="haar_pure", p_grid=(0.5, 1.5)), r"noise weight p = 1\.5 outside \[0, 1\]"),
+    (dict(family="haar_pure", p_grid=(-0.1,)), r"noise weight p = -0\.1 outside"),
+    (dict(family="haar_pure", p_grid=(0.2, math.nan)), "noise weight p = nan outside"),
+    (dict(family="haar_pure", p_grid=(math.inf,)), "noise weight p = inf outside"),
 ])
 def test_ensemble_spec_checks_itself(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -273,21 +278,56 @@ def test_ensemble_spec_records_what_it_draws():
         {"family": "random_mixed", "dims": [2, 3], "count": 4, "name": None, "ranks": [2],
          "p_grid": None})
     assert [s.dims for s in states.sample_states(spec, 0)] == [(2, 3)] * 4
+    noisy = states.EnsembleSpec("haar_pure", (2, 2), 1, p_grid=[0, np.float32(0.5), 1])
+    assert noisy.p_grid == (0.0, 0.5, 1.0)
+    assert all(type(p) is float for p in noisy.p_grid)
+    assert json.dumps(noisy.describe()["p_grid"]) == "[0.0, 0.5, 1.0]"
+
+
+@pytest.mark.parametrize("draw", [
+    lambda dims: states.haar_pure(dims, 0),
+    lambda dims: states.random_mixed(dims, 2, 0),
+    lambda dims: states.sample_states(states.EnsembleSpec("haar_pure", dims, 1), 0),
+])
+def test_every_sampler_checks_its_dims(draw):
+    # int() truncation used to turn 2.5 into 2 and draw on the wrong dims
+    for dims, bad in [((2.5, 2), "2.5"), ((2, 1), "1"), ((2, True), "True"), ((2, "3"), "'3'")]:
+        with pytest.raises(ValueError, match=f"^subsystem dimension must be an integer >= 2, got {bad}$"):
+            draw(dims)
+    with pytest.raises(ValueError, match="dims must be nonempty"):
+        draw(())
+    state = states.haar_pure((np.int64(2), np.uint8(3)), 0)
+    assert state.dims == (2, 3) and all(type(d) is int for d in state.dims)
+
+
+def draw_on_its_own(dims, rank, seed, index):
+    """One sample's density matrix from its own substream and its own
+    Box-Muller transform (rank None: a Haar pure state)."""
+    d = math.prod(dims)
+    v = states.haar_vector(d * (rank or 1), states.generator(seed, index))
+    if rank is None:
+        v = v / np.linalg.norm(v)  # from_vector normalises once more
+        return np.outer(v, v.conj())
+    v = v.reshape(d, rank)
+    return v @ v.conj().T
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3), (2, 2, 2, 2)])
 def test_sampled_states_are_the_checked_draws_bit_for_bit(dims):
-    # sample_states skips the validation eigensolve; each draw must still
-    # equal the public constructor's state and pass the density rule
+    # sample_states skips the validation eigensolve and runs one Box-Muller
+    # transform per rank (3 samples each here); each draw must still equal
+    # the public constructor's state and pass the density rule
     d = math.prod(dims)
     for seed in range(20):
-        pure = states.sample_states(states.EnsembleSpec("haar_pure", dims, 2), seed)
+        pure = states.sample_states(states.EnsembleSpec("haar_pure", dims, 3 * d), seed)
         mixed = states.sample_states(
-            states.EnsembleSpec("random_mixed", dims, d, ranks=tuple(range(1, d + 1))), seed)
-        checked = [states.haar_pure(dims, seed, index=i) for i in range(2)]
-        checked += [states.random_mixed(dims, i + 1, seed, index=i) for i in range(d)]
-        for got, want in zip(pure + mixed, checked, strict=True):
-            assert got.rho.tobytes() == want.rho.tobytes()
+            states.EnsembleSpec("random_mixed", dims, 3 * d, ranks=tuple(range(1, d + 1))), seed)
+        checked = [states.haar_pure(dims, seed, index=i) for i in range(3 * d)]
+        checked += [states.random_mixed(dims, i % d + 1, seed, index=i) for i in range(3 * d)]
+        alone = [draw_on_its_own(dims, None, seed, i) for i in range(3 * d)]
+        alone += [draw_on_its_own(dims, i % d + 1, seed, i) for i in range(3 * d)]
+        for got, want, own in zip(pure + mixed, checked, alone, strict=True):
+            assert got.rho.tobytes() == want.rho.tobytes() == own.tobytes()
             assert got.dims == want.dims == dims
             assert not got.rho.flags.writeable
             tensor._density_eig(got.rho)

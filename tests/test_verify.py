@@ -272,6 +272,15 @@ def test_search_zero_steps_returns_restart_baseline():
     assert abs(summary.worst_margin - expected) < 1e-12
 
 
+def test_search_checks_its_dims():
+    # int() truncation used to search (2, 2, 2) and record dims [2, 2, 2]
+    with pytest.raises(ValueError, match="^subsystem dimension must be an integer >= 2, got 2.5$"):
+        counterexample_search(Measure.NEGATIVITY, 1.0, (2.5, 2, 2), 1, 0, max_steps=0)
+    summary = counterexample_search(Measure.NEGATIVITY, 1.0, np.array([2, 2, 2]), 1, 0, max_steps=0)
+    dims = summary.to_json()["ensemble"]["dims"]
+    assert dims == [2, 2, 2] and all(type(d) is int for d in dims)
+
+
 def test_search_deterministic():
     a = counterexample_search(Measure.EOF, 1.0, (2, 2, 2), restarts=3, seed=5, max_steps=80).to_json()
     b = counterexample_search(Measure.EOF, 1.0, (2, 2, 2), restarts=3, seed=5, max_steps=80).to_json()
