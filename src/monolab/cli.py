@@ -157,8 +157,7 @@ def _resolve_ensemble(cfg: RunConfig, default: str = "random-pure") -> states.En
         return states.EnsembleSpec(
             "random_mixed", dims, cfg.count, ranks=ranks, p_grid=cfg.p_grid
         )
-    return states.EnsembleSpec("named", states.named_state(name).dims, 1, name=name,
-                               p_grid=cfg.p_grid)
+    return states.EnsembleSpec("named", name=name, p_grid=cfg.p_grid)
 
 
 def _fmt(x: float) -> str:

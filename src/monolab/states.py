@@ -5,10 +5,13 @@ generator keyed through ``numpy.random.SeedSequence(entropy=seed,
 spawn_key=stream)``, and Gaussian variates come from an explicit Box-Muller
 transform of Philox uniforms. The same seed therefore reproduces an ensemble
 bit for bit, and per-sample substreams make parallel sampling
-schedule-independent. ``sample_states`` draws each sample's uniforms from
-its own substream, then runs one Box-Muller transform for all samples of
-one vector length; the transform is elementwise, so each sample keeps the
-bits it has on its own (``haar_pure``, ``random_mixed``).
+schedule-independent. ``haar_pure`` and ``random_mixed`` draw one state
+through ``generator(seed, index)``. ``sample_states`` draws the same bits in
+bulk: it computes the SeedSequence-compatible keys of all its substreams at
+once (``_keys``), re-keys one Philox per sample, and runs one Box-Muller
+transform and one stacked normalisation for all samples of one vector
+length. Both steps are elementwise per row, so each sample keeps the bits it
+has on its own.
 
 A state is checked once, when it is constructed (``tensor._density_eig``).
 The one exception is ``sample_states``: its Haar and induced draws are
@@ -113,13 +116,56 @@ def _integer(x, what: str, lo: int, hi: float = math.inf) -> int:
     return n
 
 
+def _seed(seed) -> int:
+    """``seed`` as a non-negative int, else ValueError."""
+    return _integer(seed, "seed must be a non-negative integer", 0)
+
+
+def _stream(i) -> int:
+    """A substream index as a non-negative int, else ValueError."""
+    return _integer(i, "stream must be a non-negative integer", 0)
+
+
 def generator(seed: int, *stream: int) -> np.random.Generator:
     """Philox generator for the non-negative integer ``seed``; extra
     non-negative integers select a substream."""
-    seed = _integer(seed, "seed must be a non-negative integer", 0)
-    key = tuple(_integer(s, "stream must be a non-negative integer", 0) for s in stream)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    ss = np.random.SeedSequence(entropy=_seed(seed), spawn_key=tuple(map(_stream, stream)))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy.random.SeedSequence's hash: its mixing and output constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value: np.ndarray, init: int, mult: int, t: int) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 ``value`` for the four pool words at
+    once: word j takes hash constants number t + j and t + j + 1 of the
+    sequence ``init * mult**t``, so the result has a leading axis of 4."""
+    h = np.array([init * pow(mult, t + j, 1 << 32) & _MASK32 for j in range(5)], np.uint32)[:, None]
+    value = (value ^ h[:-1]) * h[1:]  # uint32 arithmetic wraps, as the hash does
+    return value ^ value >> 16
+
+
+def _keys(seed: int, indices) -> np.ndarray:
+    """The Philox keys (k, 2) of ``SeedSequence(entropy=seed,
+    spawn_key=(i,))`` for each index i, by numpy's documented hash.
+    ``SeedSequence(seed)`` mixes the seed's words into the pool once; each
+    index then adds its own 32-bit words, vectorised over the indices, and
+    the pool is hashed into the key."""
+    seed = _seed(seed)
+    rest = np.array([_stream(i) for i in indices], dtype=object)
+    pool = np.repeat(np.random.SeedSequence(seed).pool[:, None], len(rest), axis=1)
+    t = 4 * max(4, -(-seed.bit_length() // 32))  # hashes spent on the zero-padded seed
+    live = np.ones(len(rest), bool)
+    while live.any():  # the next word of every index that has one left
+        new = _MIX_L * pool - _MIX_R * _hashmix((rest & _MASK32).astype(np.uint32), _INIT_A, _MULT_A, t)
+        pool = np.where(live, new ^ new >> 16, pool)
+        rest, t = rest >> 32, t + 4
+        live = rest > 0
+    key = _hashmix(pool, _INIT_B, _MULT_B, 0).astype(np.uint64)
+    return (key[0::2] | key[1::2] << 32).T
 
 
 def box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -206,7 +252,7 @@ def haar_pure(dims, seed: int, index: int = 0) -> MultipartiteState:
         ensembles can be generated in any order or in parallel.
     """
     dims = _dims(dims)
-    return MultipartiteState(_draw(dims, None, seed, [index])[0], dims)
+    return MultipartiteState.from_vector(haar_vector(math.prod(dims), generator(seed, index)), dims)
 
 
 def random_mixed(dims, rank: int, seed: int, index: int = 0) -> MultipartiteState:
@@ -218,7 +264,8 @@ def random_mixed(dims, rank: int, seed: int, index: int = 0) -> MultipartiteStat
     dims = _dims(dims)
     d = math.prod(dims)
     rank = _integer(rank, f"rank must be an integer in 1..{d}", 1, d)
-    return MultipartiteState(_draw(dims, rank, seed, [index])[0], dims)
+    v = haar_vector(d * rank, generator(seed, index)).reshape(d, rank)
+    return MultipartiteState(v @ v.conj().T, dims)
 
 
 def _dims(dims) -> tuple[int, ...]:
@@ -231,17 +278,25 @@ def _dims(dims) -> tuple[int, ...]:
 
 def _draw(dims: tuple[int, ...], rank: int | None, seed: int, indices) -> np.ndarray:
     """The density matrices (k, d, d), unchecked, of ``haar_pure`` (rank None)
-    or ``random_mixed`` at each sample index. Sample i draws its uniforms
-    from substream (seed, i); one Box-Muller transform serves them all."""
+    or ``random_mixed`` at each sample index, in bulk: one Philox re-keyed
+    per sample (counter 0, empty buffer) to the key of substream (seed, i),
+    one Box-Muller transform and one stacked normalisation for them all."""
     d = math.prod(dims)
     n = d * (rank or 1)  # the length of each Haar vector
-    u = np.array([[rng.random(n), rng.random(n)] for rng in (generator(seed, i) for i in indices)])
+    bits = np.random.Philox(0)
+    rng, state = np.random.Generator(bits), bits.state
+    u = np.empty((len(indices), 2, n))
+    for key, row in zip(_keys(seed, indices), u):
+        state["state"]["key"] = key
+        bits.state = state
+        rng.random(out=row)
     z = _box_muller(u[:, 0], u[:, 1])
     v = z[:, :n] + 1j * z[:, n:]
     # haar_vector's normalisation, and for a pure state from_vector's second
-    # one, row by row: a stacked norm would sum in another order
+    # one; each row's dot products sum in np.linalg.norm's order
     for _ in range(2 if rank is None else 1):
-        v = np.array([row / np.linalg.norm(row) for row in v])
+        re, im = v.real, v.imag
+        v = v / np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
     if rank is None:
         return v[:, :, None] * v.conj()[:, None, :]
     v = v.reshape(-1, d, rank)
@@ -308,12 +363,14 @@ class EnsembleSpec:
     drawn: integer dims >= 2, an integer count >= 1, ranks None (every
     rank) or a nonempty tuple of integers in 1..prod(dims), and p_grid None
     (no noise) or a nonempty tuple of floats in [0, 1]. numpy integers
-    pass; bools do not.
+    pass; bools do not. dims and count default per family: (2, 2, 2) and
+    100 for a random family, the named state's dims and 1 for "named",
+    which takes no other dims or count. Only "random_mixed" takes ranks.
     """
 
     family: str
-    dims: tuple[int, ...] = (2, 2, 2)
-    count: int = 100
+    dims: tuple[int, ...] | None = None
+    count: int | None = None
     name: str | None = None
     ranks: tuple[int, ...] | None = None
     p_grid: tuple[float, ...] | None = None
@@ -321,10 +378,19 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.family not in ("haar_pure", "random_mixed", "named"):
             raise ValueError(f"unknown ensemble family {self.family!r}")
-        if self.family == "named" and self.name is None:
-            raise ValueError("named ensemble needs a state name")
-        dims = _dims(self.dims)
-        count = _integer(self.count, "ensemble count must be >= 1 and an integer", 1)
+        if self.ranks is not None and self.family != "random_mixed":
+            raise ValueError(f"ranks apply to random_mixed only, not {self.family}")
+        drawn = ((2, 2, 2), 100)
+        if self.family == "named":
+            if self.name is None:
+                raise ValueError("named ensemble needs a state name")
+            drawn = (named_state(self.name).dims, 1)
+        dims = drawn[0] if self.dims is None else _dims(self.dims)
+        count = drawn[1] if self.count is None else _integer(
+            self.count, "ensemble count must be >= 1 and an integer", 1)
+        if self.family == "named" and (dims, count) != drawn:
+            raise ValueError(f"named ensemble {self.name!r} is one state on dims {list(drawn[0])}, "
+                             f"got dims {list(dims)} and count {count}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "count", count)
         if self.ranks is not None:

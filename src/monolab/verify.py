@@ -33,6 +33,8 @@ from .states import (
     EnsembleSpec,
     MultipartiteState,
     _dims,
+    _integer,
+    _seed,
     box_muller,
     generator,
     haar_vector,
@@ -86,13 +88,14 @@ def _run_suite(theorem: str, ensemble, seed: int, extra: dict, slacks_fn,
     counters in it. Exploratory suites pass ``tol = math.inf`` and so never
     count a violation.
     """
+    seed = _seed(seed)
     if isinstance(ensemble, EnsembleSpec):
         desc, states = ensemble.describe(), sample_states(ensemble, seed)
     else:
         states = list(ensemble)
         desc = {"family": "explicit", "count": len(states),
                 "dims": list(states[0].dims) if states else []}
-    desc["seed"] = int(seed)
+    desc["seed"] = seed
     summary = VerificationSummary(theorem, desc, extra=extra)
     worst_state = None
     for state, slack in zip(states, slacks_fn(states)):
@@ -118,10 +121,9 @@ def _run_suite(theorem: str, ensemble, seed: int, extra: dict, slacks_fn,
 
 def _scalar_audit(theorem: str, samples: int, seed: int):
     """The empty summary of a scalar audit, its sample count and its generator."""
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    summary = VerificationSummary(theorem, {"samples": samples, "seed": int(seed)})
+    samples = _integer(samples, "samples must be >= 1 and an integer", 1)
+    seed = _seed(seed)
+    summary = VerificationSummary(theorem, {"samples": samples, "seed": seed})
     return summary, samples, generator(seed)
 
 
@@ -421,10 +423,9 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
     best is kept in extra["restart_bests"] for harvesting.
     """
     kind, r = as_kind(kind), _exponent(r, "r")
-    restarts = int(restarts)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    dims = _dims(dims)
+    restarts = _integer(restarts, "restarts must be >= 1 and an integer", 1)
+    max_steps = _integer(max_steps, "max_steps must be >= 0 and an integer", 0)
+    seed, dims = _seed(seed), _dims(dims)
     d = math.prod(dims)
 
     def state_of(params: np.ndarray) -> MultipartiteState:
@@ -435,10 +436,10 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
 
     summary = VerificationSummary(
         "counterexample-search",
-        {"family": "hill_climb", "dims": list(dims), "count": restarts, "seed": int(seed)},
+        {"family": "hill_climb", "dims": list(dims), "count": restarts, "seed": seed},
     )
     summary.extra.update(
-        {"measure": kind.label(), "r": r, "max_steps": int(max_steps), "restart_bests": []}
+        {"measure": kind.label(), "r": r, "max_steps": max_steps, "restart_bests": []}
     )
     best_overall = math.inf
     best_state = None

@@ -113,7 +113,7 @@ SUITES = {
         lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _MIXED3, 1.0, (0.5, 0.8), 3), "a4d27bc22eb09c0d997ebbb15b1fd30a25f6b40dc8de3d63aaa4ad7d11ae9b37"
     ),
     "lowering-w3-noise": (
-        lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _W3_NOISE, 1.0, (0.5,), 3), "210a716de7717b1cc88f2c91ca7882dc7b1128a5e7232022e2512608eeeef8d6"
+        lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _W3_NOISE, 1.0, (0.5,), 3), "e9480077b6481e37001b30bbe2716c2281d69ffc8747adca903b2ab9b5300f3a"
     ),
     "functional-pure": (lambda: verify.verify_functional_lift(_PURE3, 2.0, 3), "ec24a9d841a816965788f1a491d0619ef5815de563962d5841281c36962c4fff"),
     "functional-rank2": (lambda: verify.verify_functional_lift(_RANK2, 2.0, 3), "9a7885f472c764d1df4059fd9cb2e138822f827ec916d60ebc6c324c78086767"),

@@ -266,6 +266,13 @@ def test_sample_states_families():
     (dict(family="haar_pure", p_grid=(-0.1,)), r"noise weight p = -0\.1 outside"),
     (dict(family="haar_pure", p_grid=(0.2, math.nan)), "noise weight p = nan outside"),
     (dict(family="haar_pure", p_grid=(math.inf,)), "noise weight p = inf outside"),
+    (dict(family="named", name="w3", ranks=(2,)), "ranks apply to random_mixed only, not named"),
+    (dict(family="named", name="ghz2", dims=(3, 3), ranks=(2,)), "ranks apply to random_mixed only"),
+    (dict(family="haar_pure", ranks=(2,)), "ranks apply to random_mixed only, not haar_pure"),
+    (dict(family="named", name="w4", dims=(2, 2, 2)),
+     r"named ensemble 'w4' is one state on dims \[2, 2, 2, 2\], got dims \[2, 2, 2\] and count 1"),
+    (dict(family="named", name="w3", count=100), r"got dims \[2, 2, 2\] and count 100"),
+    (dict(family="named", name="bogus"), "unknown named state 'bogus'"),
 ])
 def test_ensemble_spec_checks_itself(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -282,6 +289,18 @@ def test_ensemble_spec_records_what_it_draws():
     assert noisy.p_grid == (0.0, 0.5, 1.0)
     assert all(type(p) is float for p in noisy.p_grid)
     assert json.dumps(noisy.describe()["p_grid"]) == "[0.0, 0.5, 1.0]"
+
+
+@pytest.mark.parametrize("name,dims", [("w4", [2, 2, 2, 2]), ("ghz2", [2, 2]), ("classical", [2, 2, 2])])
+def test_a_named_ensemble_records_its_one_state(name, dims):
+    spec = states.EnsembleSpec("named", name=name)
+    assert spec.describe() == {"family": "named", "dims": dims, "count": 1, "name": name,
+                               "ranks": None, "p_grid": None}
+    assert states.EnsembleSpec("named", dims, 1, name=name) == spec
+    drawn = states.sample_states(spec, 0)
+    assert [list(s.dims) for s in drawn] == [dims] and len(drawn) == spec.count
+    assert states.EnsembleSpec("haar_pure").describe()["dims"] == [2, 2, 2]
+    assert states.EnsembleSpec("random_mixed").count == 100
 
 
 @pytest.mark.parametrize("draw", [
@@ -331,6 +350,48 @@ def test_sampled_states_are_the_checked_draws_bit_for_bit(dims):
             assert got.dims == want.dims == dims
             assert not got.rho.flags.writeable
             tensor._density_eig(got.rho)
+
+
+@pytest.mark.parametrize("rank", [None, 64])
+def test_a_six_qubit_draw_keeps_its_bits(rank):
+    # rank 64 draws Haar vectors of length 4096: the stacked normalisation
+    # must sum each row in np.linalg.norm's order at that length too
+    dims = (2,) * 6
+    spec = (states.EnsembleSpec("haar_pure", dims, 2) if rank is None
+            else states.EnsembleSpec("random_mixed", dims, 2, ranks=(rank,)))
+    for i, got in enumerate(states.sample_states(spec, 4)):
+        want = states.haar_pure(dims, 4, i) if rank is None else states.random_mixed(dims, rank, 4, i)
+        assert got.rho.tobytes() == want.rho.tobytes() == draw_on_its_own(dims, rank, 4, i).tobytes()
+
+
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 3]
+KEY_INDICES = [0, 99, 2**32 - 1, 2**32, 2**70]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_bulk_keys_are_the_seed_sequence_keys(seed):
+    # one call for indices of one, two and three 32-bit words, in any order
+    indices = KEY_INDICES + KEY_INDICES[::-1]
+    keys = states._keys(seed, indices)
+    assert keys.shape == (len(indices), 2) and keys.dtype == np.uint64
+    for i, key in zip(indices, keys):
+        want = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+        assert key.tolist() == want.tolist(), (seed, i)
+    assert states._keys(seed, []).shape == (0, 2)
+
+
+@pytest.mark.parametrize("seed,indices,message", [
+    (-1, [0], "seed must be a non-negative integer, got -1"),
+    (2.7, [0], "seed must be a non-negative integer, got 2.7"),
+    (True, [0], "seed must be a non-negative integer, got True"),
+    (0, [0, -1], "stream must be a non-negative integer, got -1"),
+    (0, [2.0], "stream must be a non-negative integer, got 2.0"),
+    (0, [False], "stream must be a non-negative integer, got False"),
+])
+def test_bulk_keys_check_their_inputs_first(seed, indices, message):
+    # a negative seed never reaches the hash, whose word loop would not end
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        states._keys(seed, indices)
 
 
 @pytest.mark.parametrize("draw,bad", [

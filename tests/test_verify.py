@@ -281,6 +281,45 @@ def test_search_checks_its_dims():
     assert dims == [2, 2, 2] and all(type(d) is int for d in dims)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(restarts=2.7), "restarts must be >= 1 and an integer, got 2.7"),
+    (dict(restarts=True), "restarts must be >= 1 and an integer, got True"),
+    (dict(restarts=0), "restarts must be >= 1 and an integer, got 0"),
+    (dict(max_steps=2.5), "max_steps must be >= 0 and an integer, got 2.5"),
+    (dict(max_steps=-3), "max_steps must be >= 0 and an integer, got -3"),
+    (dict(seed=-1), "seed must be a non-negative integer, got -1"),
+    (dict(seed=2.7), "seed must be a non-negative integer, got 2.7"),
+])
+def test_search_checks_its_integer_arguments(kwargs, message):
+    # int() used to run restarts=2.7 as 2 and max_steps=2.5 as 3 evaluations
+    args = dict(restarts=1, seed=0, max_steps=2) | kwargs
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        counterexample_search(Measure.NEGATIVITY, 1.0, (2, 2, 2), **args)
+    ok = counterexample_search(Measure.NEGATIVITY, 1.0, (2, 2, 2), np.int64(2), np.uint8(1), np.int32(3))
+    assert ok.count == 2 and ok.extra["max_steps"] == 3 and type(ok.ensemble["seed"]) is int
+
+
+@pytest.mark.parametrize("audit", [check_scalar_lemmas, check_decreasing_concave_family])
+def test_scalar_audits_check_their_integer_arguments(audit):
+    for samples in (2.7, True, 0):
+        with pytest.raises(ValueError, match=f"^samples must be >= 1 and an integer, got {samples}$"):
+            audit(samples, 3)
+    for seed in (-1, 2.7):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+            audit(10, seed)
+    assert audit(np.int64(10), np.uint8(3)).to_json() == audit(10, 3).to_json()
+
+
+@pytest.mark.parametrize("ensemble", [[states.ghz(3)], [], EnsembleSpec("named", name="w3")])
+def test_every_suite_checks_its_seed(ensemble):
+    # an explicit or named ensemble draws nothing, so the seed used to be
+    # recorded as int(seed) without a check
+    for seed in (2.7, -1, True):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+            verify_raising(Measure.NEGATIVITY, ensemble, 1.0, (2.0,), seed)
+    assert verify_raising(Measure.NEGATIVITY, ensemble, 1.0, (2.0,), np.int64(4)).ensemble["seed"] == 4
+
+
 def test_search_deterministic():
     a = counterexample_search(Measure.EOF, 1.0, (2, 2, 2), restarts=3, seed=5, max_steps=80).to_json()
     b = counterexample_search(Measure.EOF, 1.0, (2, 2, 2), restarts=3, seed=5, max_steps=80).to_json()
