@@ -49,7 +49,9 @@ FLUSH_TOL = 1e-12
 RANK_TOL = 1e-9
 
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
-_SPIN_FLIP = np.kron(_PAULI_Y, _PAULI_Y)
+# sy x sy is antidiagonal: (sy x sy) M (sy x sy) reverses M's rows and
+# columns and multiplies entry (i, j) by s_i s_j, s = (-1, 1, 1, -1)
+_FLIP_SIGNS = np.outer((-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 1.0, -1.0))
 _PAULI = (
     np.eye(2, dtype=complex),
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -184,11 +186,11 @@ def concurrence_two_qubit(rho):
     rho = tensor.as_matrices(rho)
     lead = rho.shape[:-2]
     rho, evals, evecs = _require_two_qubit_density(rho.reshape(-1, *rho.shape[-2:]))
-    root = np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
+    root = np.sqrt(np.maximum(evals, 0.0))[:, None, :]
     sqrt_rho = (evecs * root) @ evecs.conj().swapaxes(-1, -2)
-    flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
+    flipped = rho.conj()[:, ::-1, ::-1] * _FLIP_SIGNS
     m = sqrt_rho @ flipped @ sqrt_rho
-    lam_sq = np.clip(np.linalg.eigvalsh(m)[:, ::-1], 0.0, None)
+    lam_sq = np.maximum(np.linalg.eigvalsh(m)[:, ::-1], 0.0)
     c = [_wootters(row) for row in lam_sq.tolist()]
     return tensor._number_or_stack(np.array(c).reshape(lead))
 

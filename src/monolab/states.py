@@ -25,7 +25,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,12 +47,14 @@ class MultipartiteState:
 
     rho: np.ndarray
     dims: tuple[int, ...]
+    _psi: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rho = tensor.as_matrix(self.rho)
         dims = tensor.check_dims(rho.shape[0], self.dims)
-        tensor._density_eig(rho)
-        rho = rho.copy()
+        if self._psi is None:
+            tensor._density_eig(rho)
+            rho = rho.copy()
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "dims", dims)
@@ -68,17 +70,23 @@ class MultipartiteState:
         return state
 
     @classmethod
+    def _pure(cls, psi, dims) -> "MultipartiteState":
+        """``from_vector``'s state, checked by its unit vector: the outer
+        product of a unit vector is a density matrix, so ``__post_init__``
+        checks the dims only. The vector is kept read-only as ``_psi``."""
+        v = _unit_vector(psi)
+        v.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "rho", np.outer(v, v.conj()))
+        object.__setattr__(state, "dims", dims)
+        object.__setattr__(state, "_psi", v)
+        state.__post_init__()
+        return state
+
+    @classmethod
     def from_vector(cls, psi, dims) -> "MultipartiteState":
         """Rank-1 density matrix of a (normalized) state vector."""
-        v = np.asarray(psi, dtype=complex).ravel()
-        with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
-            norm = np.linalg.norm(v)
-        if not 2.0**-500 < norm < 2.0**500:  # zero, non-finite, or squares out of float range
-            scale = np.abs(v.view(float)).max(initial=0.0)
-            if not 0.0 < scale < math.inf:
-                raise ValueError(f"state vector norm must be positive and finite, got {norm}")
-            return cls.from_vector((v.view(float) / scale).view(complex), dims)
-        v = v / norm
+        v = _unit_vector(psi)
         return cls(np.outer(v, v.conj()), tuple(dims))
 
     @property
@@ -99,6 +107,21 @@ class MultipartiteState:
         keep_idx = sorted({int(k) for k in keep})
         rho = tensor.partial_trace(self.rho, self.dims, keep_idx)
         return MultipartiteState(rho, tuple(self.dims[i] for i in keep_idx))
+
+
+def _unit_vector(psi) -> np.ndarray:
+    """``psi`` as a flat complex unit vector, a new array; a vector whose
+    norm squares out of the float range is rescaled by its largest entry
+    first, and a zero or non-finite one raises ValueError."""
+    v = np.asarray(psi, dtype=complex).ravel()
+    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+        norm = np.linalg.norm(v)
+    if not 2.0**-500 < norm < 2.0**500:  # zero, non-finite, or squares out of float range
+        scale = np.abs(v.view(float)).max(initial=0.0)
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"state vector norm must be positive and finite, got {norm}")
+        return _unit_vector((v.view(float) / scale).view(complex))
+    return v / norm
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +275,7 @@ def haar_pure(dims, seed: int, index: int = 0) -> MultipartiteState:
         ensembles can be generated in any order or in parallel.
     """
     dims = _dims(dims)
-    return MultipartiteState.from_vector(haar_vector(math.prod(dims), generator(seed, index)), dims)
+    return MultipartiteState._pure(haar_vector(math.prod(dims), generator(seed, index)), dims)
 
 
 def random_mixed(dims, rank: int, seed: int, index: int = 0) -> MultipartiteState:

@@ -429,7 +429,7 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
     d = math.prod(dims)
 
     def state_of(params: np.ndarray) -> MultipartiteState:
-        return MultipartiteState.from_vector(params[:d] + 1j * params[d:], dims)
+        return MultipartiteState._pure(params[:d] + 1j * params[d:], dims)
 
     def score_of(params: np.ndarray) -> float:
         return monogamy_score(kind, state_of(params), 0, r).score

@@ -5,6 +5,10 @@ hand-rolled cyclic Jacobi iteration (numpy appears only for array storage and
 elementwise arithmetic, never ``np.linalg``), tensor reshuffles are explicit
 index loops, and the measurement optimization is a dense grid scan over the
 projector form of the conditional states.
+
+The one exception is the frozen reference at the end of this file: a former
+library kernel kept as it was, np.linalg included, to pin the current
+kernel's results bit for bit.
 """
 
 import itertools
@@ -276,3 +280,27 @@ def gram_schmidt_unitary(dim, rng):
             v = v - (m[:, k].conj() @ v) * m[:, k]
         m[:, j] = v / math.sqrt(float((np.abs(v) ** 2).sum()))
     return m
+
+
+# ---------------------------------------------------------------------------
+# frozen references: former library kernels, for bit-identity only
+# ---------------------------------------------------------------------------
+
+def wootters_by_spin_flip_products(rho):
+    """The Wootters kernel of ``measures.concurrence_two_qubit`` as it was
+    before the spin flip became an index reversal: the flip as two products
+    with sy x sy, the clamps as np.clip. Takes a stack (m, 4, 4) of density
+    matrices and returns a list of m concurrences."""
+    rho = np.asarray(rho, dtype=complex)
+    h = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    evals, evecs = np.linalg.eigh(h)
+    root = np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
+    sqrt_rho = (evecs * root) @ evecs.conj().swapaxes(-1, -2)
+    m = sqrt_rho @ (SY2 @ h.conj() @ SY2) @ sqrt_rho
+    out = []
+    for row in np.clip(np.linalg.eigvalsh(m)[:, ::-1], 0.0, None).tolist():
+        cutoff = 1e-13 * max(row[0], 1e-300)
+        l1, l2, l3, l4 = (0.0 if x < cutoff else math.sqrt(x) for x in row)
+        c = min(max(l1 - l2 - l3 - l4, 0.0), 1.0)
+        out.append(0.0 if abs(c) < 1e-12 else c)
+    return out

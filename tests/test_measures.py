@@ -78,6 +78,20 @@ def test_concurrence_rejects_wrong_dimension():
         concurrence_two_qubit(np.eye(8) / 8)
 
 
+def test_wootters_kernel_keeps_the_spin_flip_products_bits():
+    # the spin flip is an index reversal with signs and the clamps are
+    # np.maximum; both must give the former products' and np.clip's bits
+    mats = [states.random_mixed((2, 2), rank, 11, i).rho for rank in (1, 2, 3, 4) for i in range(150)]
+    for dims, pairs in (((2, 2, 2), [(0, 1), (0, 2), (1, 2)]), ((2,) * 4, [(0, 1), (1, 3), (2, 3)])):
+        mats += [states.haar_pure(dims, 12, i).marginal(p).rho for i in range(70) for p in pairs]
+    mats += [np.kron(states.random_mixed((2,), 2, 13, 0).rho, states.random_mixed((2,), 2, 13, 1).rho),
+             np.eye(4) / 4]
+    assert len(mats) >= 1000
+    want = np.array(oracles.wootters_by_spin_flip_products(np.stack(mats)))
+    one = np.array([concurrence_two_qubit(m) for m in mats])
+    assert one.tobytes() == concurrence_two_qubit(np.stack(mats)).tobytes() == want.tobytes()
+
+
 def test_concurrence_pure_cut_values():
     assert abs(concurrence_pure_cut(states.ghz(3), A_BC) - 1.0) < 1e-12
     assert concurrence_pure_cut(product_state(), A_BC) == 0.0

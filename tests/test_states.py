@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -222,6 +223,50 @@ def test_from_vector_normalizes_huge_and_tiny_vectors(scale):
     expected = states.MultipartiteState.from_vector(psi, (2, 2)).rho
     rho = states.MultipartiteState.from_vector(scale * psi, (2, 2)).rho
     assert np.abs(rho - expected).max() < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# vector-checked states
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (3, 2, 2)])
+def test_a_vector_checked_state_is_from_vectors_state(dims):
+    d = math.prod(dims)
+    rng = np.random.default_rng(d)
+    vectors = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(20)]
+    vectors += [1e200 * vectors[0], np.eye(d)[d - 1]]
+    for psi in vectors:
+        want = states.MultipartiteState.from_vector(psi, dims)
+        got = states.MultipartiteState._pure(psi, dims)
+        assert got.rho.tobytes() == want.rho.tobytes() and got.dims == want.dims == dims
+        assert not got.rho.flags.writeable and want._psi is None
+        assert np.array_equal(np.outer(got._psi, got._psi.conj()), got.rho)
+    for i in range(5):
+        got = states.haar_pure(dims, 6, i)
+        want = states.MultipartiteState.from_vector(states.haar_vector(d, states.generator(6, i)), dims)
+        assert got.rho.tobytes() == want.rho.tobytes() and got._psi is not None
+
+
+def test_a_vector_checked_state_keeps_the_vector_read_only():
+    state = states.haar_pure((2, 2), 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state._psi = np.zeros(4, dtype=complex)
+    with pytest.raises(ValueError, match="read-only"):
+        state._psi[0] = 1.0
+    assert "_psi" not in repr(state)
+    for psi in ([0.0, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            states.MultipartiteState._pure(psi, (2, 2))
+    with pytest.raises(ValueError, match="do not multiply to 4"):
+        states.MultipartiteState._pure([1.0, 0.0, 0.0, 0.0], (2, 3))
+
+
+def test_replacing_the_matrix_of_a_vector_checked_state_checks_it():
+    state = states.haar_pure((2, 2), 0)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        dataclasses.replace(state, rho=np.diag([1.5, -0.5, 0.0, 0.0]))
+    other = dataclasses.replace(state, rho=np.eye(4) / 4)
+    assert other._psi is None and np.array_equal(other.rho, np.eye(4) / 4)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import monolab
-from monolab import states
+from monolab import states, tensor
 from monolab.measures import Measure, MeasureKind
 from monolab.monogamy import monogamy_score
 from monolab.states import EnsembleSpec, state_from_json
@@ -318,6 +318,31 @@ def test_every_suite_checks_its_seed(ensemble):
         with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
             verify_raising(Measure.NEGATIVITY, ensemble, 1.0, (2.0,), seed)
     assert verify_raising(Measure.NEGATIVITY, ensemble, 1.0, (2.0,), np.int64(4)).ensemble["seed"] == 4
+
+
+@pytest.mark.parametrize("tag,dims", [(Measure.CONCURRENCE, (2, 2, 2)), (Measure.LOG_NEGATIVITY, (2, 2, 2, 2))])
+def test_search_checks_each_candidate_by_its_vector(monkeypatch, tag, dims):
+    # one construction per evaluation, the start and the final state of each
+    # restart, each checked by its unit vector: no validation eigensolve
+    d = math.prod(dims)
+    built, checked = [], []
+    post_init = states.MultipartiteState.__post_init__
+    density_eig = tensor._density_eig
+
+    def counting_post_init(self):
+        built.append(self)
+        return post_init(self)
+
+    def recording_density_eig(m, vectors=False):
+        checked.append(np.shape(m)[-1])
+        return density_eig(m, vectors)
+
+    monkeypatch.setattr(states.MultipartiteState, "__post_init__", counting_post_init)
+    monkeypatch.setattr(tensor, "_density_eig", recording_density_eig)
+    counterexample_search(tag, 1.0, dims, restarts=2, seed=4, max_steps=5)
+    assert len(built) == 2 * (5 + 2)
+    assert all(s._psi is not None and s.dim == d for s in built)
+    assert d not in checked
 
 
 def test_search_deterministic():
