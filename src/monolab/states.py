@@ -51,7 +51,7 @@ class MultipartiteState:
 
     def __post_init__(self):
         rho = tensor.as_matrix(self.rho)
-        dims = tensor.check_dims(rho.shape[0], self.dims)
+        dims = tensor.check_dims(rho.shape[0], _dims(self.dims))
         if self._psi is None:
             tensor._density_eig(rho)
             rho = rho.copy()
@@ -341,7 +341,7 @@ def state_to_json(state: MultipartiteState) -> dict:
 
 def state_from_json(obj: dict) -> MultipartiteState:
     rho = np.asarray(obj["rho_re"], dtype=float) + 1j * np.asarray(obj["rho_im"], dtype=float)
-    return MultipartiteState(rho, tuple(int(d) for d in obj["dims"]))
+    return MultipartiteState(rho, tuple(obj["dims"]))
 
 
 def save_state(state: MultipartiteState, path) -> None:

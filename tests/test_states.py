@@ -216,6 +216,26 @@ def test_state_invariant_rejections():
         states.MultipartiteState(np.array([[0.5, 1e308], [1e308, 0.5]]), (2,))
 
 
+@pytest.mark.parametrize("build", [
+    lambda dims: states.MultipartiteState(np.eye(4) / 4, dims),
+    lambda dims: states.MultipartiteState.from_vector([1.0, 0.0, 0.0, 0.0], dims),
+    lambda dims: states.MultipartiteState._pure([1.0, 0.0, 0.0, 0.0], dims),
+    lambda dims: states.state_from_json({"dims": list(dims), "rho_re": np.eye(4) / 4, "rho_im": np.zeros((4, 4))}),
+])
+def test_every_constructor_checks_its_dims(build):
+    # int() truncation used to build these on (2, 2); (2.0, 2) hashes like
+    # (2, 2), so a cached check of (2, 2) must not let it through either
+    assert build((2, 2)).dims == (2, 2)
+    for dims, bad in [((2.5, 2), "2.5"), ((2.9, 2), "2.9"), ((2.6, 2), "2.6"), ((2.0, 2), "2.0"),
+                      (("2", "2"), "'2'"), ((2, True), "True"), ((4, 1), "1")]:
+        with pytest.raises(ValueError, match=f"^subsystem dimension must be an integer >= 2, got {bad}$"):
+            build(dims)
+    with pytest.raises(ValueError, match="dims must be nonempty"):
+        build(())
+    state = build((np.int64(2), np.uint8(2)))
+    assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 1e-320])
 def test_from_vector_normalizes_huge_and_tiny_vectors(scale):
     # the norm of such a vector over- or underflows; it is rescaled first
