@@ -438,9 +438,7 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
         "counterexample-search",
         {"family": "hill_climb", "dims": list(dims), "count": restarts, "seed": seed},
     )
-    summary.extra.update(
-        {"measure": kind.label(), "r": r, "max_steps": max_steps, "restart_bests": []}
-    )
+    summary.extra.update(_measure_extra(kind), r=r, max_steps=max_steps, restart_bests=[])
     best_overall = math.inf
     best_state = None
     for i in range(restarts):

@@ -387,6 +387,21 @@ def test_verify_reports_the_normalisation_that_ran(tmp_path, args, measure):
     assert (extra["measure"], extra["normalized"]) == (measure, True)
 
 
+def test_search_reports_the_normalisation_that_ran(tmp_path):
+    """The search runs the measure as given, so --normalized changes both
+    its margin (2x for negativity) and what its extra records."""
+    got = {}
+    for flag in ((), ("--normalized",)):
+        out = tmp_path / "search.json"
+        assert run("verify", "search", "--measure", "negativity", "--r", "1", "--dims", "2,2,2",
+                   "--count", "1", *flag, "--out", str(out)) == EXIT_OK
+        summary = json.loads(out.read_text())["summary"]
+        got[bool(flag)] = summary["worst_margin"], summary["extra"]
+    assert got[False][1]["normalized"] is False and got[True][1]["normalized"] is True
+    assert got[False][1]["measure"] == got[True][1]["measure"] == "negativity"
+    assert abs(got[True][0] - 2.0 * got[False][0]) < 1e-12
+
+
 def test_verify_mixed_default_ensemble_honours_rank(tmp_path):
     out = tmp_path / "mixed.json"
     assert run("verify", "mixed", "--rank", "2", "--count", "3", "--out", str(out)) == EXIT_OK

@@ -79,11 +79,11 @@ def test_five_qubit_sweep_matches_golden_digest(tmp_path, monkeypatch):
 # the three shapes of the hill-climb benchmark, 2 restarts x 60 steps, seed 5
 SEARCH = [
     (Measure.LOG_NEGATIVITY, 1.0, (2, 2, 2),
-     "94186ed8db51cca21550eaaa67cf4d823da60ade5ee543114f64ea5dff8682ff"),
+     "e3fa633eb9552aaa891a7d23cea4f6442d2b763bba76f08d311e984696397806"),
     (Measure.CONCURRENCE, 2.0, (2, 2, 2),
-     "51eefdec18817594c092e9c3412c62a8a66cafa58b2e92149e837410cf6a4b9f"),
+     "917f371cb78eb4f3ba68f0f00d71de1fef9fca5828fedadedee5521f74989bef"),
     (Measure.LOG_NEGATIVITY, 1.0, (2, 2, 2, 2),
-     "42621f8cff51a60002bd71d814157039dd58c39fdf888628df0fd1f8c7662d86"),
+     "f2111b22ef7ffc93734e88df615f7d3210c1a61745c3d7350bba2e0e04a78228"),
 ]
 
 
@@ -161,7 +161,7 @@ CLI_STDOUT = {
                                  "--count", "3", "--seed", "3"),
                                 "a89c1fed1c1cb685dede44185be7266765f8c3040063b26738f6d95fb0343905"),
     "verify-search": (("verify", "search", "--dims", "2,2,2", "--count", "1", "--seed", "3"),
-                      "b689c749e62e750dd33e596252fcdea10ba82ef52990e8fc2c22b543606379f1"),
+                      "50d213b9357dc2dcc6f8c1b2846fed48452e51e84058cbe65b847996f3d60a74"),
     "sweep-json": (("sweep", "--measure", "negativity", "--state", "w3", "--p-grid", "0:1:3",
                     "--r-grid", "1,2", "--format", "json"),
                    "872cc94e48aaee5f22dac7a6fcbb9e4b619e12e583501bf3e6d7dae8d56b0c95"),
