@@ -49,8 +49,7 @@ FLUSH_TOL = 1e-12
 RANK_TOL = 1e-9
 
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
-# sy x sy is antidiagonal: (sy x sy) M (sy x sy) reverses M's rows and
-# columns and multiplies entry (i, j) by s_i s_j, s = (-1, 1, 1, -1)
+# sy x sy is antidiagonal, so (sy x sy) M (sy x sy) = M[::-1, ::-1] * _FLIP_SIGNS
 _FLIP_SIGNS = np.outer((-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 1.0, -1.0))
 _PAULI = (
     np.eye(2, dtype=complex),

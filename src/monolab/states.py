@@ -14,9 +14,12 @@ length. Both steps are elementwise per row, so each sample keeps the bits it
 has on its own.
 
 A state is checked once, when it is constructed (``tensor._density_eig``).
-The one exception is ``sample_states``: its Haar and induced draws are
-density matrices by construction, so they are wrapped read-only without the
-validation eigensolve, and the fields of the ``EnsembleSpec`` are checked.
+States that are density matrices by construction skip that eigensolve: the
+Haar and induced draws of ``sample_states`` are wrapped read-only and the
+fields of the ``EnsembleSpec`` are checked, and the states of ``haar_pure``
+and the counterexample search are checked by their unit vector (``_pure``).
+``from_vector`` and the named states keep the matrix check, because the
+benchmark pins the validation eigensolves of the 6-qubit named states.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ class MultipartiteState:
 
     Invariants checked on construction, by the one density rule of
     ``tensor._density_eig``: Hermitian within 1e-10, unit trace within 1e-9,
-    no eigenvalue below -1e-9 (``tensor.POSITIVITY_TOL``). The stored matrix
-    is a read-only copy, so no caller can change a state through its input
-    array.
+    no eigenvalue below -1e-9 (``tensor.POSITIVITY_TOL``), and integer dims
+    >= 2 (``_dims``). The stored matrix is a read-only copy, so no caller can
+    change a state through its input array. A state built by ``_pure`` keeps
+    its unit vector read-only as ``_psi`` and skips the eigensolve and copy.
     """
 
     rho: np.ndarray
@@ -71,14 +75,11 @@ class MultipartiteState:
 
     @classmethod
     def _pure(cls, psi, dims) -> "MultipartiteState":
-        """``from_vector``'s state, checked by its unit vector: the outer
-        product of a unit vector is a density matrix, so ``__post_init__``
-        checks the dims only. The vector is kept read-only as ``_psi``."""
+        """``from_vector``'s state, checked by its unit vector, whose outer
+        product is a density matrix: ``__post_init__`` checks the dims only."""
         v = _unit_vector(psi)
         v.flags.writeable = False
-        state = object.__new__(cls)
-        object.__setattr__(state, "rho", np.outer(v, v.conj()))
-        object.__setattr__(state, "dims", dims)
+        state = cls._trusted(np.outer(v, v.conj()), dims)
         object.__setattr__(state, "_psi", v)
         state.__post_init__()
         return state
@@ -110,9 +111,8 @@ class MultipartiteState:
 
 
 def _unit_vector(psi) -> np.ndarray:
-    """``psi`` as a flat complex unit vector, a new array; a vector whose
-    norm squares out of the float range is rescaled by its largest entry
-    first, and a zero or non-finite one raises ValueError."""
+    """``psi`` as a new flat complex unit vector, rescaled first if its norm
+    squares out of the float range; ValueError if it is zero or non-finite."""
     v = np.asarray(psi, dtype=complex).ravel()
     with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
         norm = np.linalg.norm(v)
