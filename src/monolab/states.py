@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor
+from .tensor import _dims, _integer
 
 PURITY_TOL = 1e-9
 
@@ -44,7 +44,7 @@ class MultipartiteState:
     Invariants checked on construction, by the one density rule of
     ``tensor._density_eig``: Hermitian within 1e-10, unit trace within 1e-9,
     no eigenvalue below -1e-9 (``tensor.POSITIVITY_TOL``), and integer dims
-    >= 2 (``_dims``). The stored matrix is a read-only copy, so no caller can
+    >= 2 (``tensor._dims``, the dims rule of every kernel). The stored matrix is a read-only copy, so no caller can
     change a state through its input array. A state built by ``_pure`` keeps
     its unit vector read-only as ``_psi`` and skips the eigensolve and copy.
     """
@@ -55,7 +55,7 @@ class MultipartiteState:
 
     def __post_init__(self):
         rho = tensor.as_matrix(self.rho)
-        dims = tensor.check_dims(rho.shape[0], _dims(self.dims))
+        dims = tensor.check_dims(rho.shape[0], self.dims)
         if self._psi is None:
             tensor._density_eig(rho)
             rho = rho.copy()
@@ -127,17 +127,6 @@ def _unit_vector(psi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # seeded randomness
 # ---------------------------------------------------------------------------
-
-def _integer(x, what: str, lo: int, hi: float = math.inf) -> int:
-    """``x`` as an int in lo..hi, else ValueError; bools and non-integers fail."""
-    try:
-        n = operator.index(x)
-    except TypeError:
-        n = None
-    if n is None or isinstance(x, bool) or not lo <= n <= hi:
-        raise ValueError(f"{what}, got {x!r}")
-    return n
-
 
 def _seed(seed) -> int:
     """``seed`` as a non-negative int, else ValueError."""
@@ -289,14 +278,6 @@ def random_mixed(dims, rank: int, seed: int, index: int = 0) -> MultipartiteStat
     rank = _integer(rank, f"rank must be an integer in 1..{d}", 1, d)
     v = haar_vector(d * rank, generator(seed, index)).reshape(d, rank)
     return MultipartiteState(v @ v.conj().T, dims)
-
-
-def _dims(dims) -> tuple[int, ...]:
-    """``dims`` as a nonempty tuple of integers >= 2, else ValueError."""
-    out = tuple(_integer(d, "subsystem dimension must be an integer >= 2", 2) for d in dims)
-    if not out:
-        raise ValueError("dims must be nonempty")
-    return out
 
 
 def _draw(dims: tuple[int, ...], rank: int | None, seed: int, indices) -> np.ndarray:

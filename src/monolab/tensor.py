@@ -29,13 +29,15 @@ axis bookkeeping of the partial trace and transpose, are worked out once per
 (array shape, dimensions, subsystem set) and reused, so repeated calls on one
 shape do only the array work. A plan holds tuples of ints, never arrays, and
 invalid input raises on every call, because a plan is cached only once it is
-built.
+built. The dims rule (``_dims``: integers >= 2) runs on every call ahead of
+the caches, because a cache key does not tell 2.0 from 2.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -66,19 +68,42 @@ def _number_or_stack(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-@functools.lru_cache(maxsize=256)
-def _checked_dims(dim: int, dims: tuple) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
-    if not out or any(d < 2 for d in out):
-        raise ValueError(f"subsystem dimensions must all be >= 2, got {out}")
-    if math.prod(out) != dim:
-        raise ValueError(f"subsystem dimensions {out} do not multiply to {dim}")
+def _integer(x, what: str, lo: int, hi: float = math.inf) -> int:
+    """``x`` as an int in lo..hi, else ValueError; bools and non-integers fail."""
+    try:
+        n = operator.index(x)
+    except TypeError:
+        n = None
+    if n is None or isinstance(x, bool) or not lo <= n <= hi:
+        raise ValueError(f"{what}, got {x!r}")
+    return n
+
+
+def _dims(dims) -> tuple[int, ...]:
+    """``dims`` as a nonempty tuple of integers >= 2, else ValueError: the one
+    dims rule of the package. numpy integers pass; bools, floats and strings
+    fail. It runs ahead of every cached plan, whose keys do not tell 2.0 from 2."""
+    out = tuple(dims)
+    for d in out:
+        if type(d) is not int or d < 2:  # the fast test; _integer converts or names the culprit
+            out = tuple(_integer(d, "subsystem dimension must be an integer >= 2", 2) for d in out)
+            break
+    if not out:
+        raise ValueError("dims must be nonempty")
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _checked_dims(dim: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Dims that passed ``_dims``, checked against the total dimension."""
+    if math.prod(dims) != dim:
+        raise ValueError(f"subsystem dimensions {dims} do not multiply to {dim}")
+    return dims
 
 
 def check_dims(dim: int, dims) -> tuple[int, ...]:
     """Validate subsystem dimensions against the total Hilbert-space dimension."""
-    return _checked_dims(dim, tuple(dims))
+    return _checked_dims(dim, _dims(dims))
 
 
 def require_hermitian(m, what: str = "matrix") -> np.ndarray:
@@ -143,7 +168,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     names every subsystem.
     """
     rho = as_matrices(rho)
-    shape, axes, out = _trace_plan(rho.shape, tuple(dims), tuple(keep))
+    shape, axes, out = _trace_plan(rho.shape, _dims(dims), tuple(keep))
     t = rho.reshape(shape)
     for i, j in axes:
         t = t.trace(0, i, j)
@@ -171,7 +196,7 @@ def partial_transpose(rho, dims, transposed) -> np.ndarray:
     """Transpose the listed subsystems only, of one matrix or of each matrix
     of a stack. Applying it twice is the identity."""
     rho = as_matrices(rho)
-    shape, perm = _transpose_plan(rho.shape, tuple(dims), tuple(transposed))
+    shape, perm = _transpose_plan(rho.shape, _dims(dims), tuple(transposed))
     return np.ascontiguousarray(rho.reshape(shape).transpose(perm).reshape(rho.shape))
 
 

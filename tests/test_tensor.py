@@ -335,3 +335,26 @@ def test_entropy_rejects_bad_inputs():
         tensor.von_neumann_entropy(np.diag([0.5, 0.4]))  # trace != 1
     with pytest.raises(ValueError):
         tensor.von_neumann_entropy(np.diag([1.1, -0.1]))  # genuinely negative
+
+
+@pytest.mark.parametrize("dims,bad", [((2.5, 2), "2.5"), (("2", 2.9), "'2'"), ((2, 2.0), "2.0"),
+                                      ((True, 4), "True"), ((1, 4), "1")])
+def test_every_kernel_applies_the_dims_rule_ahead_of_its_cache(dims, bad):
+    # the plans of (2, 2) and (2, 4) are cached first; (2.0, 2) hashes like
+    # (2, 2), so a check inside the cache would return the cached plan
+    rho = np.eye(4) / 4
+    tensor.partial_trace(rho, (2, 2), [0]), tensor.partial_transpose(rho, (2, 2), [0])
+    message = f"^subsystem dimension must be an integer >= 2, got {bad}$"
+    for call in (lambda: tensor.check_dims(4, dims), lambda: tensor.partial_trace(rho, dims, [0]),
+                 lambda: tensor.partial_transpose(rho, dims, [0]), lambda: states.MultipartiteState(rho, dims)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_the_dims_rule_takes_numpy_integers_as_ints():
+    got = tensor.check_dims(8, [np.int64(2), np.int32(2), 2])
+    assert got == (2, 2, 2) and all(type(d) is int for d in got)
+    rho = np.eye(4) / 4
+    assert np.array_equal(tensor.partial_trace(rho, np.array([2, 2]), [1]), np.eye(2) / 2)
+    with pytest.raises(ValueError, match="^dims must be nonempty$"):
+        tensor.check_dims(1, ())
