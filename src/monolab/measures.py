@@ -47,10 +47,11 @@ from .states import MultipartiteState, PURITY_TOL
 
 FLUSH_TOL = 1e-12
 RANK_TOL = 1e-9
+_EIG_NOISE = 16.0 * np.finfo(float).eps  # relative noise floor of a 4x4 eigensolve
 
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
-# sy x sy is antidiagonal, so (sy x sy) M (sy x sy) = M[::-1, ::-1] * _FLIP_SIGNS
-_FLIP_SIGNS = np.outer((-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 1.0, -1.0))
+# sy x sy is antidiagonal, so (sy x sy) M = M[::-1] * _FLIP_ROWS
+_FLIP_ROWS = np.array((-1.0, 1.0, 1.0, -1.0))[:, None]
 _PAULI = (
     np.eye(2, dtype=complex),
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -178,31 +179,25 @@ def concurrence_two_qubit(rho):
     of a stack (..., 4, 4).
 
     C = max(0, l1 - l2 - l3 - l4) where the l_i are the decreasingly ordered
-    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy), computed
-    through the equivalent Hermitian form sqrt(rho) rho~ sqrt(rho) for
-    numerical accuracy.
+    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy). For any
+    factor rho = F F^dag they are the singular values of the symmetric
+    matrix tau = F^T (sy x sy) F (Wootters, PRL 80, 2245 (1998)); F = evecs
+    sqrt(evals) comes from the eigensolve that checks the state. A singular
+    value carries an absolute error of about eps ||tau||, so a small l_i
+    needs no cutoff. An eigenvalue of rho within the eigensolver's noise of
+    zero (below 16 eps lam_max) is zero: near a rank-deficient state, C
+    moves like the square root of a perturbation, so a kept 1e-16 would
+    cost up to 1e-8.
     """
     rho = tensor.as_matrices(rho)
     lead = rho.shape[:-2]
-    rho, evals, evecs = _require_two_qubit_density(rho.reshape(-1, *rho.shape[-2:]))
-    root = np.sqrt(np.maximum(evals, 0.0))[:, None, :]
-    sqrt_rho = (evecs * root) @ evecs.conj().swapaxes(-1, -2)
-    flipped = rho.conj()[:, ::-1, ::-1] * _FLIP_SIGNS
-    m = sqrt_rho @ flipped @ sqrt_rho
-    lam_sq = np.maximum(np.linalg.eigvalsh(m)[:, ::-1], 0.0)
-    c = [_wootters(row) for row in lam_sq.tolist()]
+    _, evals, evecs = _require_two_qubit_density(rho.reshape(-1, *rho.shape[-2:]))
+    evals = np.where(evals > _EIG_NOISE * evals[:, -1:], evals, 0.0)
+    f = evecs * np.sqrt(evals)[:, None, :]
+    tau = f.swapaxes(-1, -2) @ (f[:, ::-1] * _FLIP_ROWS)
+    lam = np.linalg.svd(tau, compute_uv=False).tolist()
+    c = [_flush(min(max(l1 - l2 - l3 - l4, 0.0), 1.0)) for l1, l2, l3, l4 in lam]
     return tensor._number_or_stack(np.array(c).reshape(lead))
-
-
-def _wootters(lam_sq: list[float]) -> float:
-    """max(0, l1 - l2 - l3 - l4) from the decreasing squares l_i^2, in plain
-    floats: on four values this is several times cheaper than numpy, and
-    sqrt rounds the same either way."""
-    # eigenvalues within solver noise of zero would contribute sqrt-amplified
-    # garbage (~1e-8) to the small l_i; treat them as the exact zeros they are
-    cutoff = 1e-13 * max(lam_sq[0], 1e-300)
-    l1, l2, l3, l4 = (0.0 if x < cutoff else math.sqrt(x) for x in lam_sq)
-    return _flush(min(max(l1 - l2 - l3 - l4, 0.0), 1.0))
 
 
 def _pure_cut_concurrence(red: np.ndarray, rdims, a_pos) -> list[float]:

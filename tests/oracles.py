@@ -168,6 +168,20 @@ def eof(rho):
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def three_tangle(psi):
+    """Three-tangle of a pure 3-qubit state, 4 |Cayley hyperdeterminant| of
+    its normalised amplitudes a_ijk (Coffman, Kundu and Wootters, PRA 61,
+    052306 (2000)): a closed form in the amplitudes, with no eigensolver."""
+    a = np.asarray(psi, dtype=complex).reshape(2, 2, 2)
+    a = a / math.sqrt(float((np.abs(a) ** 2).sum()))
+    a000, a001, a010, a011, a100, a101, a110, a111 = a.ravel().tolist()
+    d1 = (a000 * a111) ** 2 + (a001 * a110) ** 2 + (a010 * a101) ** 2 + (a100 * a011) ** 2
+    d2 = (a000 * a111 * (a011 * a100 + a101 * a010 + a110 * a001)
+          + a011 * a100 * (a101 * a010 + a110 * a001) + a101 * a010 * a110 * a001)
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
+    return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
+
+
 def conditional_entropy_sum(rho, measured, theta, phi):
     """sum_k p_k S(other | outcome k) for projective measurements on the
     measured qubit along the direction(s) (theta, phi), built from the

@@ -81,7 +81,7 @@ SEARCH = [
     (Measure.LOG_NEGATIVITY, 1.0, (2, 2, 2),
      "e3fa633eb9552aaa891a7d23cea4f6442d2b763bba76f08d311e984696397806"),
     (Measure.CONCURRENCE, 2.0, (2, 2, 2),
-     "917f371cb78eb4f3ba68f0f00d71de1fef9fca5828fedadedee5521f74989bef"),
+     "9d9e5d007ed83e737ce12733fa94e05919dbf94a23b8ef32db20f18862efc43a"),
     (Measure.LOG_NEGATIVITY, 1.0, (2, 2, 2, 2),
      "f2111b22ef7ffc93734e88df615f7d3210c1a61745c3d7350bba2e0e04a78228"),
 ]
@@ -107,7 +107,7 @@ _W3_NOISE = EnsembleSpec("named", name="w3", p_grid=(0.0, 0.5))
 SUITES = {
     "lemmas": (lambda: verify.check_scalar_lemmas(1000, 3), "f13d906d0c2ae57425f286bcc5afcabfd35a881c133829314a3f0f27f4fb5618"),
     "decreasing-concave": (lambda: verify.check_decreasing_concave_family(1000, 3), "4ecd347b3ca7b22f3ca475648181d703e919ac5ff529e422af4a72210be58fc0"),
-    "raising": (lambda: verify.verify_raising(_CONC, _PURE3, 2.0, (2.5, 3.0), 3), "f18647dbed88f17887ec0c6033d0bb6a2624b08b8f04d1b4baf8876dc670cbd8"),
+    "raising": (lambda: verify.verify_raising(_CONC, _PURE3, 2.0, (2.5, 3.0), 3), "15494a3b5f3811962f4e989c832517617a342a1f4bd2e15b6ea15befc109ae77"),
     "raising-rank2": (lambda: verify.verify_raising(_CONC, _RANK2, 2.0, (2.5, 4.0), 3), "5338de2952864c102394273310ca04934660901c55656fce4246ec3dc46468dc"),
     "lowering": (
         lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _MIXED3, 1.0, (0.5, 0.8), 3), "a4d27bc22eb09c0d997ebbb15b1fd30a25f6b40dc8de3d63aaa4ad7d11ae9b37"
@@ -124,7 +124,7 @@ SUITES = {
     "probe": (lambda: verify.probe_high_power_mixed((2.0, 3.0, 4.0), _MIXED3, 3), "115f4c6727235c5a2c7942ee1c123e8258175429bd541dbb0478bc2952ad4302"),
     "probe-no-exponents": (lambda: verify.probe_high_power_mixed((), _MIXED3, 3), "8cb93961cfa0c48b6885fb663780361fb2e1df427efc11f680cdb57e9d6f607d"),
     "probe-empty-ensemble": (lambda: verify.probe_high_power_mixed((2.0, 3.0), [], 3), "90f2d018320bb45c1d292dc7d9bc22698c2fe1840753b5d5315f466fcc6232cc"),
-    "strong": (lambda: verify.verify_strong_chain(_CONC, _PURE4, 2.0, 3), "c1c86b0f1e57933088215bb4328124b33d63a05d57c4c087b32bf4a568cef229"),
+    "strong": (lambda: verify.verify_strong_chain(_CONC, _PURE4, 2.0, 3), "eb670a56ca0e3db5653d5ccfcd2de934dc98b0eee4eea9a4603467265b85cc88"),
     "hierarchy": (lambda: verify.verify_hierarchy_chain(_CONC, _PURE4, 2.0, 3), "32bcddf77b0b4c3be8592ba6b7a655ac024752f98c5dfcfcf024090f5a358dd7"),
 }
 
@@ -156,7 +156,7 @@ CLI_STDOUT = {
                        "--seed", "3"),
                       "f0477b6dada510daeded79a65cb6f96efe9a5aa8c3c5d09b258c8a4396a0afde"),
     "verify-hierarchy": (("verify", "hierarchy", "--alpha", "2", "--count", "3", "--seed", "3"),
-                         "36eb023be0f5b5611822a5ce1e40448a4ab51f8398e75e5af7d9b38cb5f8ecc9"),
+                         "9975213c124c79c37eb69a593905c91122a999091c7d5fbfaf047cc2e2e342dd"),
     "verify-probe-high-power": (("verify", "probe-high-power", "--r-grid", "2,3", "--rank", "2",
                                  "--count", "3", "--seed", "3"),
                                 "a89c1fed1c1cb685dede44185be7266765f8c3040063b26738f6d95fb0343905"),

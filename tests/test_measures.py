@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import monolab
 import oracles
-from monolab import measures, states, tensor
+from monolab import measures, monogamy, states, tensor
 from monolab.measures import (
     Cut,
     Measure,
@@ -78,9 +78,12 @@ def test_concurrence_rejects_wrong_dimension():
         concurrence_two_qubit(np.eye(8) / 8)
 
 
-def test_wootters_kernel_keeps_the_spin_flip_products_bits():
-    # the spin flip is an index reversal with signs and the clamps are
-    # np.maximum; both must give the former products' and np.clip's bits
+def test_wootters_kernel_matches_the_spin_flip_products():
+    # the singular values of tau = F^T (sy x sy) F replace the eigenvalues
+    # of sqrt(rho) rho~ sqrt(rho) and their 1e-13 cutoff; a stack still
+    # gives each matrix's own bits. The frozen former kernel is off by up to
+    # 1.4e-13 on these matrices (its square roots of small l_i^2), so the
+    # two agree within 2e-13, not bit for bit
     mats = [states.random_mixed((2, 2), rank, 11, i).rho for rank in (1, 2, 3, 4) for i in range(150)]
     for dims, pairs in (((2, 2, 2), [(0, 1), (0, 2), (1, 2)]), ((2,) * 4, [(0, 1), (1, 3), (2, 3)])):
         mats += [states.haar_pure(dims, 12, i).marginal(p).rho for i in range(70) for p in pairs]
@@ -89,7 +92,48 @@ def test_wootters_kernel_keeps_the_spin_flip_products_bits():
     assert len(mats) >= 1000
     want = np.array(oracles.wootters_by_spin_flip_products(np.stack(mats)))
     one = np.array([concurrence_two_qubit(m) for m in mats])
-    assert one.tobytes() == concurrence_two_qubit(np.stack(mats)).tobytes() == want.tobytes()
+    assert one.tobytes() == concurrence_two_qubit(np.stack(mats)).tobytes()
+    assert np.abs(one - want).max() < 2e-13
+
+
+def canonical_vector(lam, phi):
+    """l0|000> + l1 e^{i phi}|100> + l2|101> + l3|110> + l4|111>, the local-
+    unitary canonical form of a pure 3-qubit state (Acin et al., PRL 85,
+    1560 (2000)); its three-tangle is 4 l0^2 l4^2."""
+    v = np.zeros(8, dtype=complex)
+    v[[0, 4, 5, 6, 7]] = lam
+    v[4] *= np.exp(1j * phi)
+    return v
+
+
+def canonical_vectors(count, seed):
+    """Canonical states with lam the normalised |standard normals|; every
+    other state has one or two l_i in [1e-6, 1e-3]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        lam = np.abs(rng.normal(size=5))
+        lam /= np.linalg.norm(lam)
+        if k % 2:
+            small = np.zeros(5, dtype=bool)
+            small[rng.choice(5, rng.integers(1, 3), replace=False)] = True
+            lam[small] = 10 ** rng.uniform(-6, -3, small.sum())
+            lam[~small] *= math.sqrt(1.0 - (lam[small] ** 2).sum()) / np.linalg.norm(lam[~small])
+        out.append(canonical_vector(lam, rng.uniform(0.0, np.pi)))
+    return out
+
+
+@pytest.mark.parametrize("build", [states.MultipartiteState._pure, states.MultipartiteState.from_vector],
+                         ids=["vector-checked", "matrix-checked"])
+def test_squared_concurrence_score_is_the_three_tangle(build):
+    # CKW: C^2(A:BC) - C^2(A:B) - C^2(A:C) is the three-tangle of a pure
+    # 3-qubit state; weakly entangled pairs probe the Wootters kernel's small l_i
+    vecs = canonical_vectors(400, 0) + [states.haar_pure((2, 2, 2), 14, i)._psi for i in range(60)]
+    for k, lam in enumerate(([0.6, 0.0, 0.0, 0.0, 0.8], [1.0, 0.0, 0.0, 0.0, 1e-6], [0.0, 0.6, 0.0, 0.8, 0.0])):
+        vecs.append(canonical_vector(np.array(lam) / np.linalg.norm(lam), 0.3 * k))
+    worst = max(abs(monogamy.monogamy_score(Measure.CONCURRENCE, build(v, (2, 2, 2)), 0, 2.0).score
+                    - oracles.three_tangle(v)) for v in vecs)
+    assert worst < 1e-10
 
 
 def test_concurrence_pure_cut_values():
