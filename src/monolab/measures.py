@@ -138,9 +138,12 @@ def _flush(x: float) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _cut_plan(dims: tuple[int, ...], side_a: tuple[int, ...], side_b: tuple[int, ...]):
-    """(keep, rdims, a_pos, b_pos, da, db): the subsystems kept, in index
-    order (None when the cut covers them all), their dimensions, the
-    positions of each side among them, and each side's total dimension."""
+    """(keep, perm, rdims, a_pos, b_pos, da, db): the subsystems kept, in
+    index order (None when the cut covers them all); the axis permutation of
+    a stack of vectors (m, *dims) that puts side A then side B first on a
+    whole cut, else the kept subsystems then the traced ones; the kept
+    dimensions, the positions of each side among them, and each side's
+    total dimension."""
     n = len(dims)
     for i in side_a + side_b:
         if not 0 <= i < n:
@@ -151,15 +154,37 @@ def _cut_plan(dims: tuple[int, ...], side_a: tuple[int, ...], side_b: tuple[int,
     b_pos = tuple(sorted(keep.index(i) for i in side_b))
     da = math.prod(rdims[i] for i in a_pos)
     db = math.prod(rdims[i] for i in b_pos)
-    return (None if len(keep) == n else keep), rdims, a_pos, b_pos, da, db
+    whole = len(keep) == n
+    order = sorted(side_a) + sorted(side_b) if whole else keep + tuple(sorted(set(range(n)) - set(keep)))
+    perm = (0, *(1 + i for i in order))
+    return (None if whole else keep), perm, rdims, a_pos, b_pos, da, db
 
 
-def _reduced(rho: np.ndarray, dims, cut: Cut):
+def _reduced(rho: np.ndarray, dims, cut: Cut, psi: np.ndarray | None = None):
     """(red, rdims, a_pos, b_pos, da, db): the stack (m, d, d) on ``dims``
-    reduced to side_a + side_b, then the rest of the cut's plan."""
-    keep, *plan = _cut_plan(dims, cut.side_a, cut.side_b)
-    red = rho if keep is None else tensor.partial_trace(rho, dims, keep)
-    return red, *plan
+    reduced to side_a + side_b, then the rest of the cut's plan.
+
+    With ``psi``, the unit vectors (m, d) of the stack, the marginal is
+    F F^dag, F the vectors with their axes permuted to (kept, traced). A
+    whole cut gives instead the Schmidt coefficients (m, k) of F with side
+    A's axes first, from one stacked svd; a whole 2x2 cut keeps ``rho``, so
+    that Wootters' formula and the Bloch form still see the matrix.
+    """
+    keep, perm, *plan = _cut_plan(dims, cut.side_a, cut.side_b)
+    da, db = plan[-2:]
+    if psi is None or (keep is None and da * db == 4):
+        return (rho if keep is None else tensor.partial_trace(rho, dims, keep)), *plan
+    f = psi.reshape(-1, *dims).transpose(perm).reshape(len(psi), da if keep is None else da * db, -1)
+    if keep is None:
+        return np.linalg.svd(f, compute_uv=False), *plan
+    return f @ f.conj().swapaxes(-1, -2), *plan
+
+
+def _state_reduced(state: MultipartiteState, cut: Cut):
+    """``_reduced`` of one state as a stack of one, from its unit vector
+    when it carries one."""
+    psi = None if state._psi is None else state._psi[None]
+    return _reduced(state.rho[None], state.dims, cut, psi)
 
 
 def _require_two_qubit_density(rho: np.ndarray):
@@ -201,19 +226,29 @@ def concurrence_two_qubit(rho):
 
 
 def _pure_cut_concurrence(red: np.ndarray, rdims, a_pos) -> list[float]:
-    """Flushed min(sqrt(2 (1 - tr rho_A^2)), 1) of each matrix of a stack."""
+    """Flushed min(sqrt(2 (1 - tr rho_A^2)), 1) of each matrix of a stack,
+    or min(2 s_1 s_2, 1) of each row of Schmidt coefficients: the same
+    value, without the cancellation in 1 - tr rho_A^2."""
+    if red.ndim == 2:
+        return [_flush(min(2.0 * s1 * s2, 1.0)) for s1, s2 in red.tolist()]
     purity = tensor.purity(tensor.partial_trace(red, rdims, a_pos)).tolist()
     return [_flush(min(math.sqrt(max(0.0, 2.0 * (1.0 - p))), 1.0)) for p in purity]
 
 
 def _side_entropy(red: np.ndarray, rdims, a_pos) -> list[float]:
-    """Flushed entropy of side A of each matrix of a stack."""
+    """Flushed entropy of side A of each matrix of a stack, or of the
+    squared Schmidt coefficients of each row."""
+    if red.ndim == 2:
+        return [_flush(e) for e in tensor._entropies(red * red).tolist()]
     ra = tensor.partial_trace(red, rdims, a_pos)
     return [_flush(e) for e in tensor._entropy(ra).tolist()]
 
 
 def _is_pure(red: np.ndarray) -> list[bool]:
-    """Whether each matrix of a stack is pure within 1e-9."""
+    """Whether each matrix of a stack is pure within 1e-9; Schmidt
+    coefficients are those of a pure state."""
+    if red.ndim == 2:
+        return [True] * len(red)
     return [p >= 1.0 - PURITY_TOL for p in tensor.purity(red).tolist()]
 
 
@@ -223,7 +258,7 @@ def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     Requires the state restricted to the cut to be pure and side A to be a
     single qubit.
     """
-    red, rdims, a_pos, *_ = _reduced(state.rho[None], state.dims, cut)
+    red, rdims, a_pos, *_ = _state_reduced(state, cut)
     if not _is_pure(red)[0]:
         raise ValueError("state on the cut is not pure")
     if len(a_pos) != 1 or rdims[a_pos[0]] != 2:
@@ -332,7 +367,7 @@ def eof_two_qubit(rho):
 
 def eof_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     """Entanglement entropy of side A for a pure cut, in ebits."""
-    return _pure_cut_entropy(*_reduced(state.rho[None], state.dims, cut))[0]
+    return _pure_cut_entropy(*_state_reduced(state, cut))[0]
 
 
 def _pure_cut_entropy(red: np.ndarray, rdims, a_pos, *_) -> list[float]:
@@ -504,21 +539,27 @@ def evaluate(kind, state: MultipartiteState, cut: Cut) -> float:
     Raises MeasureUndefinedError when the measure has no exact expression on
     the requested cut dimensions.
     """
-    return _score_stack(as_kind(kind), *_reduced(state.rho[None], state.dims, cut))[0]
+    return _score_stack(as_kind(kind), *_state_reduced(state, cut))[0]
 
 
 def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db) -> list[float]:
-    """The measure on each matrix of a reduced stack (m, d, d) and its cut
-    plan (``_reduced``), as a list of floats in stack order.
+    """The measure on each matrix of a reduced stack (m, d, d), or on each
+    row of Schmidt coefficients (m, k), and its cut plan (``_reduced``), as
+    a list of floats in stack order.
 
     Each matrix takes its own branch, and every branch returns flushed
     values. Raises MeasureUndefinedError if any matrix has no exact
-    expression on the cut.
+    expression on the cut. Schmidt coefficients take the branch of the
+    pure whole cut they come from: ||rho^T_A||_1 = (sum s)^2, 2 s_1 s_2
+    and the entropy of the s^2.
     """
     tag = kind.tag
     if tag is Measure.NEGATIVITY or tag is Measure.LOG_NEGATIVITY:
-        pt = tensor.partial_transpose(red, rdims, a_pos)
-        return [_negativity(kind, t) for t in tensor._trace_norm(pt).tolist()]
+        if red.ndim == 2:
+            norms = red.sum(-1) ** 2
+        else:
+            norms = tensor._trace_norm(tensor.partial_transpose(red, rdims, a_pos))
+        return [_negativity(kind, t) for t in norms.tolist()]
     # the public kernels below check their input again: the symmetrized
     # marginal passes, and symmetrizing it once more changes no value
     if tag is Measure.CONCURRENCE:

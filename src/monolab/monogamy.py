@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Cut, MeasureKind, _normalized, _reduced, _score_stack, as_kind, evaluate
+from .measures import (Cut, MeasureKind, _normalized, _reduced, _score_stack, _state_reduced, as_kind,
+                       evaluate)
 from .states import MultipartiteState
 
 
@@ -153,27 +154,30 @@ def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
 
     ``score(red, *plan)`` scores a reduced stack and its cut plan
     (``measures._reduced``) and returns a list. The states that share their
-    dims are stacked and reduced once per cut; the reduced stacks that share
-    a plan (rdims, a_pos, b_pos), across cuts and dims, are scored in one
-    call. When anything raises ValueError, the work is replayed one state
-    and one cut at a time, so the error raised is the one a per-state loop
-    raises first.
+    dims, and whether they carry a unit vector, are stacked and reduced once
+    per cut, so each state is reduced as ``evaluate`` reduces it: from its
+    vector when it has one. The reduced stacks that share a plan (rdims,
+    a_pos, b_pos) and a form (matrices, or the Schmidt coefficients of a
+    whole pure cut), across cuts and dims, are scored in one call. When
+    anything raises ValueError, the work is replayed one state and one cut
+    at a time, so the error raised is the one a per-state loop raises first.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for i, state in enumerate(states):
-        groups.setdefault(state.dims, []).append(i)
+        groups.setdefault((state.dims, state._psi is not None), []).append(i)
     table: list = [None] * len(states)
-    by_plan: dict[tuple, list] = {}  # plan -> [(reduced stack, state indices, cut position)]
+    by_plan: dict[tuple, list] = {}  # (form, plan) -> [(reduced stack, state indices, cut position)]
     try:
-        for dims, idx in groups.items():
+        for (dims, vector), idx in groups.items():
             rho = np.stack([states[i].rho for i in idx])
+            psi = np.stack([states[i]._psi for i in idx]) if vector else None
             cuts = cuts_of(len(dims))
             for i in idx:
                 table[i] = [None] * len(cuts)
             for j, cut in enumerate(cuts):
-                red, *plan = _reduced(rho, dims, cut)
-                by_plan.setdefault(tuple(plan), []).append((red, idx, j))
-        for plan, parts in by_plan.items():
+                red, *plan = _reduced(rho, dims, cut, psi)
+                by_plan.setdefault((red.ndim, *plan), []).append((red, idx, j))
+        for (_, *plan), parts in by_plan.items():
             values = iter(score(np.concatenate([red for red, _, _ in parts]), *plan))
             for _, idx, j in parts:
                 for i in idx:
@@ -181,7 +185,7 @@ def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
     except ValueError:
         for state in states:
             for cut in cuts_of(state.n_subsystems):
-                post(score(*_reduced(state.rho[None], state.dims, cut))[0])
+                post(score(*_state_reduced(state, cut))[0])
         raise
     return [tuple(row) for row in table]
 

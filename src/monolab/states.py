@@ -64,13 +64,17 @@ class MultipartiteState:
         object.__setattr__(self, "dims", dims)
 
     @classmethod
-    def _trusted(cls, rho: np.ndarray, dims: tuple[int, ...]) -> "MultipartiteState":
+    def _trusted(cls, rho: np.ndarray, dims: tuple[int, ...], psi: np.ndarray | None = None) -> "MultipartiteState":
         """Wrap a fresh density matrix that is valid by construction, on
-        checked ``dims``, read-only and without the check."""
+        checked ``dims``, read-only and without the check; ``psi``, if
+        given, is its unit vector and is kept read-only as ``_psi``."""
         state = object.__new__(cls)
         rho.flags.writeable = False
         object.__setattr__(state, "rho", rho)
         object.__setattr__(state, "dims", dims)
+        if psi is not None:
+            psi.flags.writeable = False
+            object.__setattr__(state, "_psi", psi)
         return state
 
     @classmethod
@@ -78,9 +82,7 @@ class MultipartiteState:
         """``from_vector``'s state, checked by its unit vector, whose outer
         product is a density matrix: ``__post_init__`` checks the dims only."""
         v = _unit_vector(psi)
-        v.flags.writeable = False
-        state = cls._trusted(np.outer(v, v.conj()), dims)
-        object.__setattr__(state, "_psi", v)
+        state = cls._trusted(np.outer(v, v.conj()), dims, v)
         state.__post_init__()
         return state
 
@@ -280,11 +282,13 @@ def random_mixed(dims, rank: int, seed: int, index: int = 0) -> MultipartiteStat
     return MultipartiteState(v @ v.conj().T, dims)
 
 
-def _draw(dims: tuple[int, ...], rank: int | None, seed: int, indices) -> np.ndarray:
-    """The density matrices (k, d, d), unchecked, of ``haar_pure`` (rank None)
-    or ``random_mixed`` at each sample index, in bulk: one Philox re-keyed
-    per sample (counter 0, empty buffer) to the key of substream (seed, i),
-    one Box-Muller transform and one stacked normalisation for them all."""
+def _draw(dims: tuple[int, ...], rank: int | None, seed: int, indices):
+    """(rho, psi): the density matrices (k, d, d), unchecked, of
+    ``haar_pure`` (rank None) or ``random_mixed`` at each sample index, and
+    for ``haar_pure`` their unit vectors (k, d), else None. They are drawn
+    in bulk: one Philox re-keyed per sample (counter 0, empty buffer) to the
+    key of substream (seed, i), one Box-Muller transform and one stacked
+    normalisation for them all."""
     d = math.prod(dims)
     n = d * (rank or 1)  # the length of each Haar vector
     bits = np.random.Philox(0)
@@ -302,9 +306,9 @@ def _draw(dims: tuple[int, ...], rank: int | None, seed: int, indices) -> np.nda
         re, im = v.real, v.imag
         v = v / np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
     if rank is None:
-        return v[:, :, None] * v.conj()[:, None, :]
+        return v[:, :, None] * v.conj()[:, None, :], v
     v = v.reshape(-1, d, rank)
-    return v @ v.conj().swapaxes(-1, -2)
+    return v @ v.conj().swapaxes(-1, -2), None
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +431,9 @@ def sample_states(spec: EnsembleSpec, seed: int) -> list[MultipartiteState]:
             by_rank.setdefault(ranks[i % len(ranks)], []).append(i)
         base = [None] * spec.count
         for rank, idx in by_rank.items():
-            for i, rho in zip(idx, _draw(spec.dims, rank, seed, idx)):
-                base[i] = MultipartiteState._trusted(rho, spec.dims)
+            rho, psi = _draw(spec.dims, rank, seed, idx)
+            for k, i in enumerate(idx):
+                base[i] = MultipartiteState._trusted(rho[k], spec.dims, None if psi is None else psi[k])
     if spec.p_grid:
         base = [white_noise_mix(s, p) for s in base for p in spec.p_grid]
     return base

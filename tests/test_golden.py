@@ -79,11 +79,11 @@ def test_five_qubit_sweep_matches_golden_digest(tmp_path, monkeypatch):
 # the three shapes of the hill-climb benchmark, 2 restarts x 60 steps, seed 5
 SEARCH = [
     (Measure.LOG_NEGATIVITY, 1.0, (2, 2, 2),
-     "e3fa633eb9552aaa891a7d23cea4f6442d2b763bba76f08d311e984696397806"),
+     "91862f0588b75c30506f080224a9ef3b90e01e6fec8747e1e21578adce02e808"),
     (Measure.CONCURRENCE, 2.0, (2, 2, 2),
-     "9d9e5d007ed83e737ce12733fa94e05919dbf94a23b8ef32db20f18862efc43a"),
+     "3ee536d9ddb72b2cb28a92924c6f4e9eb5a6e616e35a834c930cdddcff4ef615"),
     (Measure.LOG_NEGATIVITY, 1.0, (2, 2, 2, 2),
-     "f2111b22ef7ffc93734e88df615f7d3210c1a61745c3d7350bba2e0e04a78228"),
+     "0e2d1e49ea1eac3d1fb99fd9fd4c18b6af9c8b7cb6f2a0be58f3cd1f9620464d"),
 ]
 
 
@@ -107,7 +107,7 @@ _W3_NOISE = EnsembleSpec("named", name="w3", p_grid=(0.0, 0.5))
 SUITES = {
     "lemmas": (lambda: verify.check_scalar_lemmas(1000, 3), "f13d906d0c2ae57425f286bcc5afcabfd35a881c133829314a3f0f27f4fb5618"),
     "decreasing-concave": (lambda: verify.check_decreasing_concave_family(1000, 3), "4ecd347b3ca7b22f3ca475648181d703e919ac5ff529e422af4a72210be58fc0"),
-    "raising": (lambda: verify.verify_raising(_CONC, _PURE3, 2.0, (2.5, 3.0), 3), "15494a3b5f3811962f4e989c832517617a342a1f4bd2e15b6ea15befc109ae77"),
+    "raising": (lambda: verify.verify_raising(_CONC, _PURE3, 2.0, (2.5, 3.0), 3), "845c22fbd76e02ef7141e3245eeb76df32b5a74f336af45ecdbbfa3ea6940c7c"),
     "raising-rank2": (lambda: verify.verify_raising(_CONC, _RANK2, 2.0, (2.5, 4.0), 3), "5338de2952864c102394273310ca04934660901c55656fce4246ec3dc46468dc"),
     "lowering": (
         lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _MIXED3, 1.0, (0.5, 0.8), 3), "a4d27bc22eb09c0d997ebbb15b1fd30a25f6b40dc8de3d63aaa4ad7d11ae9b37"
@@ -115,7 +115,7 @@ SUITES = {
     "lowering-w3-noise": (
         lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _W3_NOISE, 1.0, (0.5,), 3), "e9480077b6481e37001b30bbe2716c2281d69ffc8747adca903b2ab9b5300f3a"
     ),
-    "functional-pure": (lambda: verify.verify_functional_lift(_PURE3, 2.0, 3), "ec24a9d841a816965788f1a491d0619ef5815de563962d5841281c36962c4fff"),
+    "functional-pure": (lambda: verify.verify_functional_lift(_PURE3, 2.0, 3), "6eea14c0bc88124d9b9e657b255f8b1c2a5fefe4a4a7d4008defd132c87983a7"),
     "functional-rank2": (lambda: verify.verify_functional_lift(_RANK2, 2.0, 3), "9a7885f472c764d1df4059fd9cb2e138822f827ec916d60ebc6c324c78086767"),
     "functional-explicit": (
         lambda: verify.verify_functional_lift([states.ghz(3), states.w(3)], 2.0, 3), "4e730f643532c45935c6cbbcfd5355b758b90d91ae9b61f09bdeb7686883cbe4"
@@ -124,8 +124,8 @@ SUITES = {
     "probe": (lambda: verify.probe_high_power_mixed((2.0, 3.0, 4.0), _MIXED3, 3), "115f4c6727235c5a2c7942ee1c123e8258175429bd541dbb0478bc2952ad4302"),
     "probe-no-exponents": (lambda: verify.probe_high_power_mixed((), _MIXED3, 3), "8cb93961cfa0c48b6885fb663780361fb2e1df427efc11f680cdb57e9d6f607d"),
     "probe-empty-ensemble": (lambda: verify.probe_high_power_mixed((2.0, 3.0), [], 3), "90f2d018320bb45c1d292dc7d9bc22698c2fe1840753b5d5315f466fcc6232cc"),
-    "strong": (lambda: verify.verify_strong_chain(_CONC, _PURE4, 2.0, 3), "eb670a56ca0e3db5653d5ccfcd2de934dc98b0eee4eea9a4603467265b85cc88"),
-    "hierarchy": (lambda: verify.verify_hierarchy_chain(_CONC, _PURE4, 2.0, 3), "32bcddf77b0b4c3be8592ba6b7a655ac024752f98c5dfcfcf024090f5a358dd7"),
+    "strong": (lambda: verify.verify_strong_chain(_CONC, _PURE4, 2.0, 3), "51792d1d7487bad00917b0b1bb649d0c98fc4a8372d05a62a675399aeb0fbd00"),
+    "hierarchy": (lambda: verify.verify_hierarchy_chain(_CONC, _PURE4, 2.0, 3), "8cc6c5dc521140193975acfb65352d29589fb58fce51aa401d7d6ea005add7a1"),
 }
 
 
@@ -144,7 +144,7 @@ CLI_STDOUT = {
                       "ed984e89505a1aff705050c2233e86b94228a540edc1a8e88e62704c15824b21"),
     "verify-raising": (("verify", "raising", "--measure", "concurrence", "--normalized", "--r", "2",
                         "--alpha", "2.5,3", "--count", "3", "--seed", "3"),
-                       "f6e05b373ae6a71fb4f78a898cf54b07c5e2727b2b9f87d16b962f08317baed1"),
+                       "09a08d73eddc7cb3258410b09f4bb70759a381c89bf39b70c347b2c8690d0223"),
     "verify-lowering": (("verify", "lowering", "--state", "w3", "--p-grid", "0,0.5", "--alpha", "0.5"),
                         "abde04510ca0db1acdff74a835a79f222cebfe4aa7fca67baaf8b782fd959241"),
     "verify-functional": (("verify", "functional", "--state", "random-mixed", "--rank", "2",
@@ -154,14 +154,14 @@ CLI_STDOUT = {
                      "a90cbce34ebc99eca74b03fb9654a4edec045b0b638bb08cb3ea70c82dcbc1ed"),
     "verify-strong": (("verify", "strong", "--dims", "2,2,2,2", "--focus", "1", "--count", "2",
                        "--seed", "3"),
-                      "f0477b6dada510daeded79a65cb6f96efe9a5aa8c3c5d09b258c8a4396a0afde"),
+                      "55f748903c55328f18ba9f7d48dc511dcae816449b87360fbbdf7333960ba150"),
     "verify-hierarchy": (("verify", "hierarchy", "--alpha", "2", "--count", "3", "--seed", "3"),
-                         "9975213c124c79c37eb69a593905c91122a999091c7d5fbfaf047cc2e2e342dd"),
+                         "35cfdb1897a4a9dfe373ec8f43258817fb5b8d34229ad4348a10205cbbf0538b"),
     "verify-probe-high-power": (("verify", "probe-high-power", "--r-grid", "2,3", "--rank", "2",
                                  "--count", "3", "--seed", "3"),
                                 "a89c1fed1c1cb685dede44185be7266765f8c3040063b26738f6d95fb0343905"),
     "verify-search": (("verify", "search", "--dims", "2,2,2", "--count", "1", "--seed", "3"),
-                      "50d213b9357dc2dcc6f8c1b2846fed48452e51e84058cbe65b847996f3d60a74"),
+                      "36828b2104ff4ff1e22ce94d78cb84ac2daba3da1e5ffad46087a89994b0060a"),
     "sweep-json": (("sweep", "--measure", "negativity", "--state", "w3", "--p-grid", "0:1:3",
                     "--r-grid", "1,2", "--format", "json"),
                    "872cc94e48aaee5f22dac7a6fcbb9e4b619e12e583501bf3e6d7dae8d56b0c95"),

@@ -83,10 +83,12 @@ def test_rank2_roof_and_pure_cut_mix_in_one_stack():
 @pytest.mark.parametrize("family", ["haar", "mixed"])
 def test_every_cut_of_a_stack_equals_evaluate(family, n):
     def scored(kind, rho, dims, cut):
-        return _score_stack(kind, *_reduced(rho, dims, cut))
+        return _score_stack(kind, *_reduced(rho, dims, cut, psi))
 
     sts = ensemble(family, n, count=8)
     rho = np.stack([s.rho for s in sts])
+    # the Haar draws carry their unit vectors, which evaluate reduces
+    psi = np.stack([s._psi for s in sts]) if family == "haar" else None
     dims = (2,) * n
     cuts = [Cut((0,), (1,)), Cut((n - 1,), (0,)), Cut((0,), tuple(range(1, n))),
             Cut((1,), (0, n - 1)), Cut((0, 1), tuple(range(2, n)))]
