@@ -31,6 +31,13 @@ matrix, so a value does not depend on its stack. One matrix becomes a
 float only in the public kernels (``concurrence_two_qubit``,
 ``tangle_rank2`` and ``eof_two_qubit`` also take stacks). The matrices it
 derives from a checked state are symmetrized, not checked again.
+
+A state that carries its unit vector (``MultipartiteState._psi``: the
+states of ``haar_pure``, of the counterexample search and the Haar draws of
+``sample_states``) is reduced from the vector: a cut that covers the whole
+state gives the Schmidt coefficients of the vector (one stacked svd), and
+any other cut gives the marginal F F^dag. Both take the branch, and raise
+the error, of the matrix path; a whole 2x2 cut keeps the matrix.
 """
 
 from __future__ import annotations

@@ -20,6 +20,11 @@ fields of the ``EnsembleSpec`` are checked, and the states of ``haar_pure``
 and the counterexample search are checked by their unit vector (``_pure``).
 ``from_vector`` and the named states keep the matrix check, because the
 benchmark pins the validation eigensolves of the 6-qubit named states.
+
+The states of ``haar_pure``, of the counterexample search and the Haar
+draws of ``sample_states`` keep their unit vector as ``_psi``, and
+``measures`` scores them from it (see ``measures._reduced``); every other
+state is scored from its matrix.
 """
 
 from __future__ import annotations
