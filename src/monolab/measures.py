@@ -161,10 +161,9 @@ def _cut_plan(dims: tuple[int, ...], side_a: tuple[int, ...], side_b: tuple[int,
     b_pos = tuple(sorted(keep.index(i) for i in side_b))
     da = math.prod(rdims[i] for i in a_pos)
     db = math.prod(rdims[i] for i in b_pos)
-    whole = len(keep) == n
-    order = sorted(side_a) + sorted(side_b) if whole else keep + tuple(sorted(set(range(n)) - set(keep)))
-    perm = (0, *(1 + i for i in order))
-    return (None if whole else keep), perm, rdims, a_pos, b_pos, da, db
+    traced = tuple(i for i in range(n) if i not in keep)
+    order = keep + traced if traced else sorted(side_a) + sorted(side_b)
+    return (keep if traced else None), (0, *(1 + i for i in order)), rdims, a_pos, b_pos, da, db
 
 
 def _reduced(rho: np.ndarray, dims, cut: Cut, psi: np.ndarray | None = None):

@@ -49,9 +49,10 @@ class MultipartiteState:
     Invariants checked on construction, by the one density rule of
     ``tensor._density_eig``: Hermitian within 1e-10, unit trace within 1e-9,
     no eigenvalue below -1e-9 (``tensor.POSITIVITY_TOL``), and integer dims
-    >= 2 (``tensor._dims``, the dims rule of every kernel). The stored matrix is a read-only copy, so no caller can
-    change a state through its input array. A state built by ``_pure`` keeps
-    its unit vector read-only as ``_psi`` and skips the eigensolve and copy.
+    >= 2 (``tensor._dims``, the dims rule of every kernel). The stored
+    matrix is a read-only copy, so no caller can change a state through its
+    input array. A state built by ``_pure`` keeps its unit vector read-only
+    as ``_psi`` and skips the eigensolve and copy.
     """
 
     rho: np.ndarray
@@ -69,7 +70,8 @@ class MultipartiteState:
         object.__setattr__(self, "dims", dims)
 
     @classmethod
-    def _trusted(cls, rho: np.ndarray, dims: tuple[int, ...], psi: np.ndarray | None = None) -> "MultipartiteState":
+    def _trusted(cls, rho: np.ndarray, dims: tuple[int, ...],
+                 psi: np.ndarray | None = None) -> "MultipartiteState":
         """Wrap a fresh density matrix that is valid by construction, on
         checked ``dims``, read-only and without the check; ``psi``, if
         given, is its unit vector and is kept read-only as ``_psi``."""

@@ -129,7 +129,8 @@ def test_squared_concurrence_score_is_the_three_tangle(build):
     # CKW: C^2(A:BC) - C^2(A:B) - C^2(A:C) is the three-tangle of a pure
     # 3-qubit state; weakly entangled pairs probe the Wootters kernel's small l_i
     vecs = canonical_vectors(400, 0) + [states.haar_pure((2, 2, 2), 14, i)._psi for i in range(60)]
-    for k, lam in enumerate(([0.6, 0.0, 0.0, 0.0, 0.8], [1.0, 0.0, 0.0, 0.0, 1e-6], [0.0, 0.6, 0.0, 0.8, 0.0])):
+    edges = ([0.6, 0.0, 0.0, 0.0, 0.8], [1.0, 0.0, 0.0, 0.0, 1e-6], [0.0, 0.6, 0.0, 0.8, 0.0])
+    for k, lam in enumerate(edges):
         vecs.append(canonical_vector(np.array(lam) / np.linalg.norm(lam), 0.3 * k))
     worst = max(abs(monogamy.monogamy_score(Measure.CONCURRENCE, build(v, (2, 2, 2)), 0, 2.0).score
                     - oracles.three_tangle(v)) for v in vecs)

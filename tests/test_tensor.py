@@ -345,8 +345,9 @@ def test_every_kernel_applies_the_dims_rule_ahead_of_its_cache(dims, bad):
     rho = np.eye(4) / 4
     tensor.partial_trace(rho, (2, 2), [0]), tensor.partial_transpose(rho, (2, 2), [0])
     message = f"^subsystem dimension must be an integer >= 2, got {bad}$"
-    for call in (lambda: tensor.check_dims(4, dims), lambda: tensor.partial_trace(rho, dims, [0]),
-                 lambda: tensor.partial_transpose(rho, dims, [0]), lambda: states.MultipartiteState(rho, dims)):
+    calls = (lambda: tensor.check_dims(4, dims), lambda: tensor.partial_trace(rho, dims, [0]),
+             lambda: tensor.partial_transpose(rho, dims, [0]), lambda: states.MultipartiteState(rho, dims))
+    for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
 

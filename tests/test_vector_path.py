@@ -56,7 +56,8 @@ def test_vector_and_matrix_paths_agree(dims):
         assert vector._psi is not None and matrix._psi is None
         for kind in KINDS:
             for cut in cuts:
-                got, want = outcome(lambda: evaluate(kind, vector, cut)), outcome(lambda: evaluate(kind, matrix, cut))
+                got = outcome(lambda: evaluate(kind, vector, cut))
+                want = outcome(lambda: evaluate(kind, matrix, cut))
                 if isinstance(want, tuple):
                     assert got == want, (kind, cut)
                 else:
@@ -114,7 +115,8 @@ def test_a_bulk_draw_carries_haar_pures_vector(dims):
 
 def test_undefined_cuts_raise_the_matrix_paths_message_on_vectors():
     s = states.haar_pure((3, 2, 2), 26)
-    with pytest.raises(MeasureUndefinedError, match="^concurrence undefined on a 3x4 cut with a non-qubit A side$"):
+    message = "^concurrence undefined on a 3x4 cut with a non-qubit A side$"
+    with pytest.raises(MeasureUndefinedError, match=message):
         evaluate(Measure.CONCURRENCE, s, Cut((0,), (1, 2)))
     with pytest.raises(MeasureUndefinedError, match="^discord defined only on 2x2 cuts, requested 2x6$"):
         evaluate(Measure.DISCORD, s, Cut((1,), (0, 2)))
