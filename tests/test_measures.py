@@ -81,9 +81,7 @@ def test_concurrence_rejects_wrong_dimension():
 def test_wootters_kernel_matches_the_spin_flip_products():
     # the singular values of tau = F^T (sy x sy) F replace the eigenvalues
     # of sqrt(rho) rho~ sqrt(rho) and their 1e-13 cutoff; a stack still
-    # gives each matrix's own bits. The frozen former kernel is off by up to
-    # 1.4e-13 on these matrices (its square roots of small l_i^2), so the
-    # two agree within 2e-13, not bit for bit
+    # gives each matrix's own bits, and the former route agrees within 1e-13
     mats = [states.random_mixed((2, 2), rank, 11, i).rho for rank in (1, 2, 3, 4) for i in range(150)]
     for dims, pairs in (((2, 2, 2), [(0, 1), (0, 2), (1, 2)]), ((2,) * 4, [(0, 1), (1, 3), (2, 3)])):
         mats += [states.haar_pure(dims, 12, i).marginal(p).rho for i in range(70) for p in pairs]
@@ -93,7 +91,7 @@ def test_wootters_kernel_matches_the_spin_flip_products():
     want = np.array(oracles.wootters_by_spin_flip_products(np.stack(mats)))
     one = np.array([concurrence_two_qubit(m) for m in mats])
     assert one.tobytes() == concurrence_two_qubit(np.stack(mats)).tobytes()
-    assert np.abs(one - want).max() < 2e-13
+    assert np.abs(one - want).max() < 1e-13
 
 
 def canonical_vector(lam, phi):
