@@ -80,15 +80,18 @@ def test_rank2_roof_and_pure_cut_mix_in_one_stack():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("family", ["haar", "mixed"])
+@pytest.mark.parametrize("family", ["haar", "mixed", "haar-vector"])
 def test_every_cut_of_a_stack_equals_evaluate(family, n):
     def scored(kind, rho, dims, cut):
         return _score_stack(kind, *_reduced(rho, dims, cut, psi))
 
-    sts = ensemble(family, n, count=8)
+    sts = ensemble(family.removesuffix("-vector"), n, count=8)
+    # the Haar draws carry their unit vectors: the haar case scores their
+    # matrices as states without one, the haar-vector case the vectors
+    psi = np.stack([s._psi for s in sts]) if family == "haar-vector" else None
+    if family == "haar":
+        sts = [states.MultipartiteState(s.rho, s.dims) for s in sts]
     rho = np.stack([s.rho for s in sts])
-    # the Haar draws carry their unit vectors, which evaluate reduces
-    psi = np.stack([s._psi for s in sts]) if family == "haar" else None
     dims = (2,) * n
     cuts = [Cut((0,), (1,)), Cut((n - 1,), (0,)), Cut((0,), tuple(range(1, n))),
             Cut((1,), (0, n - 1)), Cut((0, 1), tuple(range(2, n)))]
