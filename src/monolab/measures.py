@@ -21,7 +21,7 @@ cut), as are the trace and transpose plans of ``tensor``.
 
 Private code sees stacks (m, d, d) of density matrices on shared subsystem
 dimensions only. ``_reduced`` traces a stack down to a cut and returns the
-cut's plan (rdims, a_pos, b_pos, da, db); ``_score_stack`` scores one
+cut's plan (schmidt, rdims, a_pos, b_pos, da, db); ``_score_stack`` scores one
 reduced stack, each matrix taking its own branch (Wootters, pure cut,
 rank-2 roof or undefined), with one call of the branch's kernel for all
 the matrices that take it. ``evaluate`` runs the two on a stack of one, and
@@ -167,8 +167,9 @@ def _cut_plan(dims: tuple[int, ...], side_a: tuple[int, ...], side_b: tuple[int,
 
 
 def _reduced(rho: np.ndarray, dims, cut: Cut, psi: np.ndarray | None = None):
-    """(red, rdims, a_pos, b_pos, da, db): the stack (m, d, d) on ``dims``
-    reduced to side_a + side_b, then the rest of the cut's plan.
+    """(red, schmidt, rdims, a_pos, b_pos, da, db): the stack (m, d, d) on
+    ``dims`` reduced to side_a + side_b, then the cut's plan: whether ``red``
+    holds Schmidt coefficients instead of matrices, and the rest.
 
     With ``psi``, the unit vectors (m, d) of the stack, the marginal is
     F F^dag, F the vectors with their axes permuted to (kept, traced). A
@@ -179,11 +180,11 @@ def _reduced(rho: np.ndarray, dims, cut: Cut, psi: np.ndarray | None = None):
     keep, perm, *plan = _cut_plan(dims, cut.side_a, cut.side_b)
     da, db = plan[-2:]
     if psi is None or (keep is None and da * db == 4):
-        return (rho if keep is None else tensor.partial_trace(rho, dims, keep)), *plan
+        return (rho if keep is None else tensor.partial_trace(rho, dims, keep)), False, *plan
     f = psi.reshape(-1, *dims).transpose(perm).reshape(len(psi), da if keep is None else da * db, -1)
     if keep is None:
-        return np.linalg.svd(f, compute_uv=False), *plan
-    return f @ f.conj().swapaxes(-1, -2), *plan
+        return np.linalg.svd(f, compute_uv=False), True, *plan
+    return f @ f.conj().swapaxes(-1, -2), False, *plan
 
 
 def _state_reduced(state: MultipartiteState, cut: Cut):
@@ -231,29 +232,29 @@ def concurrence_two_qubit(rho):
     return tensor._number_or_stack(np.array(c).reshape(lead))
 
 
-def _pure_cut_concurrence(red: np.ndarray, rdims, a_pos) -> list[float]:
+def _pure_cut_concurrence(red: np.ndarray, schmidt: bool, rdims, a_pos) -> list[float]:
     """Flushed min(sqrt(2 (1 - tr rho_A^2)), 1) of each matrix of a stack,
     or min(2 s_1 s_2, 1) of each row of Schmidt coefficients: the same
     value, without the cancellation in 1 - tr rho_A^2."""
-    if red.ndim == 2:
+    if schmidt:
         return [_flush(min(2.0 * s1 * s2, 1.0)) for s1, s2 in red.tolist()]
     purity = tensor.purity(tensor.partial_trace(red, rdims, a_pos)).tolist()
     return [_flush(min(math.sqrt(max(0.0, 2.0 * (1.0 - p))), 1.0)) for p in purity]
 
 
-def _side_entropy(red: np.ndarray, rdims, a_pos) -> list[float]:
+def _side_entropy(red: np.ndarray, schmidt: bool, rdims, a_pos) -> list[float]:
     """Flushed entropy of side A of each matrix of a stack, or of the
     squared Schmidt coefficients of each row."""
-    if red.ndim == 2:
+    if schmidt:
         return [_flush(e) for e in tensor._entropies(red * red).tolist()]
     ra = tensor.partial_trace(red, rdims, a_pos)
     return [_flush(e) for e in tensor._entropy(ra).tolist()]
 
 
-def _is_pure(red: np.ndarray) -> list[bool]:
+def _is_pure(red: np.ndarray, schmidt: bool) -> list[bool]:
     """Whether each matrix of a stack is pure within 1e-9; Schmidt
     coefficients are those of a pure state."""
-    if red.ndim == 2:
+    if schmidt:
         return [True] * len(red)
     return [p >= 1.0 - PURITY_TOL for p in tensor.purity(red).tolist()]
 
@@ -264,12 +265,12 @@ def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     Requires the state restricted to the cut to be pure and side A to be a
     single qubit.
     """
-    red, rdims, a_pos, *_ = _state_reduced(state, cut)
-    if not _is_pure(red)[0]:
+    red, schmidt, rdims, a_pos, *_ = _state_reduced(state, cut)
+    if not _is_pure(red, schmidt)[0]:
         raise ValueError("state on the cut is not pure")
     if len(a_pos) != 1 or rdims[a_pos[0]] != 2:
         raise ValueError("side A of the cut must be a single qubit")
-    return _pure_cut_concurrence(red, rdims, a_pos)[0]
+    return _pure_cut_concurrence(red, schmidt, rdims, a_pos)[0]
 
 
 def tangle_rank2(rho, dims, a_index: int):
@@ -376,12 +377,12 @@ def eof_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     return _pure_cut_entropy(*_state_reduced(state, cut))[0]
 
 
-def _pure_cut_entropy(red: np.ndarray, rdims, a_pos, *_) -> list[float]:
+def _pure_cut_entropy(red: np.ndarray, schmidt: bool, rdims, a_pos, *_) -> list[float]:
     """eof_pure_cut of each matrix of a reduced stack and its cut plan
     (``_reduced``); every matrix must be pure."""
-    if not all(_is_pure(red)):
+    if not all(_is_pure(red, schmidt)):
         raise ValueError("state on the cut is not pure")
-    return _side_entropy(red, rdims, a_pos)
+    return _side_entropy(red, schmidt, rdims, a_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +549,8 @@ def evaluate(kind, state: MultipartiteState, cut: Cut) -> float:
     return _score_stack(as_kind(kind), *_state_reduced(state, cut))[0]
 
 
-def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db) -> list[float]:
+def _score_stack(kind: MeasureKind, red: np.ndarray, schmidt: bool, rdims, a_pos, b_pos, da,
+                 db) -> list[float]:
     """The measure on each matrix of a reduced stack (m, d, d), or on each
     row of Schmidt coefficients (m, k), and its cut plan (``_reduced``), as
     a list of floats in stack order.
@@ -561,7 +563,7 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
     """
     tag = kind.tag
     if tag is Measure.NEGATIVITY or tag is Measure.LOG_NEGATIVITY:
-        if red.ndim == 2:
+        if schmidt:
             norms = red.sum(-1) ** 2
         else:
             norms = tensor._trace_norm(tensor.partial_transpose(red, rdims, a_pos))
@@ -574,8 +576,8 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
         if len(a_pos) == 1 and rdims[a_pos[0]] == 2:
             # the pure-cut formula runs on the whole stack; the mixed
             # matrices discard their values and take the rank-2 roof, in one call
-            val = _pure_cut_concurrence(red, rdims, a_pos)
-            mixed = [i for i, pure in enumerate(_is_pure(red)) if not pure]
+            val = _pure_cut_concurrence(red, schmidt, rdims, a_pos)
+            mixed = [i for i, pure in enumerate(_is_pure(red, schmidt)) if not pure]
             if mixed:
                 taus = tangle_rank2(tensor._hermitian(red[mixed]), rdims, a_pos[0])
                 for i, tau in zip(mixed, taus.tolist()):
@@ -587,8 +589,8 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
     if tag is Measure.EOF:
         if da == 2 and db == 2:
             return eof_two_qubit(tensor._hermitian(red)).tolist()
-        if all(_is_pure(red)):
-            return _side_entropy(red, rdims, a_pos)
+        if all(_is_pure(red, schmidt)):
+            return _side_entropy(red, schmidt, rdims, a_pos)
         raise MeasureUndefinedError(
             f"entanglement of formation undefined on a mixed {da}x{db} cut"
         )
