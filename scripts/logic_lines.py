@@ -12,6 +12,7 @@ the string expression that opens a module, class or function body (``ast``).
 The script prints one line per file, then a total per argument.
 """
 
+import argparse
 import ast
 import io
 import sys
@@ -45,7 +46,12 @@ def logic_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    targets = [Path(a) for a in argv] or [ROOT / "src", ROOT / "perfbench"]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("paths", nargs="*", type=Path,
+                        help="directories or files to count (default: src/ and perfbench/)")
+    targets = parser.parse_args(argv).paths or [ROOT / "src", ROOT / "perfbench"]
+    for missing in (t for t in targets if not t.exists()):
+        parser.error(f"no such file or directory: {missing}")
     for target in targets:
         files = sorted(target.rglob("*.py")) if target.is_dir() else [target]
         total = 0

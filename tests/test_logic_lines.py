@@ -52,3 +52,9 @@ def test_the_script_prints_each_file_and_the_total(tmp_path):
                          check=True, timeout=60).stdout.splitlines()
     assert [line.split()[0] for line in out] == [str(FIXTURE_LINES), "4", str(FIXTURE_LINES + 4)]
     assert out[-1].split()[1] == "total"
+
+
+def test_a_missing_path_is_a_usage_error(tmp_path):
+    run = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / "absent")], capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 2 and "no such file or directory" in run.stderr and not run.stdout
