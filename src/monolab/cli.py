@@ -72,24 +72,19 @@ class RunConfig:
 # Value parsers for argparse's type=; argparse names the flag in the message.
 
 def _parse_floats(text: str) -> tuple[float, ...]:
+    """A comma list, every item a float, or lo:hi:num for num >= 1 evenly
+    spaced points from lo to hi."""
     text = text.strip()
     try:
-        if ":" in text:
-            lo, hi, num = text.split(":")
-            lo, hi, num = float(lo), float(hi), int(num)
-            if num < 1:
-                raise ValueError
-            if num == 1:
-                vals = (lo,)
-            else:
-                vals = tuple(lo + (hi - lo) * i / (num - 1) for i in range(num))
-        else:
-            vals = tuple(float(x) for x in text.split(",") if x.strip())
+        if ":" not in text:
+            return tuple(float(x) for x in text.split(","))  # an empty item fails
+        lo, hi, num = text.split(":")
+        lo, hi, num = float(lo), float(hi), int(num)
+        if num < 1:
+            raise ValueError
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
-    if not vals:
-        raise argparse.ArgumentTypeError("must be nonempty")
-    return vals
+    return (lo,) if num == 1 else tuple(lo + (hi - lo) * i / (num - 1) for i in range(num))
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -108,10 +103,10 @@ def _parse_bracket(text: str) -> tuple[float, float]:
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(x) for x in text.split(",") if x.strip())
+        dims = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
-    if not dims or any(d < 2 for d in dims):
+    if any(d < 2 for d in dims):
         raise argparse.ArgumentTypeError(f"must all be >= 2, got {text!r}")
     return dims
 

@@ -110,6 +110,9 @@ class MeasureKind:
         # a str tag names the measure; an unknown name raises ValueError
         if not isinstance(self.tag, Measure):
             object.__setattr__(self, "tag", Measure.from_string(str(self.tag)))
+        if not isinstance(self.normalized, (bool, np.bool_)):  # "false" would read as true
+            raise ValueError(f"normalized must be a bool, got {self.normalized!r}")
+        object.__setattr__(self, "normalized", bool(self.normalized))
 
     def label(self) -> str:
         return self.tag.value
@@ -127,8 +130,9 @@ class Cut:
     side_b: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(int(i) for i in self.side_a)
-        b = tuple(int(i) for i in self.side_b)
+        # the range 0..n-1 is checked where the cut meets a state (_cut_plan)
+        a, b = (tensor._integers(side, "cut index must be an integer >= {lo}", 0)
+                for side in (self.side_a, self.side_b))
         if not a or not b:
             raise ValueError("both sides of a cut must be nonempty")
         if set(a) & set(b):
@@ -152,10 +156,7 @@ def _cut_plan(dims: tuple[int, ...], side_a: tuple[int, ...], side_b: tuple[int,
     dimensions, the positions of each side among them, and each side's
     total dimension."""
     n = len(dims)
-    for i in side_a + side_b:
-        if not 0 <= i < n:
-            raise ValueError(f"cut index {i} out of range for {n} subsystems")
-    keep = tuple(sorted(side_a + side_b))
+    keep = tuple(sorted(tensor._indices(side_a + side_b, n)))
     rdims = tuple(dims[i] for i in keep)
     a_pos = tuple(sorted(keep.index(i) for i in side_a))
     b_pos = tuple(sorted(keep.index(i) for i in side_b))
@@ -246,9 +247,10 @@ def _side_entropy(red: np.ndarray, schmidt: bool, rdims, a_pos) -> list[float]:
     """Flushed entropy of side A of each matrix of a stack, or of the
     squared Schmidt coefficients of each row."""
     if schmidt:
-        return [_flush(e) for e in tensor._entropies(red * red).tolist()]
-    ra = tensor.partial_trace(red, rdims, a_pos)
-    return [_flush(e) for e in tensor._entropy(ra).tolist()]
+        lam = red * red
+    else:  # a marginal of a checked state: symmetrized, not checked again
+        lam = np.linalg.eigvalsh(tensor._hermitian(tensor.partial_trace(red, rdims, a_pos)))
+    return [_flush(e) for e in tensor._entropies(lam).tolist()]
 
 
 def _is_pure(red: np.ndarray, schmidt: bool) -> list[bool]:
@@ -293,6 +295,7 @@ def tangle_rank2(rho, dims, a_index: int):
     rho = tensor.as_matrices(rho)
     lead, d = rho.shape[:-2], rho.shape[-1]
     dims = tensor.check_dims(d, dims)
+    (a_index,) = tensor._indices((a_index,), len(dims))
     if dims[a_index] != 2:
         raise ValueError("side A must be a single qubit")
     _, evals, evecs = tensor._density_eig(rho.reshape(-1, d, d), vectors=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .measures import (Cut, MeasureKind, _normalized, _reduced, _score_stack, _state_reduced, as_kind,
                        evaluate)
-from .states import MultipartiteState
+from .states import MultipartiteState, _indices
 
 
 class BracketError(ValueError):
@@ -86,6 +86,16 @@ def _exponent(x, what: str, lo: float = 0.0, closed: bool = False, hi: float = m
     raise ValueError(f"{what} must lie in {interval}, got {x!r}")
 
 
+def _exponents(xs, what: str, lo: float = 0.0, closed: bool = False,
+               hi: float = math.inf) -> tuple[float, ...]:
+    """``_exponent`` of each element of a nonempty list, as a tuple, else
+    ValueError: the one check of every exponent list."""
+    out = tuple(_exponent(x, what, lo, closed, hi) for x in xs)
+    if not out:
+        raise ValueError(f"{what} list must be nonempty")
+    return out
+
+
 def _pow(x: float, r: float) -> float:
     """x^r with 0^r := 0, the one power; beyond the float range it is a ValueError."""
     try:
@@ -119,18 +129,19 @@ _strong_alpha = functools.partial(_exponent, what="alpha", lo=1.0, closed=True) 
 _hierarchy_alpha = functools.partial(_exponent, what="alpha")  # alpha > 0
 
 
-@functools.lru_cache(maxsize=64)
+# The cut caches below are keyed on the type of each argument too, so that
+# 1.0 or True never hits an entry made for 1: the index rule then raises.
+@functools.lru_cache(maxsize=64, typed=True)
 def _focus_cuts(n: int, focus: int) -> tuple[tuple[int, ...], Cut | None, tuple[Cut, ...]]:
     """The other parties of an n-party state in index order, the whole cut
     focus : others (None if there are none) and the pair cuts focus : j."""
-    if not 0 <= focus < n:
-        raise ValueError(f"focus {focus} out of range for {n} subsystems")
+    (focus,) = _indices((focus,), n)
     others = tuple(i for i in range(n) if i != focus)
     whole = Cut((focus,), others) if others else None
     return others, whole, tuple(Cut((focus,), (j,)) for j in others)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def _monogamy_cuts(n: int, focus: int) -> tuple[Cut, ...]:
     """The whole cut focus : others, then the pair cuts focus : j."""
     _, whole_cut, pair_cuts = _focus_cuts(n, focus)
@@ -208,9 +219,7 @@ def monogamy_score(kind, state: MultipartiteState, focus: int, r: float) -> Mono
 def power_sweep(kind, state: MultipartiteState, focus: int, r_grid) -> list[MonogamyReport]:
     """Monogamy reports over an exponent grid; measure values are computed
     once and re-exponentiated per grid point."""
-    rs = [_exponent(r, "exponent") for r in r_grid]
-    if not rs:
-        raise ValueError("exponent grid must be nonempty")
+    rs = _exponents(r_grid, "exponent")
     kind = as_kind(kind)
     whole, parts = base_values(kind, state, focus)
     return [MonogamyReport(kind, r, *_terms(whole, parts, r)) for r in rs]
@@ -277,7 +286,7 @@ def _cut_powers(kind: MeasureKind, state: MultipartiteState, cuts, alpha: float)
     return _cut_table(functools.partial(_score_stack, kind), [state], lambda _: cuts, power)[0]
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def _strong_cuts(n: int, focus: int) -> tuple[Cut, ...]:
     """The whole cut focus : others, then focus : X for each nonempty proper
     subset X of the others, in ascending bitmask order."""
@@ -307,13 +316,14 @@ def strong_monogamy_report(kind, state: MultipartiteState, focus: int, alpha: fl
     return StrongMonogamyReport(kind, alpha, n, whole, subset_average, pair_sum, terms)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def _hierarchy_cuts(n: int, focus: int, partner: int) -> tuple[Cut, ...]:
     """focus : partner, focus : j for each j of the rest (the parties other
     than focus and partner, in index order), then the tails focus : rest[k:]
     but the last, which is the last single cut."""
-    if partner == focus or not 0 <= partner < n:
-        raise ValueError(f"invalid partner {partner}")
+    focus, partner = _indices((focus, partner), n)
+    if partner == focus:
+        raise ValueError(f"invalid partner {partner}: it is the focus")
     rest = tuple(i for i in range(n) if i not in (focus, partner))
     if not rest:
         raise ValueError("hierarchy needs at least one subsystem beyond focus and partner")

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor
-from .tensor import _dims, _integer
+from .tensor import _dims, _indices, _integer
 
 PURITY_TOL = 1e-9
 
@@ -111,10 +111,11 @@ class MultipartiteState:
         return tensor.purity(self.rho)
 
     def is_pure(self) -> bool:
-        return self.purity() >= 1.0 - PURITY_TOL
+        """Purity >= 1 - 1e-9; a state that carries its unit vector is pure."""
+        return self._psi is not None or self.purity() >= 1.0 - PURITY_TOL
 
     def marginal(self, keep) -> "MultipartiteState":
-        keep_idx = sorted({int(k) for k in keep})
+        keep_idx = sorted(set(_indices(keep, self.n_subsystems)))
         rho = tensor.partial_trace(self.rho, self.dims, keep_idx)
         return MultipartiteState(rho, tuple(self.dims[i] for i in keep_idx))
 

@@ -5,10 +5,10 @@ subsystem structure travels separately as a tuple of dimensions. Subsystem 0
 is the leftmost tensor factor, i.e. the most significant digit of the basis
 index (the standard Kronecker-product convention).
 
-The kernels below (partial trace and transpose, the Hermiticity and density
-checks, eigenvalues, trace norm, purity and entropy) also take a stack of
-matrices of shape (..., d, d) and then return one result per matrix. A stack
-runs the same numpy operations in the same order as a loop over its
+The public kernels (partial trace and transpose, the Hermiticity and
+density checks, purity) also take a stack of matrices of shape (..., d, d)
+and then return one result per matrix, and so do the private cores below.
+A stack runs the same numpy operations in the same order as a loop over its
 matrices, so every result is bit-identical to that matrix's own call, while
 the Python and numpy call overhead is paid once for the whole stack. A
 number-valued kernel gives a float for one matrix and an array for a stack;
@@ -17,20 +17,23 @@ the scoring code in ``measures`` passes stacks only, so it gets arrays.
 A density matrix is Hermitian within 1e-10, has unit trace within 1e-9 and
 has no eigenvalue below -1e-9 (``POSITIVITY_TOL``). ``_density_eig`` is the
 one check of this rule, shared by the state constructor and every public
-kernel that takes a density matrix; the entropies clamp eigenvalues in
-[-1e-9, 0) to 0. A matrix is checked once, where it enters the library:
-public kernels check their input, while the partial traces and transposes
+kernel of ``measures`` that takes a density matrix; the entropies
+(``_entropies``) clamp eigenvalues in [-1e-9, 0) to 0. A matrix is checked
+once, where it enters the library: the partial traces and transposes
 ``measures`` derives from checked states go unchecked to the private cores
-``_hermitian``, ``_trace_norm`` and ``_entropy``. A public kernel is its
-check followed by the same core, so both paths give the same bits.
+``_hermitian`` and ``_trace_norm``, and the symmetrization of ``_hermitian``
+is that of the check, so both paths give the same bits.
 
 Index plans are cached per shape: the dimension check, and the reshape and
 axis bookkeeping of the partial trace and transpose, are worked out once per
 (array shape, dimensions, subsystem set) and reused, so repeated calls on one
 shape do only the array work. A plan holds tuples of ints, never arrays, and
 invalid input raises on every call, because a plan is cached only once it is
-built. The dims rule (``_dims``: integers >= 2) runs on every call ahead of
-the caches, because a cache key does not tell 2.0 from 2.
+built. Two integer rules run on every call ahead of the caches, because a
+cache key does not tell 2.0 from 2 or True from 1: the dims rule (``_dims``:
+integers >= 2) and the index rule (``_indices``: integers in 0..n-1 for n
+subsystems). Both apply ``_integer`` to each element; numpy integers pass,
+and bools, floats and strings fail.
 """
 
 from __future__ import annotations
@@ -79,18 +82,31 @@ def _integer(x, what: str, lo: int, hi: float = math.inf) -> int:
     return n
 
 
+def _integers(xs, what: str, lo: int, hi: float = math.inf) -> tuple[int, ...]:
+    """``xs`` as a tuple of ints in lo..hi, else ValueError: ``_integer`` on
+    each element, the one element-wise integer rule of dims and indices. The
+    message ``what`` is formatted with ``lo`` and ``hi`` on failure only."""
+    out = tuple(xs)
+    for x in out:  # the fast test; _integer converts, or names the culprit
+        if type(x) is not int or not lo <= x <= hi:
+            return tuple(_integer(x, what.format(lo=lo, hi=hi), lo, hi) for x in out)
+    return out
+
+
 def _dims(dims) -> tuple[int, ...]:
     """``dims`` as a nonempty tuple of integers >= 2, else ValueError: the one
-    dims rule of the package. numpy integers pass; bools, floats and strings
-    fail. It runs ahead of every cached plan, whose keys do not tell 2.0 from 2."""
-    out = tuple(dims)
-    for d in out:
-        if type(d) is not int or d < 2:  # the fast test; _integer converts or names the culprit
-            out = tuple(_integer(d, "subsystem dimension must be an integer >= 2", 2) for d in out)
-            break
+    dims rule of the package. It runs ahead of every cached plan."""
+    out = _integers(dims, "subsystem dimension must be an integer >= {lo}", 2)
     if not out:
         raise ValueError("dims must be nonempty")
     return out
+
+
+def _indices(indices, n: int) -> tuple[int, ...]:
+    """``indices`` as a tuple of subsystem indices of an n-party system, ints
+    in 0..n-1, else ValueError: the one index rule of the package. It runs
+    ahead of every cache keyed on indices."""
+    return _integers(indices, "subsystem index must be an integer in {lo}..{hi}", 0, n - 1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -147,11 +163,9 @@ def _trace_plan(shape: tuple, dims: tuple, keep: tuple):
     lead, dim = shape[:-2], shape[-1]
     dims = _checked_dims(dim, dims)
     n = len(dims)
-    keep_idx = sorted({int(k) for k in keep})
+    keep_idx = sorted(set(keep))
     if not keep_idx:
         raise ValueError("keep set must be nonempty")
-    if keep_idx[0] < 0 or keep_idx[-1] >= n:
-        raise ValueError(f"keep indices {keep_idx} out of range for {n} subsystems")
     traced = sorted(set(range(n)) - set(keep_idx), reverse=True)
     b = len(lead)
     axes = tuple((b + i, b + i + n - k) for k, i in enumerate(traced))  # n - k subsystems left
@@ -167,8 +181,8 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     the input is preserved. The result is a new array, also when ``keep``
     names every subsystem.
     """
-    rho = as_matrices(rho)
-    shape, axes, out = _trace_plan(rho.shape, _dims(dims), tuple(keep))
+    rho, dims = as_matrices(rho), _dims(dims)
+    shape, axes, out = _trace_plan(rho.shape, dims, _indices(keep, len(dims)))
     t = rho.reshape(shape)
     for i, j in axes:
         t = t.trace(0, i, j)
@@ -182,11 +196,8 @@ def _transpose_plan(shape: tuple, dims: tuple, transposed: tuple):
     lead, dim = shape[:-2], shape[-1]
     dims = _checked_dims(dim, dims)
     n = len(dims)
-    tset = sorted({int(i) for i in transposed})
-    if tset and (tset[0] < 0 or tset[-1] >= n):
-        raise ValueError(f"transpose indices {tset} out of range for {n} subsystems")
     perm = list(range(2 * n))
-    for i in tset:
+    for i in transposed:  # a repeated index sets the same two entries again
         perm[i], perm[i + n] = i + n, i
     b = len(lead)
     return lead + dims + dims, tuple(range(b)) + tuple(b + p for p in perm)
@@ -195,8 +206,8 @@ def _transpose_plan(shape: tuple, dims: tuple, transposed: tuple):
 def partial_transpose(rho, dims, transposed) -> np.ndarray:
     """Transpose the listed subsystems only, of one matrix or of each matrix
     of a stack. Applying it twice is the identity."""
-    rho = as_matrices(rho)
-    shape, perm = _transpose_plan(rho.shape, _dims(dims), tuple(transposed))
+    rho, dims = as_matrices(rho), _dims(dims)
+    shape, perm = _transpose_plan(rho.shape, dims, _indices(transposed, len(dims)))
     return np.ascontiguousarray(rho.reshape(shape).transpose(perm).reshape(rho.shape))
 
 
@@ -207,20 +218,9 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def eigvals_hermitian(h) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (or of each matrix of a
-    stack), symmetrized as (H + H^dag)/2 after the Hermiticity check."""
-    return np.linalg.eigvalsh(require_hermitian(h))
-
-
 def _trace_norm(m: np.ndarray) -> np.ndarray:
     """Trace norms of the symmetrized matrices of a stack, unchecked."""
     return np.abs(np.linalg.eigvalsh(_hermitian(m))).sum(-1)
-
-
-def trace_norm_hermitian(h):
-    """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
-    return _number_or_stack(_trace_norm(require_hermitian(h)))
 
 
 def purity(rho):
@@ -240,20 +240,6 @@ def _density_eig(m, vectors: bool = False):
     if lam_min < -POSITIVITY_TOL:
         raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} < -1e-9")
     return h, evals, evecs
-
-
-def von_neumann_entropy(rho):
-    """Spectral entropy -sum(lam log2 lam) in bits, with 0 log 0 := 0.
-
-    The input must pass _density_eig; eigenvalues in [-1e-9, 0) are clamped
-    to zero.
-    """
-    return _number_or_stack(_entropies(_density_eig(rho)[1]))
-
-
-def _entropy(m: np.ndarray) -> np.ndarray:
-    """Entropies of the symmetrized matrices of a stack, unchecked."""
-    return _entropies(np.linalg.eigvalsh(_hermitian(m)))
 
 
 def _entropies(lam: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .measures import (
     as_kind,
     eof_from_concurrence,
 )
-from .monogamy import (_base_values_stack, _cut_table, _delta, _exponent, _focus_cuts,
+from .monogamy import (_base_values_stack, _cut_table, _delta, _exponent, _exponents, _focus_cuts,
                        _hierarchy_alpha, _strong_alpha, hierarchy_chain, monogamy_score,
                        strong_monogamy_report)
 from .monogamy import base_values  # noqa: F401  perfbench's tracer test rebinds it here
@@ -241,7 +241,7 @@ def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationS
     counted as skipped.
     """
     kind, r = _normalized(kind), _exponent(r, "r")
-    alphas = tuple(_exponent(a, "alpha", r, closed=True) for a in alphas)
+    alphas = _exponents(alphas, "alpha", r, closed=True)
     return _transfer("power-raising", 1.0, kind, ensemble, r, alphas, seed)
 
 
@@ -252,7 +252,7 @@ def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> Verification
     delta(r) > 1e-9 are skipped (hypothesis not met).
     """
     kind, r = _normalized(kind), _exponent(r, "r")
-    alphas = tuple(_exponent(a, "alpha", hi=r) for a in alphas)
+    alphas = _exponents(alphas, "alpha", hi=r)
     return _transfer("power-lowering", -1.0, kind, ensemble, r, alphas, seed)
 
 
@@ -356,7 +356,7 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
     implication that delta(2) >= 0 with values in [0, 1] forces delta(r) >= 0
     for r > 2.
     """
-    rs = tuple(_exponent(r, "probe exponent", 2.0, closed=True) for r in r_values)
+    rs = _exponents(r_values, "probe exponent", 2.0, closed=True)
     kind = _mixed_computable(kind)
     per_r = {r: math.inf for r in rs}
     extra = dict(_measure_extra(kind), r_values=list(rs), implication_violations=0)
@@ -367,7 +367,7 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
         for r, d in zip(rs, ds):
             per_r[r] = min(per_r[r], d)
             extra["implication_violations"] += implied and d < -STATE_TOL
-        return min(ds, default=math.inf)
+        return min(ds)
 
     summary = _run_suite("probe-high-power", ensemble, seed, extra, _base_slacks(kind, slack),
                          tol=math.inf)

@@ -159,6 +159,24 @@ def test_config_rejects_non_finite_and_zero_values(argv, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("verify", "search", "--dims", "2,2,,2", "--count", "1"),
+        ("verify", "search", "--dims", "2,,2", "--count", "1"),
+        ("verify", "search", "--dims", "2,2,2,", "--count", "1"),
+        (*SWEEP_W3, "--p-grid", "0,,1", "--r-grid", "1"),
+        (*SWEEP_W3, "--p-grid", "0", "--r-grid", "1,"),
+        ("verify", "raising", "--state", "w3", "--r", "1", "--alpha", ",2"),
+    ],
+)
+def test_a_comma_list_with_an_empty_item_is_a_config_error(argv, tmp_path, capsys):
+    # an empty item is not skipped: the list as written is what runs
+    assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert "cannot parse" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         (*SWEEP_W3, "--focus", "7", "--p-grid", "0", "--r-grid", "1"),
         (*SWEEP_W3, "--p-grid", "1.5", "--r-grid", "1"),
     ],

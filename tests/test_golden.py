@@ -95,8 +95,9 @@ def test_counterexample_search_matches_golden_digest(tag, r, dims, golden):
 
 
 
-# every sampled suite, both scalar audits and the probe's empty edges, on
-# small seeded ensembles; each digest covers the whole summary
+# every sampled suite, both scalar audits and the probe's empty ensemble, on
+# small seeded ensembles; each digest covers the whole summary (an empty
+# exponent list is a ValueError, see test_verify.py)
 _CONC = MeasureKind(Measure.CONCURRENCE, True)
 _PURE3 = EnsembleSpec("haar_pure", (2, 2, 2), 6)
 _MIXED3 = EnsembleSpec("random_mixed", (2, 2, 2), 6)
@@ -122,7 +123,6 @@ SUITES = {
     ),
     "mixed": (lambda: verify.verify_mixed_lifting(Measure.NEGATIVITY, _MIXED3, 3), "003468781b306b600dc77a0b1dc56bfaab76104211ba18066106aed5eebe5f15"),
     "probe": (lambda: verify.probe_high_power_mixed((2.0, 3.0, 4.0), _MIXED3, 3), "115f4c6727235c5a2c7942ee1c123e8258175429bd541dbb0478bc2952ad4302"),
-    "probe-no-exponents": (lambda: verify.probe_high_power_mixed((), _MIXED3, 3), "8cb93961cfa0c48b6885fb663780361fb2e1df427efc11f680cdb57e9d6f607d"),
     "probe-empty-ensemble": (lambda: verify.probe_high_power_mixed((2.0, 3.0), [], 3), "90f2d018320bb45c1d292dc7d9bc22698c2fe1840753b5d5315f466fcc6232cc"),
     "strong": (lambda: verify.verify_strong_chain(_CONC, _PURE4, 2.0, 3), "51792d1d7487bad00917b0b1bb649d0c98fc4a8372d05a62a675399aeb0fbd00"),
     "hierarchy": (lambda: verify.verify_hierarchy_chain(_CONC, _PURE4, 2.0, 3), "8cc6c5dc521140193975acfb65352d29589fb58fce51aa401d7d6ea005add7a1"),

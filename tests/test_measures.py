@@ -36,6 +36,12 @@ A_BC = Cut((0,), (1, 2))
 A_B = Cut((0,), (1,))
 A_C = Cut((0,), (2,))
 
+
+def entropy(rho):
+    """The von Neumann entropy in bits from the eigensolve that checks rho."""
+    return float(tensor._entropies(tensor._density_eig(rho)[1]))
+
+
 W_PAIR_C = 2.0 / 3.0
 W_WHOLE_C = 2.0 * math.sqrt(2.0) / 3.0
 W_PAIR_EOF = tensor.binary_entropy((1.0 + math.sqrt(5.0) / 3.0) / 2.0)
@@ -388,9 +394,9 @@ def test_discord_matches_mutual_information_formula(seed):
     its checking eigensolve; the marginal-entropy formula is the reference."""
     rho = states.random_mixed((2, 2), 1 + seed % 4, seed).rho
     mutual = (
-        tensor.von_neumann_entropy(tensor.partial_trace(rho, (2, 2), [0]))
-        + tensor.von_neumann_entropy(tensor.partial_trace(rho, (2, 2), [1]))
-        - tensor.von_neumann_entropy(rho)
+        entropy(tensor.partial_trace(rho, (2, 2), [0]))
+        + entropy(tensor.partial_trace(rho, (2, 2), [1]))
+        - entropy(rho)
     )
     for side in "ab":
         d = mutual - classical_correlation(rho, side)
@@ -472,6 +478,19 @@ def test_measure_kind_parses_a_string_tag():
         MeasureKind("tangle")
 
 
+def test_measure_kind_normalized_must_be_a_bool():
+    # "false" is truthy: it once doubled the negativity and reached suite JSON as a string
+    for flag in ("false", "true", 0, 1, 1.0, None):
+        with pytest.raises(ValueError, match="^normalized must be a bool, got "):
+            MeasureKind(Measure.NEGATIVITY, flag)
+    kind = MeasureKind(Measure.NEGATIVITY, np.bool_(True))
+    assert kind.normalized is True and kind == MeasureKind(Measure.NEGATIVITY, True)
+    w3 = states.w(3)
+    assert evaluate(MeasureKind(Measure.NEGATIVITY, np.bool_(False)), w3, A_BC) == negativity(w3, A_BC)
+    with pytest.raises(ValueError, match="^normalized must be a bool, got 'false'$"):
+        negativity(w3, A_BC, "false")
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
@@ -533,7 +552,7 @@ DENSITY_KERNELS = {
     "concurrence_two_qubit": concurrence_two_qubit,
     "eof_two_qubit": eof_two_qubit,
     "tangle_rank2": lambda m: tangle_rank2(m, (2, 2), 0),
-    "von_neumann_entropy": tensor.von_neumann_entropy,
+    "entropy": entropy,
     "discord": discord,
     "classical_correlation": classical_correlation,
 }
@@ -559,7 +578,7 @@ def test_every_density_kernel_applies_the_one_rule(name):
 def test_an_eigenvalue_the_constructor_accepts_is_clamped_by_every_kernel():
     rho = with_spectrum(0.6, 0.4 + 5e-10, 0.0, -5e-10)
     states.MultipartiteState(rho, (2, 2))
-    for kernel in (tensor.von_neumann_entropy, discord, classical_correlation):
+    for kernel in (entropy, discord, classical_correlation):
         assert math.isfinite(kernel(rho))
     state = states.MultipartiteState(np.kron(rho, np.diag([1.0, 0.0])), (2, 2, 2))
     assert math.isfinite(share_sum(Measure.DISCORD, state, 0))

@@ -160,9 +160,10 @@ def test_kernels_on_a_stack_equal_one_matrix_at_a_time(rank):
         assert np.array_equal(pairs[i, j], tensor.partial_trace(one, (2, 2, 2), (0, 2)))
         assert np.array_equal(tensor.partial_transpose(rho, (2, 2, 2), (1,))[i, j],
                               tensor.partial_transpose(one, (2, 2, 2), (1,)))
-        assert tensor.trace_norm_hermitian(rho)[i, j] == tensor.trace_norm_hermitian(one)
+        assert tensor._trace_norm(rho)[i, j] == tensor._trace_norm(one)
         assert tensor.purity(rho)[i, j] == tensor.purity(one)
-        assert tensor.von_neumann_entropy(rho)[i, j] == tensor.von_neumann_entropy(one)
+        assert (tensor._entropies(tensor._density_eig(rho)[1])[i, j]
+                == tensor._entropies(tensor._density_eig(one)[1]))
         assert concurrence_two_qubit(pairs)[i, j] == concurrence_two_qubit(pairs[i, j])
         assert eof_two_qubit(pairs)[i, j] == eof_two_qubit(pairs[i, j])
     # a stack of one (1, d, d): an array of one value, equal to the float of
@@ -171,9 +172,7 @@ def test_kernels_on_a_stack_equal_one_matrix_at_a_time(rank):
     assert np.array_equal(tensor.partial_trace(one[None], (2, 2, 2), (0, 2)), pair[None])
     assert np.array_equal(tensor.partial_transpose(one[None], (2, 2, 2), (1,)),
                           tensor.partial_transpose(one, (2, 2, 2), (1,))[None])
-    for kernel, m in [(tensor.trace_norm_hermitian, one), (tensor.purity, one),
-                      (tensor.von_neumann_entropy, one), (concurrence_two_qubit, pair),
-                      (eof_two_qubit, pair)]:
+    for kernel, m in [(tensor.purity, one), (concurrence_two_qubit, pair), (eof_two_qubit, pair)]:
         value, stacked = kernel(m), kernel(m[None])
         assert type(value) is float
         assert isinstance(stacked, np.ndarray) and stacked.shape == (1,)

@@ -46,7 +46,7 @@ def test_w2_definition():
 
 def test_w3_reduced_spectrum():
     marg = states.w(3).marginal([0])
-    lam = tensor.eigvals_hermitian(marg.rho)
+    lam = tensor._density_eig(marg.rho)[1]
     assert np.abs(lam - np.array([1 / 3, 2 / 3])).max() < 1e-12
 
 
@@ -78,7 +78,7 @@ def test_white_noise_endpoints():
 
 def test_white_noise_half_spectrum():
     mixed = states.white_noise_mix(states.ghz(3), 0.5)
-    lam = np.sort(tensor.eigvals_hermitian(mixed.rho))[::-1]
+    lam = tensor._density_eig(mixed.rho)[1][::-1]
     expected = np.array([0.5 + 0.5 / 8] + [0.5 / 8] * 7)
     assert np.abs(lam - expected).max() < 1e-12
 
@@ -129,6 +129,15 @@ def test_haar_pure_is_pure_and_reproducible():
     assert not np.array_equal(s1.rho, s3.rho)
 
 
+def test_a_state_with_its_vector_is_pure_without_a_purity_product(monkeypatch):
+    pure = states.haar_pure((2, 2, 2), seed=42)
+    mixed = states.random_mixed((2, 2, 2), rank=2, seed=42)
+    monkeypatch.setattr(tensor, "purity", lambda rho: pytest.fail("purity computed"))
+    assert pure.is_pure()
+    with pytest.raises(pytest.fail.Exception, match="purity computed"):
+        mixed.is_pure()
+
+
 def test_haar_pure_marginal_concentrates_on_maximally_mixed():
     total = np.zeros((2, 2), dtype=complex)
     n = 10_000
@@ -142,12 +151,12 @@ def test_random_mixed_rank_and_trace():
     pure = states.random_mixed((2, 2, 2), rank=1, seed=5)
     assert abs(pure.purity() - 1.0) < 1e-10
     full = states.random_mixed((2, 2, 2), rank=8, seed=5)
-    lam = tensor.eigvals_hermitian(full.rho)
+    lam = tensor._density_eig(full.rho)[1]
     assert lam[0] > 0.0
     for i in range(10):
         s = states.random_mixed((2, 2, 2), rank=i % 8 + 1, seed=11, index=i)
         assert abs(np.trace(s.rho) - 1.0) < 1e-10
-        lam = np.sort(tensor.eigvals_hermitian(s.rho))[::-1]
+        lam = tensor._density_eig(s.rho)[1][::-1]
         assert lam[i % 8 + 1 :].max(initial=0.0) < 1e-12  # rank bounded
 
 

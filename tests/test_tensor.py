@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from monolab import states, tensor
+from monolab import measures, monogamy, states, tensor
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -146,7 +146,7 @@ def test_partial_transpose_singlet_spectrum():
     psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
     rho = np.outer(psi, psi)
     pt = tensor.partial_transpose(rho, (2, 2), [0])
-    lam = np.sort(tensor.eigvals_hermitian(pt))
+    lam = np.sort(oracles.jacobi_eigvals(pt))
     assert np.abs(lam - np.array([-0.5, 0.5, 0.5, 0.5])).max() < 1e-14
 
 
@@ -190,57 +190,68 @@ def test_invalid_input_raises_on_every_call(fn, dims, idx):
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver and density-matrix contracts
+# the checked eigensolve and density-matrix contracts
 # ---------------------------------------------------------------------------
 
-def test_eig_hermitian_diagonal():
-    lam = tensor.eigvals_hermitian(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(lam, [1.0, 2.0, 3.0])
+def density_eigvals(rho):
+    """Ascending eigenvalues from the eigensolve that checks a density matrix."""
+    return tensor._density_eig(rho)[1]
 
 
-def test_eig_hermitian_pauli_x():
-    lam = tensor.eigvals_hermitian(X)
-    assert np.allclose(lam, [-1.0, 1.0])
+def entropy(rho):
+    """The von Neumann entropy in bits of a checked density matrix."""
+    return float(tensor._entropies(density_eigvals(rho)))
+
+
+def test_density_eig_diagonal():
+    lam = density_eigvals(np.diag([0.5, 0.2, 0.3]))
+    assert np.allclose(lam, [0.2, 0.3, 0.5])
+
+
+def test_density_eig_pauli_x():
+    lam = density_eigvals((np.eye(2) + X) / 2)
+    assert np.allclose(lam, [0.0, 1.0])
 
 
 @given(seed=seeds)
 @settings(max_examples=20, deadline=None)
-def test_eig_hermitian_trace_identity(seed):
+def test_density_eig_trace_identity(seed):
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = a + a.conj().T
-    lam = tensor.eigvals_hermitian(h)
+    h = random_density(8, rng)
+    lam = density_eigvals(h)
     assert abs(lam.sum() - np.real(np.trace(h))) < 1e-10
 
 
 @given(seed=seeds)
 @settings(max_examples=15, deadline=None)
-def test_eig_hermitian_recovers_known_spectrum(seed):
+def test_density_eig_recovers_known_spectrum(seed):
     rng = np.random.default_rng(seed)
-    spectrum = np.sort(rng.normal(size=6))
+    spectrum = np.sort(rng.random(6))
+    spectrum /= spectrum.sum()
     u = oracles.gram_schmidt_unitary(6, rng)
     h = (u * spectrum) @ u.conj().T
-    lam = tensor.eigvals_hermitian(h)
+    lam = density_eigvals(h)
     assert np.abs(lam - spectrum).max() < 1e-9
 
 
-def test_eig_hermitian_rejects_non_hermitian():
+def test_density_eig_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for kernel in (tensor.eigvals_hermitian, tensor.trace_norm_hermitian):
+    for kernel in (tensor.require_hermitian, tensor._density_eig):
         for m in (bad, np.stack([np.eye(2), bad])):
             with pytest.raises(ValueError, match="not Hermitian"):
                 kernel(m)
 
 
-def test_private_cores_give_the_public_kernels_bits():
-    # the scoring path runs the cores on derived matrices without the check
+def test_private_cores_give_the_checked_bits():
+    # the scoring path runs the cores on derived matrices without the check:
+    # _hermitian symmetrizes as the check does, so the spectra agree too
     rng = np.random.default_rng(5)
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
         rho = np.stack([random_density(int(np.prod(dims)), rng) for _ in range(4)])
         pt = tensor.partial_transpose(rho, dims, [0])
         ra = tensor.partial_trace(rho, dims, [0])
-        assert tensor._trace_norm(pt).tobytes() == tensor.trace_norm_hermitian(pt).tobytes()
-        assert tensor._entropy(ra).tobytes() == tensor.von_neumann_entropy(ra).tobytes()
+        assert tensor._hermitian(pt).tobytes() == tensor.require_hermitian(pt).tobytes()
+        assert np.linalg.eigvalsh(tensor._hermitian(ra)).tobytes() == density_eigvals(ra).tobytes()
         h = tensor._hermitian(rho)
         assert h.tobytes() == tensor.require_hermitian(rho).tobytes()
         assert tensor._hermitian(h).tobytes() == h.tobytes()
@@ -277,17 +288,17 @@ def test_require_density_rejects_an_overflowing_trace_without_a_warning():
 
 def test_trace_norm_density_matrix_is_one():
     rng = np.random.default_rng(3)
-    assert abs(tensor.trace_norm_hermitian(random_density(6, rng)) - 1.0) < 1e-12
+    assert abs(tensor._trace_norm(random_density(6, rng)) - 1.0) < 1e-12
 
 
 def test_trace_norm_singlet_partial_transpose():
     psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
     pt = tensor.partial_transpose(np.outer(psi, psi), (2, 2), [0])
-    assert abs(tensor.trace_norm_hermitian(pt) - 2.0) < 1e-12
+    assert abs(tensor._trace_norm(pt) - 2.0) < 1e-12
 
 
 def test_trace_norm_zero_matrix():
-    assert tensor.trace_norm_hermitian(np.zeros((4, 4))) == 0.0
+    assert tensor._trace_norm(np.zeros((4, 4))) == 0.0
 
 
 @given(seed=seeds)
@@ -296,7 +307,7 @@ def test_trace_norm_partial_transpose_at_least_one(seed):
     rng = np.random.default_rng(seed)
     rho = random_density(4, rng, rank=int(rng.integers(1, 5)))
     pt = tensor.partial_transpose(rho, (2, 2), [0])
-    assert tensor.trace_norm_hermitian(pt) >= 1.0 - 1e-12
+    assert tensor._trace_norm(pt) >= 1.0 - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +316,12 @@ def test_trace_norm_partial_transpose_at_least_one(seed):
 
 def test_entropy_pure_state():
     psi = np.array([1.0, 1j]) / np.sqrt(2)
-    assert abs(tensor.von_neumann_entropy(np.outer(psi, psi.conj()))) < 1e-12
+    assert abs(entropy(np.outer(psi, psi.conj()))) < 1e-12
 
 
 def test_entropy_maximally_mixed():
-    assert abs(tensor.von_neumann_entropy(np.eye(2) / 2) - 1.0) < 1e-12
-    assert abs(tensor.von_neumann_entropy(np.eye(8) / 8) - 3.0) < 1e-12
+    assert abs(entropy(np.eye(2) / 2) - 1.0) < 1e-12
+    assert abs(entropy(np.eye(8) / 8) - 3.0) < 1e-12
 
 
 @given(seed=seeds)
@@ -319,22 +330,22 @@ def test_entropy_additive_on_products(seed):
     rng = np.random.default_rng(seed)
     rho_a = random_density(2, rng)
     rho_b = random_density(3, rng)
-    s_ab = tensor.von_neumann_entropy(np.kron(rho_a, rho_b))
-    s_a = tensor.von_neumann_entropy(rho_a)
-    s_b = tensor.von_neumann_entropy(rho_b)
+    s_ab = entropy(np.kron(rho_a, rho_b))
+    s_a = entropy(rho_a)
+    s_b = entropy(rho_b)
     assert abs(s_ab - s_a - s_b) < 1e-9
 
 
 def test_entropy_clamps_tiny_negative_eigenvalues():
-    assert tensor.von_neumann_entropy(np.diag([1.0, -5e-11])) == 0.0
-    assert abs(tensor.von_neumann_entropy(np.diag([1.0 + 5e-11, -5e-11]))) < 1e-9
+    assert entropy(np.diag([1.0, -5e-11])) == 0.0
+    assert abs(entropy(np.diag([1.0 + 5e-11, -5e-11]))) < 1e-9
 
 
 def test_entropy_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        tensor.von_neumann_entropy(np.diag([0.5, 0.4]))  # trace != 1
+        entropy(np.diag([0.5, 0.4]))  # trace != 1
     with pytest.raises(ValueError):
-        tensor.von_neumann_entropy(np.diag([1.1, -0.1]))  # genuinely negative
+        entropy(np.diag([1.1, -0.1]))  # genuinely negative
 
 
 @pytest.mark.parametrize("dims,bad", [((2.5, 2), "2.5"), (("2", 2.9), "'2'"), ((2, 2.0), "2.0"),
@@ -359,3 +370,65 @@ def test_the_dims_rule_takes_numpy_integers_as_ints():
     assert np.array_equal(tensor.partial_trace(rho, np.array([2, 2]), [1]), np.eye(2) / 2)
     with pytest.raises(ValueError, match="^dims must be nonempty$"):
         tensor.check_dims(1, ())
+
+
+# ---------------------------------------------------------------------------
+# the index rule
+# ---------------------------------------------------------------------------
+
+_W3 = states.w(3)
+_NEG = measures.MeasureKind(measures.Measure.NEGATIVITY)
+
+# every site that takes a subsystem index of w(3), called with index i; 1 is valid everywhere
+INDEX_SITES = {
+    "partial_trace": lambda i: tensor.partial_trace(_W3.rho, (2, 2, 2), [i]),
+    "partial_transpose": lambda i: tensor.partial_transpose(_W3.rho, (2, 2, 2), [0, i]),
+    "marginal": lambda i: _W3.marginal([i]),
+    "Cut": lambda i: measures.evaluate(_NEG, _W3, measures.Cut((0,), (i,))),
+    "tangle_rank2": lambda i: measures.tangle_rank2(_W3.rho, (2, 2, 2), i),
+    "monogamy_score focus": lambda i: monogamy.monogamy_score(_NEG, _W3, i, 1.0),
+    "strong focus": lambda i: monogamy.strong_monogamy_report(_NEG, _W3, i, 1.0),
+    "share_sum focus": lambda i: monogamy.share_sum(_NEG, _W3, i),
+    "hierarchy focus": lambda i: monogamy.hierarchy_chain(_NEG, _W3, i, 0, 2.0),
+    "hierarchy partner": lambda i: monogamy.hierarchy_chain(_NEG, _W3, 0, i, 2.0),
+}
+
+
+def same(a, b):
+    if isinstance(a, states.MultipartiteState):
+        return np.array_equal(a.rho, b.rho) and a.dims == b.dims
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("site", sorted(INDEX_SITES))
+@pytest.mark.parametrize("bad", [0.7, 1.5, 1.9, 1.0, True, -1, 3, "1", None])
+def test_every_site_applies_the_index_rule_whatever_its_caches_hold(site, bad):
+    # 1.0 and True hash like 1, so a cache keyed on the index would return the entry of 1
+    call = INDEX_SITES[site]
+
+    def message():
+        with pytest.raises(ValueError, match="index must be .*integer") as exc:
+            call(bad)
+        return str(exc.value)
+
+    first = message()
+    want = call(1)
+    assert message() == first
+    for good in (np.int64(1), np.int32(1), np.uint8(1)):
+        assert same(call(good), want)
+
+
+def test_cut_sides_are_plain_ints():
+    cut = measures.Cut((np.int64(0),), (np.int32(2), 1))
+    assert cut.side_a == (0,) and cut.side_b == (2, 1)
+    assert all(type(i) is int for i in cut.side_a + cut.side_b)
+    for sides in [((0.9,), (1.5,)), ((True,), (2,)), ((0,), (-1,))]:
+        with pytest.raises(ValueError, match="^cut index must be an integer >= 0, got "):
+            measures.Cut(*sides)
+
+
+def test_an_index_out_of_range_names_the_range():
+    with pytest.raises(ValueError, match=r"^subsystem index must be an integer in 0\.\.2, got 3$"):
+        tensor.partial_trace(_W3.rho, (2, 2, 2), [0, 3])
+    with pytest.raises(ValueError, match="^invalid partner 0: it is the focus$"):
+        monogamy.hierarchy_chain(_NEG, _W3, np.int64(0), 0, 2.0)

@@ -10,7 +10,7 @@ import pytest
 import monolab
 from monolab import states, tensor
 from monolab.measures import Measure, MeasureKind
-from monolab.monogamy import monogamy_score
+from monolab.monogamy import monogamy_score, power_sweep
 from monolab.states import EnsembleSpec, state_from_json
 from monolab.verify import (
     check_decreasing_concave_family,
@@ -227,6 +227,19 @@ def test_probe_product_states_zero_at_every_power():
 def test_probe_rejects_low_exponents():
     with pytest.raises(ValueError):
         probe_high_power_mixed((1.5,), MIXED3, seed=0)
+
+
+@pytest.mark.parametrize("call,what", [
+    pytest.param(lambda: verify_raising(Measure.CONCURRENCE, PURE3, 2.0, (), 0), "alpha", id="raising"),
+    pytest.param(lambda: verify_lowering(Measure.NEGATIVITY, MIXED3, 1.0, [], 0), "alpha", id="lowering"),
+    pytest.param(lambda: probe_high_power_mixed((), MIXED3, 0), "probe exponent", id="probe"),
+    pytest.param(lambda: power_sweep(Measure.NEGATIVITY, states.w(3), 0, iter(())), "exponent",
+                 id="power_sweep"),
+])
+def test_every_exponent_list_must_be_nonempty(call, what):
+    # the probe once counted every state as a pass, with r_values: []
+    with pytest.raises(ValueError, match=f"^{what} list must be nonempty$"):
+        call()
 
 
 # ---------------------------------------------------------------------------
