@@ -89,7 +89,9 @@ class Measure(str, Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "Measure":
-        key = name.strip().lower().replace("-", "").replace("_", "")
+        if isinstance(name, cls):  # str() of a member is "Measure.EOF", not its value
+            return name
+        key = str(name).strip().lower().replace("-", "").replace("_", "")
         aliases = {m.value: m for m in cls}
         aliases.update(logneg=cls.LOG_NEGATIVITY, classicalcorrelation=cls.CLASSICAL_CORRELATION)
         if key not in aliases:
@@ -131,7 +133,7 @@ class Cut:
 
     def __post_init__(self):
         # the range 0..n-1 is checked where the cut meets a state (_cut_plan)
-        a, b = (tensor._integers(side, "cut index must be an integer >= {lo}", 0)
+        a, b = (tensor._integers(side, "cut index", 0)
                 for side in (self.side_a, self.side_b))
         if not a or not b:
             raise ValueError("both sides of a cut must be nonempty")
@@ -362,8 +364,9 @@ def log_negativity(state: MultipartiteState, cut: Cut) -> float:
 # ---------------------------------------------------------------------------
 
 def eof_from_concurrence(c: float) -> float:
-    """E = h((1 + sqrt(1 - C^2))/2) with h the binary entropy."""
-    c = min(max(float(c), 0.0), 1.0)
+    """E = h((1 + sqrt(1 - C^2))/2) with h the binary entropy, for a
+    concurrence C in [0, 1]."""
+    c = tensor._real(c, "concurrence", closed=True, hi=1.0)
     return tensor.binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
 
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from .measures import (Cut, MeasureKind, _normalized, _reduced, _score_stack, _state_reduced, as_kind,
                        evaluate)
-from .states import MultipartiteState, _indices
+from .states import MultipartiteState
+from .tensor import _indices, _list, _real, _reals
 
 
 class BracketError(ValueError):
@@ -75,27 +76,6 @@ class HierarchyReport:
     levels: tuple[float, ...]
 
 
-def _exponent(x, what: str, lo: float = 0.0, closed: bool = False, hi: float = math.inf) -> float:
-    """``float(x)`` if it is finite, above ``lo`` (or equal to it when ``closed``)
-    and at most ``hi``, else ValueError: the one check of every exponent and
-    tolerance, and of the measure values a caller hands to the bisection."""
-    x = float(x)
-    if (lo <= x if closed else lo < x) and x <= hi and x < math.inf:  # NaN fails each test
-        return x
-    interval = f"{'[' if closed else '('}{lo!r}, {hi!r}{']' if hi < math.inf else ')'}"
-    raise ValueError(f"{what} must lie in {interval}, got {x!r}")
-
-
-def _exponents(xs, what: str, lo: float = 0.0, closed: bool = False,
-               hi: float = math.inf) -> tuple[float, ...]:
-    """``_exponent`` of each element of a nonempty list, as a tuple, else
-    ValueError: the one check of every exponent list."""
-    out = tuple(_exponent(x, what, lo, closed, hi) for x in xs)
-    if not out:
-        raise ValueError(f"{what} list must be nonempty")
-    return out
-
-
 def _pow(x: float, r: float) -> float:
     """x^r with 0^r := 0, the one power; beyond the float range it is a ValueError."""
     try:
@@ -125,8 +105,8 @@ def _delta(whole: float, parts, r: float) -> float:
 
 
 # the exponent of each chain, checked by its report and by its verify suite
-_strong_alpha = functools.partial(_exponent, what="alpha", lo=1.0, closed=True)  # alpha >= 1
-_hierarchy_alpha = functools.partial(_exponent, what="alpha")  # alpha > 0
+_strong_alpha = functools.partial(_real, what="alpha", lo=1.0, closed=True)  # alpha >= 1
+_hierarchy_alpha = functools.partial(_real, what="alpha")  # alpha > 0
 
 
 # The cut caches below are keyed on the type of each argument too, so that
@@ -212,14 +192,14 @@ def _base_values_stack(kind, states, focus: int) -> list[tuple[float, tuple[floa
 def monogamy_score(kind, state: MultipartiteState, focus: int, r: float) -> MonogamyReport:
     """Monogamy score delta at a finite exponent r > 0 (r <= 0 is rejected:
     zero-valued pair terms make the inverted inequality numerically singular)."""
-    kind, r = as_kind(kind), _exponent(r, "exponent")
+    kind, r = as_kind(kind), _real(r, "exponent")
     return MonogamyReport(kind, r, *_terms(*base_values(kind, state, focus), r))
 
 
 def power_sweep(kind, state: MultipartiteState, focus: int, r_grid) -> list[MonogamyReport]:
     """Monogamy reports over an exponent grid; measure values are computed
     once and re-exponentiated per grid point."""
-    rs = _exponents(r_grid, "exponent")
+    rs = _reals(r_grid, "exponent")
     kind = as_kind(kind)
     whole, parts = base_values(kind, state, focus)
     return [MonogamyReport(kind, r, *_terms(whole, parts, r)) for r in rs]
@@ -238,9 +218,13 @@ class CriticalExponent:
 
 
 def _bisection(bracket, tol) -> tuple[float, float, float]:
-    """The checked bracket ends 0 < lo < hi and tol > 0, all finite."""
-    lo = _exponent(bracket[0], "bracket start")
-    return lo, _exponent(bracket[1], "bracket end", lo), _exponent(tol, "tol")
+    """The checked bracket, exactly one pair with ends 0 < lo < hi, and
+    tol > 0, all finite."""
+    ends = _list(bracket, "bracket end")
+    if len(ends) != 2:
+        raise ValueError(f"bracket must be one pair lo, hi, got {bracket!r}")
+    lo = _real(ends[0], "bracket start")
+    return lo, _real(ends[1], "bracket end", lo), _real(tol, "tol")
 
 
 def bisect_score_crossing(whole: float, parts, bracket, tol: float) -> CriticalExponent:
@@ -252,7 +236,7 @@ def bisect_score_crossing(whole: float, parts, bracket, tol: float) -> CriticalE
     """
     lo, hi, tol = _bisection(bracket, tol)
     bracket = (lo, hi)
-    whole, *parts = (_exponent(v, "measure value", closed=True) for v in (whole, *parts))
+    whole, *parts = _reals((whole, *_list(parts, "measure value")), "measure value", closed=True)
     d_lo, d_hi = _delta(whole, parts, lo), _delta(whole, parts, hi)
     if not (d_lo < 0.0 < d_hi):
         raise BracketError(

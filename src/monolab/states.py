@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor
-from .tensor import _dims, _indices, _integer
+from .tensor import _dims, _indices, _integer, _integers, _real, _reals
 
 PURITY_TOL = 1e-9
 
@@ -97,7 +97,7 @@ class MultipartiteState:
     def from_vector(cls, psi, dims) -> "MultipartiteState":
         """Rank-1 density matrix of a (normalized) state vector."""
         v = _unit_vector(psi)
-        return cls(np.outer(v, v.conj()), tuple(dims))
+        return cls(np.outer(v, v.conj()), dims)
 
     @property
     def dim(self) -> int:
@@ -239,18 +239,10 @@ def w(n: int) -> MultipartiteState:
 
 def white_noise_mix(state: MultipartiteState, p: float) -> MultipartiteState:
     """(1-p) rho + p I/d, the white-noise admixture with weight p in [0, 1]."""
-    p = _noise_weight(p)
+    p = _real(p, "noise weight p", closed=True, hi=1.0)
     d = state.dim
     rho = (1.0 - p) * state.rho + p * np.eye(d) / d
     return MultipartiteState(rho, state.dims)
-
-
-def _noise_weight(p) -> float:
-    """``float(p)`` if it lies in [0, 1], else ValueError (NaN included)."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise weight p = {p} outside [0, 1]")
-    return p
 
 
 def classical_corr_state() -> MultipartiteState:
@@ -334,7 +326,7 @@ def state_to_json(state: MultipartiteState) -> dict:
 
 def state_from_json(obj: dict) -> MultipartiteState:
     rho = np.asarray(obj["rho_re"], dtype=float) + 1j * np.asarray(obj["rho_im"], dtype=float)
-    return MultipartiteState(rho, tuple(obj["dims"]))
+    return MultipartiteState(rho, obj["dims"])
 
 
 def save_state(state: MultipartiteState, path) -> None:
@@ -356,7 +348,7 @@ _NAMED_RE = re.compile(r"(ghz|w)(\d+)")
 
 def named_state(name: str) -> MultipartiteState:
     """Resolve 'ghzN', 'wN' or 'classical' to a state."""
-    key = name.strip().lower()
+    key = str(name).strip().lower()
     if key == "classical":
         return classical_corr_state()
     m = _NAMED_RE.fullmatch(key)
@@ -410,16 +402,12 @@ class EnsembleSpec:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "count", count)
         if self.ranks is not None:
-            d = math.prod(dims)
-            ranks = tuple(_integer(r, f"rank must be an integer in 1..{d}", 1, d) for r in self.ranks)
+            ranks = _integers(self.ranks, "rank", 1, math.prod(dims))
             if not ranks:
                 raise ValueError("ensemble ranks must be nonempty, or None for every rank")
             object.__setattr__(self, "ranks", ranks)
         if self.p_grid is not None:
-            p_grid = tuple(_noise_weight(p) for p in self.p_grid)
-            if not p_grid:
-                raise ValueError("ensemble p_grid must be nonempty, or None for no noise")
-            object.__setattr__(self, "p_grid", p_grid)
+            object.__setattr__(self, "p_grid", _reals(self.p_grid, "noise weight p", closed=True, hi=1.0))
 
     def describe(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(self).items()}

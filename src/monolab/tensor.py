@@ -34,12 +34,22 @@ cache key does not tell 2.0 from 2 or True from 1: the dims rule (``_dims``:
 integers >= 2) and the index rule (``_indices``: integers in 0..n-1 for n
 subsystems). Both apply ``_integer`` to each element; numpy integers pass,
 and bools, floats and strings fail.
+
+The other argument rules of the package live here too. The real rule
+(``_real``) checks every exponent, tolerance, noise weight and concurrence
+argument: a ``numbers.Real`` that is not a bool, finite and inside its
+interval, returned as a float; numpy ints and floats pass, and bools,
+strings, None and complex numbers fail. The list rule (``_list``) takes
+anything ``tuple()`` accepts; ``_integers`` and ``_reals`` apply it before
+checking each element, so a scalar where a list belongs fails too. Each
+rule raises ValueError, never TypeError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -71,6 +81,15 @@ def _number_or_stack(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
+def _list(xs, what: str) -> tuple:
+    """``tuple(xs)``, else ValueError: the one list rule, for a list of
+    ``what`` values."""
+    try:
+        return tuple(xs)
+    except TypeError:
+        raise ValueError(f"{what} list must be iterable, got {xs!r}") from None
+
+
 def _integer(x, what: str, lo: int, hi: float = math.inf) -> int:
     """``x`` as an int in lo..hi, else ValueError; bools and non-integers fail."""
     try:
@@ -83,20 +102,49 @@ def _integer(x, what: str, lo: int, hi: float = math.inf) -> int:
 
 
 def _integers(xs, what: str, lo: int, hi: float = math.inf) -> tuple[int, ...]:
-    """``xs`` as a tuple of ints in lo..hi, else ValueError: ``_integer`` on
-    each element, the one element-wise integer rule of dims and indices. The
-    message ``what`` is formatted with ``lo`` and ``hi`` on failure only."""
-    out = tuple(xs)
+    """``xs`` as a tuple of ints in lo..hi, else ValueError: the list rule,
+    then ``_integer`` on each element, the one element-wise integer rule of
+    dims, indices and ranks. ``what`` names one element."""
+    out = _list(xs, what)
     for x in out:  # the fast test; _integer converts, or names the culprit
         if type(x) is not int or not lo <= x <= hi:
-            return tuple(_integer(x, what.format(lo=lo, hi=hi), lo, hi) for x in out)
+            rule = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+            return tuple(_integer(x, f"{what} must be an integer {rule}", lo, hi) for x in out)
+    return out
+
+
+def _real(x, what: str, lo: float = 0.0, closed: bool = False, hi: float = math.inf) -> float:
+    """``x`` as a float if it is a real number, not a bool, finite, above
+    ``lo`` (or equal to it when ``closed``) and at most ``hi``, else
+    ValueError: the one real rule of exponents, tolerances, noise weights,
+    concurrences and the measure values a caller hands to the bisection."""
+    v = x
+    if type(x) is not float:  # the fast path: a Python float needs no conversion
+        try:  # bools, strings, None and complex numbers fail, and so do ints beyond the float range
+            v = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+        except OverflowError:
+            v = math.nan
+    if (lo <= v if closed else lo < v) and v <= hi and v < math.inf:  # NaN fails each test
+        return v
+    interval = f"{'[' if closed else '('}{lo!r}, {hi!r}{']' if hi < math.inf else ')'}"
+    raise ValueError(f"{what} must lie in {interval}, got {x!r}")
+
+
+def _reals(xs, what: str, lo: float = 0.0, closed: bool = False,
+           hi: float = math.inf) -> tuple[float, ...]:
+    """The list rule, then ``_real`` of each element, as a nonempty tuple,
+    else ValueError: the one rule of every exponent list and noise grid.
+    ``what`` names one element."""
+    out = tuple(_real(x, what, lo, closed, hi) for x in _list(xs, what))
+    if not out:
+        raise ValueError(f"{what} list must be nonempty")
     return out
 
 
 def _dims(dims) -> tuple[int, ...]:
     """``dims`` as a nonempty tuple of integers >= 2, else ValueError: the one
     dims rule of the package. It runs ahead of every cached plan."""
-    out = _integers(dims, "subsystem dimension must be an integer >= {lo}", 2)
+    out = _integers(dims, "subsystem dimension", 2)
     if not out:
         raise ValueError("dims must be nonempty")
     return out
@@ -106,7 +154,7 @@ def _indices(indices, n: int) -> tuple[int, ...]:
     """``indices`` as a tuple of subsystem indices of an n-party system, ints
     in 0..n-1, else ValueError: the one index rule of the package. It runs
     ahead of every cache keyed on indices."""
-    return _integers(indices, "subsystem index must be an integer in {lo}..{hi}", 0, n - 1)
+    return _integers(indices, "subsystem index", 0, n - 1)
 
 
 @functools.lru_cache(maxsize=256)

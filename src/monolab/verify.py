@@ -25,15 +25,12 @@ from .measures import (
     as_kind,
     eof_from_concurrence,
 )
-from .monogamy import (_base_values_stack, _cut_table, _delta, _exponent, _exponents, _focus_cuts,
-                       _hierarchy_alpha, _strong_alpha, hierarchy_chain, monogamy_score,
-                       strong_monogamy_report)
+from .monogamy import (_base_values_stack, _cut_table, _delta, _focus_cuts, _hierarchy_alpha, _strong_alpha,
+                       hierarchy_chain, monogamy_score, strong_monogamy_report)
 from .monogamy import base_values  # noqa: F401  perfbench's tracer test rebinds it here
 from .states import (
     EnsembleSpec,
     MultipartiteState,
-    _dims,
-    _integer,
     _seed,
     box_muller,
     generator,
@@ -41,6 +38,7 @@ from .states import (
     sample_states,
     state_to_json,
 )
+from .tensor import _dims, _integer, _real, _reals
 
 STATE_TOL = 1e-9
 SCALAR_TOL = 1e-12
@@ -65,6 +63,7 @@ class VerificationSummary:
         return self.violations == 0
 
     def _finalize(self) -> "VerificationSummary":
+        self.passes = self.count - self.skipped - self.violations
         if not math.isfinite(self.worst_margin):
             self.worst_margin = 0.0
         return self
@@ -108,8 +107,6 @@ def _run_suite(theorem: str, ensemble, seed: int, extra: dict, slacks_fn,
             worst_state = state
         if slack < -tol:
             summary.violations += 1
-        else:
-            summary.passes += 1
     if summary.violations:
         summary.offender = state_to_json(worst_state)
     return summary._finalize()
@@ -134,7 +131,6 @@ def _tally(summary: VerificationSummary, slack: np.ndarray) -> dict:
     violations = int((slack < -SCALAR_TOL).sum())
     summary.count += len(slack)
     summary.violations += violations
-    summary.passes += len(slack) - violations
     summary.worst_margin = min(summary.worst_margin, worst)
     return {"worst_margin": worst, "violations": violations}
 
@@ -240,8 +236,8 @@ def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationS
     States with delta(r) < -1e-9 do not satisfy the hypothesis and are
     counted as skipped.
     """
-    kind, r = _normalized(kind), _exponent(r, "r")
-    alphas = _exponents(alphas, "alpha", r, closed=True)
+    kind, r = _normalized(kind), _real(r, "r")
+    alphas = _reals(alphas, "alpha", r, closed=True)
     return _transfer("power-raising", 1.0, kind, ensemble, r, alphas, seed)
 
 
@@ -251,8 +247,8 @@ def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> Verification
     Slack here is sum_j Q^alpha_j - Q^alpha(whole); states with
     delta(r) > 1e-9 are skipped (hypothesis not met).
     """
-    kind, r = _normalized(kind), _exponent(r, "r")
-    alphas = _exponents(alphas, "alpha", hi=r)
+    kind, r = _normalized(kind), _real(r, "r")
+    alphas = _reals(alphas, "alpha", hi=r)
     return _transfer("power-lowering", -1.0, kind, ensemble, r, alphas, seed)
 
 
@@ -272,7 +268,7 @@ def verify_functional_lift(ensemble, m: float, seed: int) -> VerificationSummary
     of range rather than failed. Every state must have two or more parties,
     all qubits.
     """
-    m = _exponent(m, "m")
+    m = _real(m, "m")
     extra = {"m": m, "out_of_range": 0, "mixed_restricted": 0}
     concurrence = functools.partial(_score_stack, MeasureKind(Measure.CONCURRENCE))
 
@@ -356,7 +352,7 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
     implication that delta(2) >= 0 with values in [0, 1] forces delta(r) >= 0
     for r > 2.
     """
-    rs = _exponents(r_values, "probe exponent", 2.0, closed=True)
+    rs = _reals(r_values, "probe exponent", 2.0, closed=True)
     kind = _mixed_computable(kind)
     per_r = {r: math.inf for r in rs}
     extra = dict(_measure_extra(kind), r_values=list(rs), implication_violations=0)
@@ -422,7 +418,7 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
     negative score found and its state are reported, and every restart's
     best is kept in extra["restart_bests"] for harvesting.
     """
-    kind, r = as_kind(kind), _exponent(r, "r")
+    kind, r = as_kind(kind), _real(r, "r")
     restarts = _integer(restarts, "restarts must be >= 1 and an integer", 1)
     max_steps = _integer(max_steps, "max_steps must be >= 0 and an integer", 0)
     seed, dims = _seed(seed), _dims(dims)
@@ -438,9 +434,8 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
         "counterexample-search",
         {"family": "hill_climb", "dims": list(dims), "count": restarts, "seed": seed},
     )
-    summary.extra.update(_measure_extra(kind), r=r, max_steps=max_steps, restart_bests=[])
-    best_overall = math.inf
-    best_state = None
+    bests = []
+    summary.extra.update(_measure_extra(kind), r=r, max_steps=max_steps, restart_bests=bests)
     for i in range(restarts):
         rng = generator(seed, i)
         v = haar_vector(d, rng)  # same substream as haar_pure(dims, seed, index=i)
@@ -463,16 +458,8 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
                 if rejects >= 20:
                     step *= 0.5
                     rejects = 0
-        state = state_of(params)
         summary.count += 1
-        summary.passes += 1
-        summary.extra["restart_bests"].append(
-            {"score": float(current), "state": state_to_json(state)}
-        )
-        if current < best_overall:
-            best_overall = current
-            best_state = state
-    summary.worst_margin = best_overall
-    if best_state is not None:
-        summary.offender = state_to_json(best_state)
+        bests.append({"score": float(current), "state": state_to_json(state_of(params))})
+    best = min(bests, key=lambda b: b["score"])  # the first of equal scores
+    summary.worst_margin, summary.offender = best["score"], best["state"]
     return summary._finalize()

@@ -125,6 +125,7 @@ RSTAR_W3 = ("rstar", "--measure", "lognegativity", "--state", "w3")
         (*SWEEP_W3, "--p-grid", "0", "--r-grid", "1,inf"),
         (*SWEEP_W3, "--p-grid", "0:nan:3", "--r-grid", "1"),
         (*RSTAR_W3, "--bracket", "1,inf"),
+        (*RSTAR_W3, "--bracket", "1,2,3"),
         (*RSTAR_W3, "--bracket", "1,2", "--tol", "nan"),
         (*RSTAR_W3, "--bracket", "1,2", "--tol", "inf"),
         (*RSTAR_W3, "--bracket", "1,2", "--tol", "0"),
@@ -179,6 +180,10 @@ def test_a_comma_list_with_an_empty_item_is_a_config_error(argv, tmp_path, capsy
     [
         (*SWEEP_W3, "--focus", "7", "--p-grid", "0", "--r-grid", "1"),
         (*SWEEP_W3, "--p-grid", "1.5", "--r-grid", "1"),
+        # the bracket and dims rules are the library's, the same for API and CLI
+        (*RSTAR_W3, "--bracket", "2,1"),
+        (*RSTAR_W3, "--bracket", "1,2,3"),
+        ("verify", "search", "--dims", "1,2", "--count", "1"),
     ],
 )
 def test_library_value_errors_exit_2(argv, capsys):

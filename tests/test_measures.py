@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -270,6 +271,15 @@ def test_eof_pure_cut_values():
         eof_pure_cut(states.random_mixed((2, 2, 2), 3, 0), A_BC)
 
 
+@pytest.mark.parametrize("c, shown", [(math.nan, "nan"), (True, "True"), ("0.5", "'0.5'"), (1.5, "1.5"),
+                                      (-0.1, "-0.1")])
+def test_eof_from_concurrence_takes_a_concurrence_in_0_1(c, shown):
+    # it once clamped: NaN gave NaN, and True and 1.5 the EoF of C = 1
+    with pytest.raises(ValueError, match=rf"^concurrence must lie in \[0\.0, 1\.0\], got {re.escape(shown)}$"):
+        measures.eof_from_concurrence(c)
+    assert measures.eof_from_concurrence(np.float32(1.0)) == measures.eof_from_concurrence(1) == 1.0
+
+
 @given(seed=seeds)
 @settings(max_examples=20, deadline=None)
 def test_eof_monotone_in_concurrence(seed):
@@ -466,6 +476,9 @@ def test_measure_parsing():
     assert Measure.from_string("LogNeg") is Measure.LOG_NEGATIVITY
     with pytest.raises(ValueError):
         Measure.from_string("tangle")
+    with pytest.raises(ValueError, match="^unknown measure 3$"):
+        Measure.from_string(3)
+    assert all(Measure.from_string(m) is m for m in Measure)
 
 
 def test_measure_kind_parses_a_string_tag():

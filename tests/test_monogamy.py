@@ -382,14 +382,22 @@ EXPONENT_ARGS = {
 }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "below"])
+# values that are not real numbers; float() once read the first three as numbers
+NOT_REAL = {"True": True, "'2'": "2", "b'2'": b"2", "None": None, "2j": 2j}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "below", *NOT_REAL])
 @pytest.mark.parametrize("name", sorted(EXPONENT_ARGS))
 def test_every_exponent_and_tol_is_checked_before_any_measure_runs(name, value):
     call, bound = EXPONENT_ARGS[name]
-    x = math.nextafter(bound, -math.inf) if value == "below" else float(value)
+    if value in NOT_REAL:
+        x = NOT_REAL[value]
+    else:
+        x = math.nextafter(bound, -math.inf) if value == "below" else float(value)
     with pytest.raises(ValueError, match="must lie in") as err:
         call(x)
     assert type(err.value) is ValueError  # not MeasureUndefinedError or BracketError
+    assert str(err.value).endswith(f", got {x!r}")  # the value as given, not a coerced one
 
 
 @pytest.mark.parametrize("whole, parts", [(-0.5, (0.1,)), (math.nan, (0.1,)), (0.5, (math.inf,))])
@@ -397,6 +405,22 @@ def test_bisect_score_crossing_rejects_a_negative_or_non_finite_value(whole, par
     with pytest.raises(ValueError, match="measure value must lie in") as err:
         bisect_score_crossing(whole, parts, (1.0, 2.5), 1e-3)
     assert type(err.value) is ValueError  # not TypeError or BracketError
+
+
+@pytest.mark.parametrize("bracket, message", [
+    ((1.0,), r"^bracket must be one pair lo, hi, got \(1\.0,\)$"),
+    ((1.0, 2.0, 0.5), r"^bracket must be one pair lo, hi, got \(1\.0, 2\.0, 0\.5\)$"),
+    ("12", r"^bracket start must lie in \(0\.0, inf\), got '1'$"),
+    (1.5, r"^bracket end list must be iterable, got 1\.5$"),
+])
+def test_a_bracket_is_exactly_one_pair_of_reals(bracket, message):
+    # the bisection once read "12" as (1, 2), dropped a third end, and
+    # indexed past a single one
+    for call in (lambda: critical_exponent(CONC, UNDEFINED, 0, bracket, 1e-3),
+                 lambda: bisect_score_crossing(1.0, (0.5,), bracket, 1e-3)):
+        with pytest.raises(ValueError, match=message) as err:
+            call()
+        assert type(err.value) is ValueError
 
 
 def test_lowering_rejects_an_alpha_above_r():

@@ -57,6 +57,8 @@ def test_named_state_rejects_small_n():
         states.w(1)
     with pytest.raises(ValueError):
         states.named_state("bogus")
+    with pytest.raises(ValueError, match="^unknown named state 3 "):
+        states.named_state(3)
 
 
 @pytest.mark.parametrize("maker,n", [(states.ghz, 3), (states.w, 3), (states.ghz, 4), (states.w, 4)])
@@ -88,6 +90,8 @@ def test_white_noise_rejects_bad_p():
         states.white_noise_mix(states.ghz(3), -0.1)
     with pytest.raises(ValueError):
         states.white_noise_mix(states.ghz(3), 1.1)
+    with pytest.raises(ValueError, match=r"^noise weight p must lie in \[0\.0, 1\.0\], got True$"):
+        states.white_noise_mix(states.w(3), True)  # once the maximally mixed state
 
 
 @given(p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0))
@@ -335,11 +339,17 @@ def test_sample_states_families():
     (dict(family="random_mixed", ranks=(9,)), r"rank must be an integer in 1\.\.8, got 9"),
     (dict(family="haar_pure", dims=(2.5, 2)), "dimension must be an integer >= 2, got 2.5"),
     (dict(family="haar_pure", dims=()), "dims must be nonempty"),
-    (dict(family="haar_pure", p_grid=()), "p_grid must be nonempty, or None for no noise"),
-    (dict(family="haar_pure", p_grid=(0.5, 1.5)), r"noise weight p = 1\.5 outside \[0, 1\]"),
-    (dict(family="haar_pure", p_grid=(-0.1,)), r"noise weight p = -0\.1 outside"),
-    (dict(family="haar_pure", p_grid=(0.2, math.nan)), "noise weight p = nan outside"),
-    (dict(family="haar_pure", p_grid=(math.inf,)), "noise weight p = inf outside"),
+    (dict(family="haar_pure", p_grid=()), "^noise weight p list must be nonempty$"),
+    (dict(family="haar_pure", p_grid=(0.5, 1.5)), r"noise weight p must lie in \[0\.0, 1\.0\], got 1\.5"),
+    (dict(family="haar_pure", p_grid=(-0.1,)), r"noise weight p must lie in \[0\.0, 1\.0\], got -0\.1"),
+    (dict(family="haar_pure", p_grid=(0.2, math.nan)), r"noise weight p must lie in \[0\.0, 1\.0\], got nan"),
+    (dict(family="haar_pure", p_grid=(math.inf,)), r"noise weight p must lie in \[0\.0, 1\.0\], got inf"),
+    (dict(family="named", name="w3", p_grid=("0.5", True)), r"p must lie in \[0\.0, 1\.0\], got '0\.5'"),
+    (dict(family="haar_pure", p_grid=(0.5, True)), r"noise weight p must lie in \[0\.0, 1\.0\], got True"),
+    (dict(family="haar_pure", p_grid=0.5), r"^noise weight p list must be iterable, got 0\.5$"),
+    (dict(family="random_mixed", ranks=2), "^rank list must be iterable, got 2$"),
+    (dict(family="haar_pure", dims=2), "^subsystem dimension list must be iterable, got 2$"),
+    (dict(family="named", name=3), "^unknown named state 3 "),
     (dict(family="named", name="w3", ranks=(2,)), "ranks apply to random_mixed only, not named"),
     (dict(family="named", name="ghz2", dims=(3, 3), ranks=(2,)), "ranks apply to random_mixed only"),
     (dict(family="haar_pure", ranks=(2,)), "ranks apply to random_mixed only, not haar_pure"),

@@ -348,16 +348,22 @@ def test_entropy_rejects_bad_inputs():
         entropy(np.diag([1.1, -0.1]))  # genuinely negative
 
 
-@pytest.mark.parametrize("dims,bad", [((2.5, 2), "2.5"), (("2", 2.9), "'2'"), ((2, 2.0), "2.0"),
-                                      ((True, 4), "True"), ((1, 4), "1")])
-def test_every_kernel_applies_the_dims_rule_ahead_of_its_cache(dims, bad):
+@pytest.mark.parametrize("dims,rule", [((2.5, 2), "must be an integer >= 2, got 2.5"),
+                                       (("2", 2.9), "must be an integer >= 2, got '2'"),
+                                       ((2, 2.0), "must be an integer >= 2, got 2.0"),
+                                       ((True, 4), "must be an integer >= 2, got True"),
+                                       ((1, 4), "must be an integer >= 2, got 1"),
+                                       (4, "list must be iterable, got 4")])
+def test_every_kernel_applies_the_dims_rule_ahead_of_its_cache(dims, rule):
     # the plans of (2, 2) and (2, 4) are cached first; (2.0, 2) hashes like
     # (2, 2), so a check inside the cache would return the cached plan
     rho = np.eye(4) / 4
     tensor.partial_trace(rho, (2, 2), [0]), tensor.partial_transpose(rho, (2, 2), [0])
-    message = f"^subsystem dimension must be an integer >= 2, got {bad}$"
+    message = f"^subsystem dimension {rule}$"
     calls = (lambda: tensor.check_dims(4, dims), lambda: tensor.partial_trace(rho, dims, [0]),
-             lambda: tensor.partial_transpose(rho, dims, [0]), lambda: states.MultipartiteState(rho, dims))
+             lambda: tensor.partial_transpose(rho, dims, [0]), lambda: states.MultipartiteState(rho, dims),
+             lambda: states.haar_pure(dims, 0), lambda: states.MultipartiteState.from_vector(np.ones(4), dims),
+             lambda: states.state_from_json(dict(states.state_to_json(states.ghz(2)), dims=dims)))
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
@@ -416,6 +422,18 @@ def test_every_site_applies_the_index_rule_whatever_its_caches_hold(site, bad):
     assert message() == first
     for good in (np.int64(1), np.int32(1), np.uint8(1)):
         assert same(call(good), want)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: tensor.partial_trace(_W3.rho, (2, 2, 2), 0), id="partial_trace"),
+    pytest.param(lambda: tensor.partial_transpose(_W3.rho, (2, 2, 2), 0), id="partial_transpose"),
+    pytest.param(lambda: _W3.marginal(0), id="marginal"),
+    pytest.param(lambda: measures.Cut(0, 1), id="Cut"),
+    pytest.param(lambda: measures.Cut((0,), 1), id="Cut side_b"),
+])
+def test_an_index_where_an_index_list_belongs_is_a_value_error(call):
+    with pytest.raises(ValueError, match=r"^(subsystem|cut) index list must be iterable, got [01]$"):
+        call()
 
 
 def test_cut_sides_are_plain_ints():

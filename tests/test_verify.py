@@ -229,17 +229,17 @@ def test_probe_rejects_low_exponents():
         probe_high_power_mixed((1.5,), MIXED3, seed=0)
 
 
+@pytest.mark.parametrize("xs,rule", [("empty", "must be nonempty"), (3.0, "must be iterable, got 3.0")])
 @pytest.mark.parametrize("call,what", [
-    pytest.param(lambda: verify_raising(Measure.CONCURRENCE, PURE3, 2.0, (), 0), "alpha", id="raising"),
-    pytest.param(lambda: verify_lowering(Measure.NEGATIVITY, MIXED3, 1.0, [], 0), "alpha", id="lowering"),
-    pytest.param(lambda: probe_high_power_mixed((), MIXED3, 0), "probe exponent", id="probe"),
-    pytest.param(lambda: power_sweep(Measure.NEGATIVITY, states.w(3), 0, iter(())), "exponent",
-                 id="power_sweep"),
+    pytest.param(lambda xs: verify_raising(Measure.CONCURRENCE, PURE3, 2.0, xs, 0), "alpha", id="raising"),
+    pytest.param(lambda xs: verify_lowering(Measure.NEGATIVITY, MIXED3, 1.0, xs, 0), "alpha", id="lowering"),
+    pytest.param(lambda xs: probe_high_power_mixed(xs, MIXED3, 0), "probe exponent", id="probe"),
+    pytest.param(lambda xs: power_sweep(Measure.NEGATIVITY, states.w(3), 0, xs), "exponent", id="power_sweep"),
 ])
-def test_every_exponent_list_must_be_nonempty(call, what):
+def test_every_exponent_list_must_be_a_nonempty_list(call, what, xs, rule):
     # the probe once counted every state as a pass, with r_values: []
-    with pytest.raises(ValueError, match=f"^{what} list must be nonempty$"):
-        call()
+    with pytest.raises(ValueError, match=f"^{what} list {rule}$"):
+        call(iter(()) if xs == "empty" else xs)
 
 
 # ---------------------------------------------------------------------------
