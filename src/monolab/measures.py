@@ -20,24 +20,33 @@ sits in the reduced state, the side dimensions) is cached per (dimensions,
 cut), as are the trace and transpose plans of ``tensor``.
 
 Private code sees stacks (m, d, d) of density matrices on shared subsystem
-dimensions only. ``_reduced`` traces a stack down to a cut and returns the
-cut's plan (schmidt, rdims, a_pos, b_pos, da, db); ``_score_stack`` scores one
-reduced stack, each matrix taking its own branch (Wootters, pure cut,
-rank-2 roof or undefined), with one call of the branch's kernel for all
-the matrices that take it. ``evaluate`` runs the two on a stack of one, and
-``monogamy._cut_table`` runs ``_score_stack`` once per plan on every cut
-that shares it. A stacked numpy call gives the same bits as one call per
-matrix, so a value does not depend on its stack. One matrix becomes a
-float only in the public kernels (``concurrence_two_qubit``,
-``tangle_rank2`` and ``eof_two_qubit`` also take stacks). The matrices it
-derives from a checked state are symmetrized, not checked again.
+dimensions only. ``_reduced`` reduces a stack to a cut and returns the
+reduced stack with the cut's plan (rdims, a_pos, b_pos, da, db);
+``_score_stack`` scores one reduced stack, each row taking its own branch
+(Wootters, pure cut, rank-2 roof or undefined), with one call of the
+branch's kernel for all the rows that take it. ``evaluate`` runs the two
+on a stack of one, and ``monogamy._cut_table`` runs ``_score_stack`` once
+per plan on every cut that shares it. A stacked numpy call gives the same
+bits as one call per matrix, so a value does not depend on its stack. One
+matrix becomes a float only in the public kernels
+(``concurrence_two_qubit``, ``tangle_rank2`` and ``eof_two_qubit`` also
+take stacks). The marginals it takes from a checked state's matrix are
+symmetrized, not checked again.
 
-A state that carries its unit vector (``MultipartiteState._psi``: the
-states of ``haar_pure``, of the counterexample search and the Haar draws of
-``sample_states``) is reduced from the vector: a cut that covers the whole
-state gives the Schmidt coefficients of the vector (one stacked svd), and
-any other cut gives the marginal F F^dag. Both take the branch, and raise
-the error, of the matrix path; a whole 2x2 cut keeps the matrix.
+A reduced stack takes one of three forms, told apart by its number of
+axes: matrices (m, d, d), the marginals of the cut; Schmidt coefficients
+(m, k); and the vector form (m, da, db, k). A state that carries its unit
+vector (``MultipartiteState._psi``: the states of ``haar_pure``, of the
+counterexample search and the Haar draws of ``sample_states``) is reduced
+from the vector F, its axes permuted to side A, side B, traced: a cut that
+covers the whole state gives the Schmidt coefficients of F (one stacked
+svd), a whole 2x2 cut keeps the matrix, and any other cut gives F itself.
+The negativity family contracts F with its conjugate into the partially
+transposed marginal in one einsum; every other branch takes the marginal
+from one einsum. Either is exactly Hermitian, so neither is symmetrized.
+The Schmidt and vector forms carry the plan of the two-party cut
+(da, db), side A first. Every form takes the branch, and raises the error,
+of the matrix path.
 """
 
 from __future__ import annotations
@@ -153,10 +162,9 @@ def _flush(x: float) -> float:
 def _cut_plan(dims: tuple[int, ...], side_a: tuple[int, ...], side_b: tuple[int, ...]):
     """(keep, perm, rdims, a_pos, b_pos, da, db): the subsystems kept, in
     index order (None when the cut covers them all); the axis permutation of
-    a stack of vectors (m, *dims) that puts side A then side B first on a
-    whole cut, else the kept subsystems then the traced ones; the kept
-    dimensions, the positions of each side among them, and each side's
-    total dimension."""
+    a stack of vectors (m, *dims) that puts side A, then side B, then the
+    traced subsystems; the kept dimensions, the positions of each side
+    among them, and each side's total dimension."""
     n = len(dims)
     keep = tuple(sorted(tensor._indices(side_a + side_b, n)))
     rdims = tuple(dims[i] for i in keep)
@@ -165,29 +173,55 @@ def _cut_plan(dims: tuple[int, ...], side_a: tuple[int, ...], side_b: tuple[int,
     da = math.prod(rdims[i] for i in a_pos)
     db = math.prod(rdims[i] for i in b_pos)
     traced = tuple(i for i in range(n) if i not in keep)
-    order = keep + traced if traced else sorted(side_a) + sorted(side_b)
+    order = (*sorted(side_a), *sorted(side_b), *traced)
     return (keep if traced else None), (0, *(1 + i for i in order)), rdims, a_pos, b_pos, da, db
 
 
 def _reduced(rho: np.ndarray, dims, cut: Cut, psi: np.ndarray | None = None):
-    """(red, schmidt, rdims, a_pos, b_pos, da, db): the stack (m, d, d) on
-    ``dims`` reduced to side_a + side_b, then the cut's plan: whether ``red``
-    holds Schmidt coefficients instead of matrices, and the rest.
+    """(red, rdims, a_pos, b_pos, da, db): the stack (m, d, d) on ``dims``
+    reduced to side_a + side_b, then the cut's plan. ``red.ndim`` tells its
+    form: matrices (m, d, d), the marginals in index order; Schmidt
+    coefficients (m, k); or the vector form (m, da, db, k).
 
-    With ``psi``, the unit vectors (m, d) of the stack, the marginal is
-    F F^dag, F the vectors with their axes permuted to (kept, traced). A
-    whole cut gives instead the Schmidt coefficients (m, k) of F with side
-    A's axes first, from one stacked svd; a whole 2x2 cut keeps ``rho``, so
-    that Wootters' formula and the Bloch form still see the matrix.
+    With ``psi``, the unit vectors (m, d) of the stack, F is the vectors
+    with their axes permuted to side A, side B, traced, grouped as (m, da,
+    db, k). A whole cut gives the Schmidt coefficients of F from one
+    stacked svd, and any other cut gives F itself, the vector form
+    (``_marginal`` contracts it); both carry the plan of the two-party cut
+    (da, db), whose side A is a single qubit exactly when the cut's is. A
+    whole 2x2 cut keeps ``rho``, so that Wootters' formula and the Bloch
+    form still see the matrix.
     """
     keep, perm, *plan = _cut_plan(dims, cut.side_a, cut.side_b)
     da, db = plan[-2:]
     if psi is None or (keep is None and da * db == 4):
-        return (rho if keep is None else tensor.partial_trace(rho, dims, keep)), False, *plan
-    f = psi.reshape(-1, *dims).transpose(perm).reshape(len(psi), da if keep is None else da * db, -1)
-    if keep is None:
-        return np.linalg.svd(f, compute_uv=False), True, *plan
-    return f @ f.conj().swapaxes(-1, -2), False, *plan
+        return (rho if keep is None else tensor.partial_trace(rho, dims, keep)), *plan
+    f = psi.reshape(-1, *dims).transpose(perm).reshape(len(psi), da, db, -1)
+    return (np.linalg.svd(f[..., 0], compute_uv=False) if keep is None else f), (da, db), (0,), (1,), da, db
+
+
+def _marginal(f: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """The marginal (m, da db, da db) of each row of a stack in vector form
+    (m, da, db, k), side A first, or with ``transposed`` its partial
+    transpose on side A, from one einsum. Entries (i, j) and (j, i) sum the
+    same products in the same order, each the conjugate of the other, so
+    the result is exactly Hermitian."""
+    m, da, db, _ = f.shape
+    subscripts = "Mcbk,Madk->Mabcd" if transposed else "Mabk,Mcdk->Mabcd"
+    return np.einsum(subscripts, f, f.conj()).reshape(m, da * db, da * db)
+
+
+def _same(m: np.ndarray) -> np.ndarray:
+    return m
+
+
+def _matrices(red: np.ndarray):
+    """(red, sym): a reduced stack with the vector form replaced by its
+    marginals, and the symmetrization its matrices take before a kernel
+    that checks them or reads one triangle: ``tensor._hermitian`` for the
+    matrix form, none for the exactly Hermitian marginals of the vector
+    form. Schmidt coefficients pass as they are."""
+    return (_marginal(red), _same) if red.ndim == 4 else (red, tensor._hermitian)
 
 
 def _state_reduced(state: MultipartiteState, cut: Cut):
@@ -235,30 +269,31 @@ def concurrence_two_qubit(rho):
     return tensor._number_or_stack(np.array(c).reshape(lead))
 
 
-def _pure_cut_concurrence(red: np.ndarray, schmidt: bool, rdims, a_pos) -> list[float]:
+def _pure_cut_concurrence(red: np.ndarray, rdims, a_pos) -> list[float]:
     """Flushed min(sqrt(2 (1 - tr rho_A^2)), 1) of each matrix of a stack,
     or min(2 s_1 s_2, 1) of each row of Schmidt coefficients: the same
     value, without the cancellation in 1 - tr rho_A^2."""
-    if schmidt:
+    if red.ndim == 2:
         return [_flush(min(2.0 * s1 * s2, 1.0)) for s1, s2 in red.tolist()]
     purity = tensor.purity(tensor.partial_trace(red, rdims, a_pos)).tolist()
     return [_flush(min(math.sqrt(max(0.0, 2.0 * (1.0 - p))), 1.0)) for p in purity]
 
 
-def _side_entropy(red: np.ndarray, schmidt: bool, rdims, a_pos) -> list[float]:
-    """Flushed entropy of side A of each matrix of a stack, or of the
-    squared Schmidt coefficients of each row."""
-    if schmidt:
+def _side_entropy(red: np.ndarray, rdims, a_pos, sym) -> list[float]:
+    """Flushed entropy of side A of each matrix of a stack, its marginal
+    symmetrized by ``sym`` (``_matrices``), or of the squared Schmidt
+    coefficients of each row."""
+    if red.ndim == 2:
         lam = red * red
     else:  # a marginal of a checked state: symmetrized, not checked again
-        lam = np.linalg.eigvalsh(tensor._hermitian(tensor.partial_trace(red, rdims, a_pos)))
+        lam = np.linalg.eigvalsh(sym(tensor.partial_trace(red, rdims, a_pos)))
     return [_flush(e) for e in tensor._entropies(lam).tolist()]
 
 
-def _is_pure(red: np.ndarray, schmidt: bool) -> list[bool]:
+def _is_pure(red: np.ndarray) -> list[bool]:
     """Whether each matrix of a stack is pure within 1e-9; Schmidt
     coefficients are those of a pure state."""
-    if schmidt:
+    if red.ndim == 2:
         return [True] * len(red)
     return [p >= 1.0 - PURITY_TOL for p in tensor.purity(red).tolist()]
 
@@ -269,12 +304,13 @@ def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     Requires the state restricted to the cut to be pure and side A to be a
     single qubit.
     """
-    red, schmidt, rdims, a_pos, *_ = _state_reduced(state, cut)
-    if not _is_pure(red, schmidt)[0]:
+    red, rdims, a_pos, *_ = _state_reduced(state, cut)
+    red, _ = _matrices(red)
+    if not _is_pure(red)[0]:
         raise ValueError("state on the cut is not pure")
     if len(a_pos) != 1 or rdims[a_pos[0]] != 2:
         raise ValueError("side A of the cut must be a single qubit")
-    return _pure_cut_concurrence(red, schmidt, rdims, a_pos)[0]
+    return _pure_cut_concurrence(red, rdims, a_pos)[0]
 
 
 def tangle_rank2(rho, dims, a_index: int):
@@ -383,12 +419,13 @@ def eof_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     return _pure_cut_entropy(*_state_reduced(state, cut))[0]
 
 
-def _pure_cut_entropy(red: np.ndarray, schmidt: bool, rdims, a_pos, *_) -> list[float]:
-    """eof_pure_cut of each matrix of a reduced stack and its cut plan
-    (``_reduced``); every matrix must be pure."""
-    if not all(_is_pure(red, schmidt)):
+def _pure_cut_entropy(red: np.ndarray, rdims, a_pos, *_) -> list[float]:
+    """eof_pure_cut of each row of a reduced stack and its cut plan
+    (``_reduced``); every row must be pure."""
+    red, sym = _matrices(red)
+    if not all(_is_pure(red)):
         raise ValueError("state on the cut is not pure")
-    return _side_entropy(red, schmidt, rdims, a_pos)
+    return _side_entropy(red, rdims, a_pos, sym)
 
 
 # ---------------------------------------------------------------------------
@@ -555,37 +592,41 @@ def evaluate(kind, state: MultipartiteState, cut: Cut) -> float:
     return _score_stack(as_kind(kind), *_state_reduced(state, cut))[0]
 
 
-def _score_stack(kind: MeasureKind, red: np.ndarray, schmidt: bool, rdims, a_pos, b_pos, da,
-                 db) -> list[float]:
-    """The measure on each matrix of a reduced stack (m, d, d), or on each
-    row of Schmidt coefficients (m, k), and its cut plan (``_reduced``), as
-    a list of floats in stack order.
+def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db) -> list[float]:
+    """The measure on each row of a reduced stack in any of its forms, and
+    its cut plan (``_reduced``), as a list of floats in stack order.
 
-    Each matrix takes its own branch, and every branch returns flushed
-    values. Raises MeasureUndefinedError if any matrix has no exact
+    Each row takes its own branch, and every branch returns flushed
+    values. Raises MeasureUndefinedError if any row has no exact
     expression on the cut. Schmidt coefficients take the branch of the
     pure whole cut they come from: ||rho^T_A||_1 = (sum s)^2, 2 s_1 s_2
-    and the entropy of the s^2.
+    and the entropy of the s^2. The vector form takes the branch of its
+    marginal; for the negativity family one einsum builds the partial
+    transpose straight away.
     """
     tag = kind.tag
     if tag is Measure.NEGATIVITY or tag is Measure.LOG_NEGATIVITY:
-        if schmidt:
+        if red.ndim == 2:
             norms = red.sum(-1) ** 2
-        else:
+        elif red.ndim == 3:
             norms = tensor._trace_norm(tensor.partial_transpose(red, rdims, a_pos))
+        else:  # exactly Hermitian: no symmetrization
+            norms = np.abs(np.linalg.eigvalsh(_marginal(red, True))).sum(-1)
         return [_negativity(kind, t) for t in norms.tolist()]
-    # the public kernels below check their input again: the symmetrized
-    # marginal passes, and symmetrizing it once more changes no value
+    # the public kernels below check their input again: a symmetrized
+    # marginal passes (the vector form's is exactly Hermitian already), and
+    # symmetrizing it once more changes no value
+    red, sym = _matrices(red)
     if tag is Measure.CONCURRENCE:
         if da == 2 and db == 2:
-            return concurrence_two_qubit(tensor._hermitian(red)).tolist()
-        if len(a_pos) == 1 and rdims[a_pos[0]] == 2:
+            return concurrence_two_qubit(sym(red)).tolist()
+        if da == 2:  # side A is a single qubit
             # the pure-cut formula runs on the whole stack; the mixed
             # matrices discard their values and take the rank-2 roof, in one call
-            val = _pure_cut_concurrence(red, schmidt, rdims, a_pos)
-            mixed = [i for i, pure in enumerate(_is_pure(red, schmidt)) if not pure]
+            val = _pure_cut_concurrence(red, rdims, a_pos)
+            mixed = [i for i, pure in enumerate(_is_pure(red)) if not pure]
             if mixed:
-                taus = tangle_rank2(tensor._hermitian(red[mixed]), rdims, a_pos[0])
+                taus = tangle_rank2(sym(red[mixed]), rdims, a_pos[0])
                 for i, tau in zip(mixed, taus.tolist()):
                     val[i] = _flush(math.sqrt(tau))
             return val
@@ -594,14 +635,14 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, schmidt: bool, rdims, a_pos
         )
     if tag is Measure.EOF:
         if da == 2 and db == 2:
-            return eof_two_qubit(tensor._hermitian(red)).tolist()
-        if all(_is_pure(red, schmidt)):
-            return _side_entropy(red, schmidt, rdims, a_pos)
+            return eof_two_qubit(sym(red)).tolist()
+        if all(_is_pure(red)):
+            return _side_entropy(red, rdims, a_pos, sym)
         raise MeasureUndefinedError(
             f"entanglement of formation undefined on a mixed {da}x{db} cut"
         )
-    if not (da == 2 and db == 2 and len(a_pos) == 1 and len(b_pos) == 1):
+    if not da == db == 2:
         raise MeasureUndefinedError(f"{tag.value} defined only on 2x2 cuts, requested {da}x{db}")
     measured = "a" if b_pos[0] == 0 else "b"  # measurement acts on side B
     fn = discord if tag is Measure.DISCORD else classical_correlation
-    return [fn(m, measured) for m in tensor._hermitian(red)]
+    return [fn(m, measured) for m in sym(red)]

@@ -147,11 +147,12 @@ def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
     (``measures._reduced``) and returns a list. The states that share their
     dims, and whether they carry a unit vector, are stacked and reduced once
     per cut, so each state is reduced as ``evaluate`` reduces it: from its
-    vector when it has one. The reduced stacks that share a plan (its form,
-    matrices or Schmidt coefficients, then rdims, a_pos, b_pos), across cuts
-    and dims, are scored in one call. When anything raises ValueError, the
-    work is replayed one state and one cut at a time, so the error raised is
-    the one a per-state loop raises first.
+    vector when it has one. The reduced stacks that share the shape of a
+    row (which tells the form: matrices, Schmidt coefficients or vector
+    form) and their plan, across cuts and dims, are scored in one call.
+    When anything raises ValueError, the work is replayed one state and one
+    cut at a time, so the error raised is the one a per-state loop raises
+    first.
     """
     groups: dict[tuple, list[int]] = {}
     for i, state in enumerate(states):
@@ -167,8 +168,8 @@ def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
                 table[i] = [None] * len(cuts)
             for j, cut in enumerate(cuts):
                 red, *plan = _reduced(rho, dims, cut, psi)
-                by_plan.setdefault(tuple(plan), []).append((red, idx, j))
-        for plan, parts in by_plan.items():
+                by_plan.setdefault((red.shape[1:], *plan), []).append((red, idx, j))
+        for (_, *plan), parts in by_plan.items():
             values = iter(score(np.concatenate([red for red, _, _ in parts]), *plan))
             for _, idx, j in parts:
                 for i in idx:

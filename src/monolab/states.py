@@ -124,8 +124,8 @@ def _unit_vector(psi) -> np.ndarray:
     """``psi`` as a new flat complex unit vector, rescaled first if its norm
     squares out of the float range; ValueError if it is zero or non-finite."""
     v = np.asarray(psi, dtype=complex).ravel()
-    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
-        norm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # np.linalg.norm's arithmetic; an overflow is rescaled below
+        norm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
     if not 2.0**-500 < norm < 2.0**500:  # zero, non-finite, or squares out of float range
         scale = np.abs(v.view(float)).max(initial=0.0)
         if not 0.0 < scale < math.inf:
@@ -191,8 +191,8 @@ def _keys(seed: int, indices) -> np.ndarray:
 
 
 def box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normal variates via Box-Muller from Philox uniforms."""
-    half = (n + 1) // 2
+    """n >= 1 standard normal variates via Box-Muller from Philox uniforms."""
+    half = (_integer(n, "variate count n must be an integer >= 1", 1) + 1) // 2
     u1 = rng.random(half)
     u2 = rng.random(half)
     return _box_muller(u1, u2)[:n]
@@ -207,8 +207,17 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)], axis=-1)
 
 
+def _normal(rng: np.random.Generator) -> float:
+    """``box_muller(rng, 1)[0]`` bit for bit: the same two uniforms through
+    the same numpy ufuncs, as scalars, without the array calls."""
+    # u1 is drawn first, then u2, as in box_muller
+    return float(np.sqrt(-2.0 * np.log1p(-rng.random())) * np.cos(2.0 * np.pi * rng.random()))
+
+
 def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector from a complex standard Gaussian (Haar by unitary invariance)."""
+    """Unit vector of dimension dim >= 1 from a complex standard Gaussian
+    (Haar by unitary invariance)."""
+    dim = _integer(dim, "vector dimension must be an integer >= 1", 1)
     z = box_muller(rng, 2 * dim)
     v = z[:dim] + 1j * z[dim:]
     return v / np.linalg.norm(v)

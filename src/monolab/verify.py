@@ -31,8 +31,8 @@ from .monogamy import base_values  # noqa: F401  perfbench's tracer test rebinds
 from .states import (
     EnsembleSpec,
     MultipartiteState,
+    _normal,
     _seed,
-    box_muller,
     generator,
     haar_vector,
     sample_states,
@@ -348,11 +348,14 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
     """Exploratory scores delta(r) for r >= 2 on mixed ensembles.
 
     Asserts nothing (the high-power mixed case is open), so it never counts
-    a violation; records worst margins per exponent and cross-checks the
+    a violation; records worst margins per exponent, keyed by the
+    exponent's CSV number format (``.17g``), and cross-checks the
     implication that delta(2) >= 0 with values in [0, 1] forces delta(r) >= 0
-    for r > 2.
+    for r > 2. The exponents must be distinct.
     """
     rs = _reals(r_values, "probe exponent", 2.0, closed=True)
+    if len(set(rs)) < len(rs):
+        raise ValueError(f"probe exponents must be distinct, got {list(rs)}")
     kind = _mixed_computable(kind)
     per_r = {r: math.inf for r in rs}
     extra = dict(_measure_extra(kind), r_values=list(rs), implication_violations=0)
@@ -367,7 +370,8 @@ def probe_high_power_mixed(r_values, ensemble, seed: int, kind=Measure.NEGATIVIT
 
     summary = _run_suite("probe-high-power", ensemble, seed, extra, _base_slacks(kind, slack),
                          tol=math.inf)
-    summary.extra["worst_margin_per_r"] = {f"{r:g}": float(v) for r, v in per_r.items()}
+    # the CSV number format: "2", "3", and distinct exponents get distinct keys
+    summary.extra["worst_margin_per_r"] = {format(r, ".17g"): float(v) for r, v in per_r.items()}
     return summary
 
 
@@ -447,7 +451,7 @@ def counterexample_search(kind, r: float, dims, restarts: int, seed: int,
         while step >= 1e-6 and evals < max_steps:
             j = int(rng.integers(2 * d))
             proposal = params.copy()
-            proposal[j] += step * box_muller(rng, 1)[0]
+            proposal[j] += step * _normal(rng)
             candidate = score_of(proposal)
             evals += 1
             if candidate < current:

@@ -79,11 +79,11 @@ def test_five_qubit_sweep_matches_golden_digest(tmp_path, monkeypatch):
 # the three shapes of the hill-climb benchmark, 2 restarts x 60 steps, seed 5
 SEARCH = [
     (Measure.LOG_NEGATIVITY, 1.0, (2, 2, 2),
-     "91862f0588b75c30506f080224a9ef3b90e01e6fec8747e1e21578adce02e808"),
+     "aee3edcae51b3ca12cc27c4bf33f6bd112814b155be8812551faf1c97064ddb7"),
     (Measure.CONCURRENCE, 2.0, (2, 2, 2),
-     "3ee536d9ddb72b2cb28a92924c6f4e9eb5a6e616e35a834c930cdddcff4ef615"),
+     "f454fbceb4ff3eb1f7cf39dfab4cd7b3681b180637a49b5dd9398d9738106f1c"),
     (Measure.LOG_NEGATIVITY, 1.0, (2, 2, 2, 2),
-     "0e2d1e49ea1eac3d1fb99fd9fd4c18b6af9c8b7cb6f2a0be58f3cd1f9620464d"),
+     "034dd3234d1d03cbabd3bb234744cfa836087ed8f158540cb7a58222a167d79a"),
 ]
 
 
@@ -108,7 +108,7 @@ _W3_NOISE = EnsembleSpec("named", name="w3", p_grid=(0.0, 0.5))
 SUITES = {
     "lemmas": (lambda: verify.check_scalar_lemmas(1000, 3), "f13d906d0c2ae57425f286bcc5afcabfd35a881c133829314a3f0f27f4fb5618"),
     "decreasing-concave": (lambda: verify.check_decreasing_concave_family(1000, 3), "4ecd347b3ca7b22f3ca475648181d703e919ac5ff529e422af4a72210be58fc0"),
-    "raising": (lambda: verify.verify_raising(_CONC, _PURE3, 2.0, (2.5, 3.0), 3), "845c22fbd76e02ef7141e3245eeb76df32b5a74f336af45ecdbbfa3ea6940c7c"),
+    "raising": (lambda: verify.verify_raising(_CONC, _PURE3, 2.0, (2.5, 3.0), 3), "7f4a6145536ab42d87e54d23204d8bfc9f657d7bdac0367563e6407f2ff1a711"),
     "raising-rank2": (lambda: verify.verify_raising(_CONC, _RANK2, 2.0, (2.5, 4.0), 3), "5338de2952864c102394273310ca04934660901c55656fce4246ec3dc46468dc"),
     "lowering": (
         lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _MIXED3, 1.0, (0.5, 0.8), 3), "a4d27bc22eb09c0d997ebbb15b1fd30a25f6b40dc8de3d63aaa4ad7d11ae9b37"
@@ -116,7 +116,7 @@ SUITES = {
     "lowering-w3-noise": (
         lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _W3_NOISE, 1.0, (0.5,), 3), "e9480077b6481e37001b30bbe2716c2281d69ffc8747adca903b2ab9b5300f3a"
     ),
-    "functional-pure": (lambda: verify.verify_functional_lift(_PURE3, 2.0, 3), "6eea14c0bc88124d9b9e657b255f8b1c2a5fefe4a4a7d4008defd132c87983a7"),
+    "functional-pure": (lambda: verify.verify_functional_lift(_PURE3, 2.0, 3), "0c14f1369e5a543cdd4b0f547c9140a49c64c61e92333fa034c574cd94a2ffbd"),
     "functional-rank2": (lambda: verify.verify_functional_lift(_RANK2, 2.0, 3), "9a7885f472c764d1df4059fd9cb2e138822f827ec916d60ebc6c324c78086767"),
     "functional-explicit": (
         lambda: verify.verify_functional_lift([states.ghz(3), states.w(3)], 2.0, 3), "4e730f643532c45935c6cbbcfd5355b758b90d91ae9b61f09bdeb7686883cbe4"
@@ -124,8 +124,8 @@ SUITES = {
     "mixed": (lambda: verify.verify_mixed_lifting(Measure.NEGATIVITY, _MIXED3, 3), "003468781b306b600dc77a0b1dc56bfaab76104211ba18066106aed5eebe5f15"),
     "probe": (lambda: verify.probe_high_power_mixed((2.0, 3.0, 4.0), _MIXED3, 3), "115f4c6727235c5a2c7942ee1c123e8258175429bd541dbb0478bc2952ad4302"),
     "probe-empty-ensemble": (lambda: verify.probe_high_power_mixed((2.0, 3.0), [], 3), "90f2d018320bb45c1d292dc7d9bc22698c2fe1840753b5d5315f466fcc6232cc"),
-    "strong": (lambda: verify.verify_strong_chain(_CONC, _PURE4, 2.0, 3), "51792d1d7487bad00917b0b1bb649d0c98fc4a8372d05a62a675399aeb0fbd00"),
-    "hierarchy": (lambda: verify.verify_hierarchy_chain(_CONC, _PURE4, 2.0, 3), "8cc6c5dc521140193975acfb65352d29589fb58fce51aa401d7d6ea005add7a1"),
+    "strong": (lambda: verify.verify_strong_chain(_CONC, _PURE4, 2.0, 3), "14bef30abcfabe505d4418dd1c6d429fd0b1779408ed8d00097389426979bf16"),
+    "hierarchy": (lambda: verify.verify_hierarchy_chain(_CONC, _PURE4, 2.0, 3), "71e34804fdb4ea420736f4a3adcf086f53f6ceed93ab96a02522581399e4dca8"),
 }
 
 
@@ -144,7 +144,7 @@ CLI_STDOUT = {
                       "ed984e89505a1aff705050c2233e86b94228a540edc1a8e88e62704c15824b21"),
     "verify-raising": (("verify", "raising", "--measure", "concurrence", "--normalized", "--r", "2",
                         "--alpha", "2.5,3", "--count", "3", "--seed", "3"),
-                       "09a08d73eddc7cb3258410b09f4bb70759a381c89bf39b70c347b2c8690d0223"),
+                       "fcbbc23c8d00bfb002ab35653b9b959c3dca3776d59452c48a3a2f8c59fe1985"),
     "verify-lowering": (("verify", "lowering", "--state", "w3", "--p-grid", "0,0.5", "--alpha", "0.5"),
                         "abde04510ca0db1acdff74a835a79f222cebfe4aa7fca67baaf8b782fd959241"),
     "verify-functional": (("verify", "functional", "--state", "random-mixed", "--rank", "2",
@@ -154,14 +154,14 @@ CLI_STDOUT = {
                      "a90cbce34ebc99eca74b03fb9654a4edec045b0b638bb08cb3ea70c82dcbc1ed"),
     "verify-strong": (("verify", "strong", "--dims", "2,2,2,2", "--focus", "1", "--count", "2",
                        "--seed", "3"),
-                      "55f748903c55328f18ba9f7d48dc511dcae816449b87360fbbdf7333960ba150"),
+                      "c88ae28e61add2ddc53c9df49fa75f3c0d0cc44bb6abcb1173085467a7c4423f"),
     "verify-hierarchy": (("verify", "hierarchy", "--alpha", "2", "--count", "3", "--seed", "3"),
-                         "35cfdb1897a4a9dfe373ec8f43258817fb5b8d34229ad4348a10205cbbf0538b"),
+                         "ce1904b95b1a27c37b6dda2195991fb8d5a5d77c7366188c43cea5154f90a6ad"),
     "verify-probe-high-power": (("verify", "probe-high-power", "--r-grid", "2,3", "--rank", "2",
                                  "--count", "3", "--seed", "3"),
                                 "a89c1fed1c1cb685dede44185be7266765f8c3040063b26738f6d95fb0343905"),
     "verify-search": (("verify", "search", "--dims", "2,2,2", "--count", "1", "--seed", "3"),
-                      "36828b2104ff4ff1e22ce94d78cb84ac2daba3da1e5ffad46087a89994b0060a"),
+                      "43b30e6ba7d6fee568b39d55d62d719683e57d1d6d9c49081ec2248faba85de8"),
     "sweep-json": (("sweep", "--measure", "negativity", "--state", "w3", "--p-grid", "0:1:3",
                     "--r-grid", "1,2", "--format", "json"),
                    "872cc94e48aaee5f22dac7a6fcbb9e4b619e12e583501bf3e6d7dae8d56b0c95"),

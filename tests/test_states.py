@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,45 @@ def test_box_muller_moments():
     z = states.box_muller(rng, 200_000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("draw,bad", [
+    pytest.param(lambda n: states.box_muller(states.generator(0), n), bad, id=f"box_muller-{bad!r}")
+    for bad in (-1, 0, True, 2.0, "2", None)
+] + [
+    pytest.param(lambda n: states.haar_vector(n, states.generator(0)), bad, id=f"haar_vector-{bad!r}")
+    for bad in (-1, 0, False, 3.0, "3")
+])
+def test_every_count_of_variates_is_an_integer_of_at_least_one(draw, bad):
+    # -1 and 0 once gave empty arrays, True one variate, 2.0 a bare TypeError
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        draw(bad)
+    assert len(draw(np.int64(3))) == 3
+
+
+def test_the_search_step_draws_box_mullers_variate_bit_for_bit():
+    scalar, array = states.generator(5, 1), states.generator(5, 1)
+    for _ in range(20_000):
+        z = states._normal(scalar)
+        assert type(z) is float and z == states.box_muller(array, 1)[0]
+    assert scalar.random() == array.random()  # both consumed the same uniforms
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e308, 1e-200, 1e-320])
+def test_the_unit_vector_keeps_np_linalg_norms_bits(scale):
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 8, 64):
+        psi = (rng.normal(size=d) + 1j * rng.normal(size=d)) * 0.5 * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = states._unit_vector(psi)
+        with np.errstate(all="ignore"):
+            norm = np.linalg.norm(psi)
+        if 2.0**-500 < norm < 2.0**500:
+            assert got.tobytes() == (psi / norm).tobytes()
+        else:  # rescaled by its largest part first
+            scaled = (psi.view(float) / np.abs(psi.view(float)).max()).view(complex)
+            assert got.tobytes() == (scaled / np.linalg.norm(scaled)).tobytes()
 
 
 # ---------------------------------------------------------------------------

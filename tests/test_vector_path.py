@@ -1,6 +1,7 @@
 """A state that carries its unit vector (``MultipartiteState._psi``) is
 scored from that vector: whole cuts from its Schmidt coefficients, other
-cuts from the marginal F F^dag. It must take the same branch, raise the
+cuts from the vector form F, whose marginal and partial transpose one
+einsum builds, exactly Hermitian. It must take the same branch, raise the
 same errors and give the same values within 1e-12 as the matrix path of
 the same state built by ``from_vector``, and every stacked route to the
 vector path must give ``evaluate``'s bits.
@@ -17,6 +18,8 @@ from monolab.measures import (
     Measure,
     MeasureKind,
     MeasureUndefinedError,
+    _marginal,
+    _reduced,
     _score_stack,
     concurrence_pure_cut,
     eof_pure_cut,
@@ -31,11 +34,13 @@ DIMS = [(2, 2, 2), (2, 2, 2, 2), (3, 2, 2)]
 
 
 def report_cuts(n: int) -> list[Cut]:
-    """Every cut of the monogamy, strong and hierarchy reports of n parties."""
+    """Every cut of the monogamy, strong and hierarchy reports of n parties,
+    then two cuts whose sides interleave among the kept subsystems."""
     cuts = []
     for focus in range(n):
         cuts += [*_monogamy_cuts(n, focus), *_strong_cuts(n, focus)]
         cuts += [c for partner in range(n) if partner != focus for c in _hierarchy_cuts(n, focus, partner)]
+    cuts += [Cut((0, 2), (1,)), Cut((1,), (0, 2))]
     return list(dict.fromkeys(cuts))
 
 
@@ -86,7 +91,8 @@ def test_the_whole_cut_of_a_vector_state_takes_the_schmidt_identities():
     assert abs(evaluate(Measure.EOF, s, whole) + (p * np.log2(p)).sum()) < 1e-15
 
 
-@pytest.mark.parametrize("cuts_of", [report_cuts, lambda n: _monogamy_cuts(n, 1)], ids=["reports", "focus1"])
+@pytest.mark.parametrize("cuts_of", [report_cuts, lambda n: _monogamy_cuts(n, 1), lambda n: _monogamy_cuts(n, 2)],
+                         ids=["reports", "focus1", "focus2"])
 def test_the_cut_table_gives_evaluate_bits_on_vector_states(cuts_of):
     # vector states of three dims, with matrix states of the same dims among them
     sts = [s for dims in DIMS for s in states.sample_states(states.EnsembleSpec("haar_pure", dims, 3), 24)]
@@ -120,3 +126,32 @@ def test_undefined_cuts_raise_the_matrix_paths_message_on_vectors():
         evaluate(Measure.CONCURRENCE, s, Cut((0,), (1, 2)))
     with pytest.raises(MeasureUndefinedError, match="^discord defined only on 2x2 cuts, requested 2x6$"):
         evaluate(Measure.DISCORD, s, Cut((1,), (0, 2)))
+
+
+@pytest.mark.parametrize("dims", DIMS + [(2, 3, 2, 2)], ids=lambda d: "x".join(map(str, d)))
+def test_every_marginal_of_the_vector_form_is_exactly_hermitian(dims):
+    psi = np.stack([s._psi for s in states.sample_states(states.EnsembleSpec("haar_pure", dims, 4), 27)])
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    forms = 0
+    for cut in report_cuts(len(dims)):
+        f = _reduced(rho, dims, cut, psi)[0]
+        if f.ndim != 4:  # a whole cut: Schmidt coefficients or the matrix
+            continue
+        forms += 1
+        for transposed in (False, True):
+            m = _marginal(f, transposed)
+            assert m.shape == (4, f.shape[1] * f.shape[2], f.shape[1] * f.shape[2])
+            assert np.array_equal(m, m.conj().swapaxes(-1, -2)), (cut, transposed)
+    assert forms > 0
+
+
+def test_the_vector_form_puts_side_a_first_and_contracts_to_the_marginal():
+    # side A sits at position 1 of the kept subsystems (1, 2); F holds it first
+    s = states.haar_pure((2, 3, 2), 28)
+    f, rdims, a_pos, b_pos, da, db = _reduced(s.rho[None], s.dims, Cut((2,), (1,)), s._psi[None])
+    assert f.shape == (1, 2, 3, 2) and (rdims, a_pos, b_pos, da, db) == ((2, 3), (0,), (1,), 2, 3)
+    g = s._psi.reshape(2, 3, 2).transpose(2, 1, 0).reshape(6, 2)  # (a b, traced)
+    rho = g @ g.conj().T
+    assert np.allclose(_marginal(f)[0], rho, rtol=0, atol=1e-15)
+    pt = rho.reshape(2, 3, 2, 3).transpose(2, 1, 0, 3).reshape(6, 6)
+    assert np.allclose(_marginal(f, True)[0], pt, rtol=0, atol=1e-15)

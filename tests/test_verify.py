@@ -229,6 +229,17 @@ def test_probe_rejects_low_exponents():
         probe_high_power_mixed((1.5,), MIXED3, seed=0)
 
 
+def test_probe_keeps_one_margin_per_exponent():
+    # "{:g}" once printed 2.0000001 and 2.0000002 as "2", and one margin overwrote the other
+    probe = probe_high_power_mixed((2.0000001, 2.0000002, 3.0), [states.random_mixed((2, 2, 2), 2, 0)], 0)
+    per_r = probe.extra["worst_margin_per_r"]
+    assert list(per_r) == [format(r, ".17g") for r in probe.extra["r_values"]]
+    assert list(per_r) == ["2.0000000999999998", "2.0000002000000001", "3"]
+    assert per_r["2.0000000999999998"] > per_r["2.0000002000000001"] > per_r["3"]
+    with pytest.raises(ValueError, match=r"^probe exponents must be distinct, got \[2.0, 3.0, 2.0\]$"):
+        probe_high_power_mixed((2.0, 3.0, 2.0), MIXED3, seed=0)
+
+
 @pytest.mark.parametrize("xs,rule", [("empty", "must be nonempty"), (3.0, "must be iterable, got 3.0")])
 @pytest.mark.parametrize("call,what", [
     pytest.param(lambda xs: verify_raising(Measure.CONCURRENCE, PURE3, 2.0, xs, 0), "alpha", id="raising"),
