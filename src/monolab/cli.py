@@ -73,13 +73,14 @@ class RunConfig:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     """A comma list, every item a float, or lo:hi:num for num >= 1 evenly
-    spaced points from lo to hi."""
+    spaced points from lo to hi. A zero is +0.0, so no output writes -0."""
     text = text.strip()
     try:
         if ":" not in text:
-            return tuple(float(x) for x in text.split(","))  # an empty item fails
+            # an empty item fails; -0.0 + 0.0 is 0.0
+            return tuple(float(x) + 0.0 for x in text.split(","))
         lo, hi, num = text.split(":")
-        lo, hi, num = float(lo), float(hi), int(num)
+        lo, hi, num = float(lo) + 0.0, float(hi), int(num)
         if num < 1:
             raise ValueError
     except ValueError as exc:

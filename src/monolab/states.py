@@ -334,8 +334,12 @@ def state_to_json(state: MultipartiteState) -> dict:
 
 
 def state_from_json(obj: dict) -> MultipartiteState:
-    rho = np.asarray(obj["rho_re"], dtype=float) + 1j * np.asarray(obj["rho_im"], dtype=float)
-    return MultipartiteState(rho, obj["dims"])
+    """The state of ``state_to_json``'s dict. ``rho_re`` and ``rho_im`` must
+    have one square shape, else ValueError: neither is broadcast."""
+    re, im = np.asarray(obj["rho_re"], dtype=float), np.asarray(obj["rho_im"], dtype=float)
+    if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
+        raise ValueError(f"rho_re and rho_im must have one square shape, got {re.shape} and {im.shape}")
+    return MultipartiteState(re + 1j * im, obj["dims"])
 
 
 def save_state(state: MultipartiteState, path) -> None:

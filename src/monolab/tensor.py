@@ -26,8 +26,12 @@ is that of the check, so both paths give the same bits.
 
 Index plans are cached per shape: the dimension check, and the reshape and
 axis bookkeeping of the partial trace and transpose, are worked out once per
-(array shape, dimensions, subsystem set) and reused, so repeated calls on one
-shape do only the array work. A plan holds tuples of ints, never arrays, and
+shape, dimensions and subsystem set and reused, so repeated calls on one
+shape do only the array work. The partial trace's plan is one ``np.einsum``
+subscript string, keyed on the matrix dimension alone since ``...`` covers
+any stack; the contraction sums each entry over the traced indices in
+lexicographic order, and when nothing is traced it gives a view, which is
+copied. A plan holds tuples of ints, never arrays, and
 invalid input raises on every call, because a plan is cached only once it is
 built. Two integer rules run on every call ahead of the caches, because a
 cache key does not tell 2.0 from 2 or True from 1: the dims rule (``_dims``:
@@ -51,6 +55,7 @@ import functools
 import math
 import numbers
 import operator
+import string
 
 import numpy as np
 
@@ -204,21 +209,19 @@ def require_density(m) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _trace_plan(shape: tuple, dims: tuple, keep: tuple):
-    """(tensor shape, axis pairs to trace in order, output shape) for an
-    array of ``shape`` (..., d, d): the traced subsystems go one at a time,
-    highest index first."""
-    lead, dim = shape[:-2], shape[-1]
+def _trace_plan(dim: int, dims: tuple, keep: tuple):
+    """(tensor shape, einsum subscripts, output dimension) of the partial
+    trace of a (..., dim, dim) array, e.g. ``...abcdefgbcjef->...adgj``: a
+    traced subsystem shares one letter between its row and column axes, a
+    kept one has its own letter on each side, and ``...`` is any stack."""
     dims = _checked_dims(dim, dims)
-    n = len(dims)
-    keep_idx = sorted(set(keep))
-    if not keep_idx:
+    n, keep = len(dims), sorted(set(keep))
+    if not keep:
         raise ValueError("keep set must be nonempty")
-    traced = sorted(set(range(n)) - set(keep_idx), reverse=True)
-    b = len(lead)
-    axes = tuple((b + i, b + i + n - k) for k, i in enumerate(traced))  # n - k subsystems left
-    d = math.prod(dims[i] for i in keep_idx)
-    return lead + dims + dims, axes, lead + (d, d)
+    rows = string.ascii_letters[:n]
+    cols = "".join(string.ascii_letters[n + i] if i in keep else rows[i] for i in range(n))
+    out = "".join(rows[i] for i in keep) + "".join(cols[i] for i in keep)
+    return dims + dims, f"...{rows}{cols}->...{out}", math.prod(dims[i] for i in keep)
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
@@ -228,13 +231,17 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     Kept subsystems stay in their original relative order, and the trace of
     the input is preserved. The result is a new array, also when ``keep``
     names every subsystem.
+
+    One ``np.einsum`` (unoptimized, so with one fixed order) does the work,
+    with subscripts cached per (dimension, dims, keep set): each output entry
+    sums over the traced indices in lexicographic order, the order of a loop
+    over them. When nothing is traced, einsum returns a view, which is copied.
     """
     rho, dims = as_matrices(rho), _dims(dims)
-    shape, axes, out = _trace_plan(rho.shape, dims, _indices(keep, len(dims)))
-    t = rho.reshape(shape)
-    for i, j in axes:
-        t = t.trace(0, i, j)
-    return np.ascontiguousarray(t.reshape(out)) if axes else rho.copy()
+    shape, subscripts, d = _trace_plan(rho.shape[-1], dims, _indices(keep, len(dims)))
+    lead = rho.shape[:-2]
+    t = np.einsum(subscripts, rho.reshape(lead + shape)).reshape(lead + (d, d))
+    return t if d < rho.shape[-1] else t.copy()
 
 
 @functools.lru_cache(maxsize=256)

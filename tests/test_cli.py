@@ -90,6 +90,22 @@ def test_sweep_json_format_has_provenance(tmp_path):
     assert len(payload["rows"]) == 2
 
 
+@pytest.mark.parametrize("grid, want", [("-0.0,0.5", "0,0.5"), ("-0:0.5:2", "0,0.5"), ("-0.0:0:1", "0")])
+def test_a_negative_zero_in_a_grid_writes_zero(grid, want, tmp_path):
+    args = ("sweep", "--measure", "negativity", "--state", "ghz3", "--r-grid", "1")
+    for fmt in ("csv", "json"):
+        a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        assert run(*args, f"--p-grid={grid}", "--format", fmt, "--out", str(a)) == EXIT_OK
+        assert run(*args, "--p-grid", want, "--format", fmt, "--out", str(b)) == EXIT_OK
+        assert "-0" not in a.read_text()
+        if fmt == "csv":
+            assert a.read_bytes() == b.read_bytes()
+        else:  # the provenance names the output file
+            got, want_json = json.loads(a.read_text()), json.loads(b.read_text())
+            assert got["rows"] == want_json["rows"]
+            assert got["provenance"]["config"]["p_grid"] == want_json["provenance"]["config"]["p_grid"]
+
+
 def test_sweep_config_errors(tmp_path):
     # unsorted grid
     assert run(
@@ -613,10 +629,10 @@ def test_a_negative_seed_exits_2_with_its_own_message(argv, capsys):
     ids=["sweep", "state-export"],
 )
 def test_non_finite_state_file_exits_2(defect, argv, tmp_path, capsys):
-    """A NaN entry or a null rho_im fails the Hermiticity check, before any
-    eigensolve, whose handling of NaN depends on the LAPACK build; otherwise
-    a sweep can print a row of zeros and state-export write NaN, which is
-    not JSON."""
+    """A NaN entry fails the Hermiticity check, before any eigensolve, whose
+    handling of NaN depends on the LAPACK build; otherwise a sweep can print
+    a row of zeros and state-export write NaN, which is not JSON. A null
+    rho_im, read as one NaN, fails the shape rule before it is broadcast."""
     obj = states.state_to_json(states.classical_corr_state())
     if defect == "nan-entry":
         obj["rho_re"][0][0] = math.nan
@@ -625,14 +641,20 @@ def test_non_finite_state_file_exits_2(defect, argv, tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(obj))
     assert run(*argv, "--state-file", str(path), "--out", str(tmp_path / "out")) == EXIT_CONFIG
-    assert "not Hermitian" in capsys.readouterr().err
+    want = "not Hermitian" if defect == "nan-entry" else "got (8, 8) and ()"
+    assert want in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _ghz3_file_with_rho_im(rho_im):
+    return json.dumps({**states.state_to_json(states.ghz(3)), "rho_im": rho_im})
 
 
 @pytest.mark.parametrize(
     "text",
-    ['{"dims": 3, "rho_re": [[1.0]], "rho_im": [[0.0]]}', "[1, 2]"],
-    ids=["integer-dims", "top-level-array"],
+    ['{"dims": 3, "rho_re": [[1.0]], "rho_im": [[0.0]]}', "[1, 2]",
+     *map(_ghz3_file_with_rho_im, [0, [0.0], [[0.0] * 8]])],
+    ids=["integer-dims", "top-level-array", "scalar-rho-im", "one-entry-rho-im", "one-row-rho-im"],
 )
 def test_malformed_state_file_exits_2(text, tmp_path, capsys):
     path = tmp_path / "state.json"

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -234,19 +235,32 @@ def test_the_unit_vector_keeps_np_linalg_norms_bits(scale):
 # ---------------------------------------------------------------------------
 
 def test_state_json_roundtrip(tmp_path):
-    s = states.haar_pure((2, 2, 2), seed=9)
-    obj = states.state_to_json(s)
-    assert set(obj) == {"dims", "rho_re", "rho_im"}
-    back = states.state_from_json(obj)
-    assert back.dims == s.dims
-    assert np.abs(back.rho - s.rho).max() == 0.0
-    path = tmp_path / "state.json"
-    states.save_state(s, path)
-    loaded = states.load_state(path)
-    assert np.abs(loaded.rho - s.rho).max() == 0.0
-    # the file is plain JSON with the documented keys
-    raw = json.loads(path.read_text())
-    assert list(map(int, raw["dims"])) == [2, 2, 2]
+    for s in (states.haar_pure((2, 2, 2), seed=9), states.random_mixed((2, 3), 3, 4)):
+        obj = states.state_to_json(s)
+        assert set(obj) == {"dims", "rho_re", "rho_im"}
+        back = states.state_from_json(obj)
+        assert back.dims == s.dims
+        assert back.rho.tobytes() == s.rho.tobytes()
+        path = tmp_path / "state.json"
+        states.save_state(s, path)
+        loaded = states.load_state(path)
+        assert loaded.dims == s.dims
+        assert loaded.rho.tobytes() == s.rho.tobytes()
+        # the file is plain JSON with the documented keys
+        raw = json.loads(path.read_text())
+        assert raw["dims"] == list(s.dims)
+
+
+@pytest.mark.parametrize("rho_im", [0, [0.0], [[0.0] * 8], np.zeros((4, 16))],
+                         ids=["scalar", "one-entry", "one-row", "other-shape"])
+def test_state_from_json_broadcasts_neither_part(rho_im):
+    obj = {**states.state_to_json(states.ghz(3)), "rho_im": rho_im}
+    shapes = rf"\(8, 8\) and {re.escape(str(np.shape(rho_im)))}"
+    with pytest.raises(ValueError, match=rf"^rho_re and rho_im must have one square shape, got {shapes}$"):
+        states.state_from_json(obj)
+    obj = {"dims": [2], "rho_re": [[0.5, 0.5]] * 2 + [[0.0, 0.0]], "rho_im": [[0.0, 0.0]] * 3}
+    with pytest.raises(ValueError, match=r"one square shape, got \(3, 2\) and \(3, 2\)$"):
+        states.state_from_json(obj)
 
 
 def test_state_invariant_rejections():

@@ -33,16 +33,6 @@ def index_forms(idx):
     ]
 
 
-def sequential_loops_trace(rho, dims, keep):
-    """oracles.loops_partial_trace run one traced subsystem at a time, highest
-    index first: the summation order partial_trace keeps."""
-    dims = list(dims)
-    for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        rho = oracles.loops_partial_trace(rho, dims, [j for j in range(len(dims)) if j != i])
-        del dims[i]
-    return rho
-
-
 # ---------------------------------------------------------------------------
 # partial trace
 # ---------------------------------------------------------------------------
@@ -60,17 +50,35 @@ def test_partial_trace_ghz_single_qubit():
     assert np.abs(got - np.eye(2) / 2).max() < 1e-15
 
 
-@given(seed=seeds, dims=st.sampled_from(PLAN_DIMS), data=st.data())
+@given(seed=seeds, dims=st.sampled_from(PLAN_DIMS + [(2, 2, 2, 2, 2)]), data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_partial_trace_matches_loop_oracle(seed, dims, data):
+    """Bit for bit: the one contraction sums the traced indices in the
+    lexicographic order of the oracle's loop, and a (2, 3) stack gives each
+    matrix's own result."""
     rng = np.random.default_rng(seed)
     d = int(np.prod(dims))
-    rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    stack = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
     keep = data.draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, unique=True))
-    want = sequential_loops_trace(rho, dims, keep)
-    assert np.abs(want - oracles.loops_partial_trace(rho, dims, keep)).max() < 1e-13
+    want = oracles.loops_partial_trace(stack[0, 0], dims, keep)
     for form in index_forms(keep):
-        assert np.array_equal(tensor.partial_trace(rho, dims, form), want)
+        assert np.array_equal(tensor.partial_trace(stack[0, 0], dims, form), want)
+    got = tensor.partial_trace(stack, dims, keep)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(got[i, j], tensor.partial_trace(stack[i, j], dims, keep))
+
+
+@given(seed=seeds, dims=st.sampled_from([(2, 3, 2), (2, 2, 2, 2, 2)]), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_partial_trace_of_an_exactly_hermitian_matrix_is_exactly_hermitian(seed, dims, data):
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = 0.5 * (a + a.conj().T)
+    assert np.array_equal(rho, rho.conj().T)
+    keep = data.draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, unique=True))
+    red = tensor.partial_trace(rho, dims, keep)
+    assert np.array_equal(red, red.conj().T)
 
 
 @given(seed=seeds)
