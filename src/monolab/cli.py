@@ -1,10 +1,11 @@
 """Command-line surface: noise/exponent sweeps, critical-exponent search,
 theorem verification suites, figure-data reproduction, and state export.
 
-Exit codes: 0 success, 2 configuration error, 3 measure undefined on a
-requested cut, 4 no sign change inside a critical-exponent bracket, 5 a
-verification suite found violations. CSV output uses 17-significant-digit
-floats so identical configurations produce byte-identical files.
+Exit codes: 0 success, 2 configuration error (a state too large to
+allocate among them), 3 measure undefined on a requested cut, 4 no sign
+change inside a critical-exponent bracket, 5 a verification suite found
+violations. CSV output uses 17-significant-digit floats so identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -493,6 +494,9 @@ def main(argv=None) -> int:
         if isinstance(exc, MeasureUndefinedError):
             return EXIT_MEASURE
         return EXIT_BRACKET if isinstance(exc, BracketError) else EXIT_CONFIG
+    except MemoryError as exc:  # numpy's message names the size, e.g. w40's 16 TiB vector
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

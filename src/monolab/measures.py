@@ -286,7 +286,7 @@ def _side_entropy(red: np.ndarray, rdims, a_pos, sym) -> list[float]:
     if red.ndim == 2:
         lam = red * red
     else:  # a marginal of a checked state: symmetrized, not checked again
-        lam = np.linalg.eigvalsh(sym(tensor.partial_trace(red, rdims, a_pos)))
+        lam = tensor._eigvalsh(sym(tensor.partial_trace(red, rdims, a_pos)))
     return [_flush(e) for e in tensor._entropies(lam).tolist()]
 
 

@@ -297,6 +297,58 @@ def gram_schmidt_unitary(dim, rng):
 
 
 # ---------------------------------------------------------------------------
+# closed forms on named states
+# ---------------------------------------------------------------------------
+
+def schmidt_product(family, n):
+    """s1 s2 of the n-qubit GHZ or W state on the cut 0 : rest: 1/2 for
+    GHZ, sqrt(n-1)/n for W = (|1>|0..0> + sqrt(n-1) |0>|W_{n-1}>)/sqrt n."""
+    return 0.5 if family == "ghz" else math.sqrt(n - 1) / n
+
+
+def noisy_negativity_first_qubit(family, n, p):
+    """N on the cut 0 : rest of (1-p) |psi><psi| + p I/2^n, psi = GHZ_n or
+    W_n. With Schmidt pair (s1, s2) on that cut, the partial transpose of
+    |psi><psi| has spectrum {s1^2, s2^2, s1 s2, -s1 s2, 0, ...}, so the
+    mixture's only negative eigenvalue is p/2^n - (1-p) s1 s2."""
+    return max(0.0, (1.0 - p) * schmidt_product(family, n) - p / 2**n)
+
+
+def noisy_negativity_pair(family, n, p):
+    """N on the pair cut 0 : 1 of the same mixture. GHZ_n's pair marginal
+    is separable, so N = 0. W_n's is a |00><00| + (b/2)(|01> + |10>)(<01| +
+    <10|) with a = (n-2)/n and b = 2/n; its partial transpose has the block
+    [[a, b/2], [b/2, 0]] on |00>, |11>, whose lower eigenvalue
+    (a - sqrt(a^2 + b^2))/2 is the only negative one. The noise adds p/4."""
+    if family == "ghz":
+        return 0.0
+    a, b = (n - 2) / n, 2.0 / n
+    lam = (1.0 - p) * (a - math.sqrt(a * a + b * b)) / 2.0 + p / 4.0
+    return max(0.0, -lam)
+
+
+def w_tail_vector(n):
+    """(|0>|0..0> + |1>|W_{n-1}>)/sqrt 2 on n qubits, qubit 0 the most
+    significant, as a real unit vector."""
+    v = np.zeros(2**n)
+    v[0] = math.sqrt(0.5)
+    for j in range(n - 1):
+        v[2 ** (n - 1) + 2**j] = math.sqrt(0.5 / (n - 1))
+    return v
+
+
+def eof_sharp_exponent(n):
+    """r* of entanglement of formation with focus 0 on ``w_tail_vector(n)``.
+    The cut 0 : rest carries one ebit, and each of the n-1 pairs 0 : j has
+    concurrence 1/sqrt(n-1), so the score 1 - (n-1) E^r with
+    E = h((1 + sqrt(1 - C^2))/2) vanishes at r = ln(n-1) / ln(1/E)."""
+    c2 = 1.0 / (n - 1)
+    x = 0.5 * (1.0 + math.sqrt(1.0 - c2))
+    e = -_xlog2x(x) - _xlog2x(1.0 - x)
+    return math.log(n - 1) / math.log(1.0 / e)
+
+
+# ---------------------------------------------------------------------------
 # reference: a former library kernel with an accurate last step
 # ---------------------------------------------------------------------------
 

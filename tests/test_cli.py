@@ -227,6 +227,27 @@ def test_an_overflowing_power_exits_2(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _overcommits_always():
+    """Linux's always-overcommit mode grants any allocation and fails only
+    when the pages are written, so a 16 TiB request is not refused."""
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as f:
+            return f.read().strip() == "1"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(_overcommits_always(), reason="the kernel grants any allocation")
+@pytest.mark.parametrize("state", ["w40", "ghz40"])
+def test_a_state_too_large_to_allocate_exits_2(state, tmp_path, capsys):
+    # the 2^40-entry state vector alone needs 16 TiB, which numpy cannot get
+    argv = ("sweep", "--measure", "negativity", "--state", state, "--p-grid", "0:1:2", "--r-grid", "1")
+    assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: ") and "16.0 TiB" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

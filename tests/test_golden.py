@@ -28,7 +28,7 @@ GOLDEN = {
         "fig1.meta.json": "aba19bd68026b0871a74d354f877f2ceaf2507f8f385920cb567acff35af8255",
     },
     2: {
-        "fig2.csv": "2c57122272d71b5e40ebf3a196dfe871512c8f1d654cb967f17e239eae1c459c",
+        "fig2.csv": "7d990eaba1c8371159b76cd39e4e91d255e7b015bba5a020feb6f23288548373",
         "fig2.meta.json": "2b4e0287bf41a3f89a51c4f035b3621c711383933ea0a386aff7c2a90b1e5267",
     },
     3: {
@@ -164,7 +164,7 @@ CLI_STDOUT = {
                       "43b30e6ba7d6fee568b39d55d62d719683e57d1d6d9c49081ec2248faba85de8"),
     "sweep-json": (("sweep", "--measure", "negativity", "--state", "w3", "--p-grid", "0:1:3",
                     "--r-grid", "1,2", "--format", "json"),
-                   "872cc94e48aaee5f22dac7a6fcbb9e4b619e12e583501bf3e6d7dae8d56b0c95"),
+                   "ad1fc906379a59fdb0400cf737f541ac781e5bcb1194fa48d84ae5706bbc3f8a"),
     "rstar-text": (("rstar", "--measure", "lognegativity", "--state", "w3", "--bracket", "1,2"),
                    "2482c09b0db54a8bcb0caf7a24460dde5ef940b14e0d7c138673f0aad6dfb990"),
     "rstar-json": (("rstar", "--measure", "lognegativity", "--state", "w3", "--bracket", "1,2",

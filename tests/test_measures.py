@@ -247,6 +247,34 @@ def test_negativity_matches_oracle_on_mixed_qutrit_cuts(seed):
             assert abs(got - oracles.negativity(s.rho, dims, [side_a])) < 1e-10
 
 
+def phase_rotated(state, n):
+    """The state conjugated by the local diagonal unitary that gives qubit k
+    the phase e^{i (k+1)}: every coherence becomes complex, and no
+    entanglement measure moves."""
+    phases = np.ones(1)
+    for k in range(n):
+        phases = np.kron(phases, [1.0, np.exp(1j * (k + 1))])
+    return states.MultipartiteState(state.rho * np.outer(phases, phases.conj()), state.dims)
+
+
+@pytest.mark.parametrize("path", ["real", "complex"])
+@pytest.mark.parametrize("family", ["ghz", "w"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_noisy_negativity_matches_the_closed_forms(n, family, path):
+    # the named state has a real matrix and takes the real solve; the phase
+    # rotated copy has a complex one, up to the real I/d at p = 1, and takes
+    # the complex solve
+    base = states.named_state(f"{family}{n}")
+    if path == "complex":
+        base = phase_rotated(base, n)
+    whole, pair = Cut((0,), tuple(range(1, n))), Cut((0,), (1,))
+    for p in np.linspace(0.0, 1.0, 11).tolist():
+        s = states.white_noise_mix(base, p)
+        assert bool(s.rho.imag.any()) == (path == "complex" and p < 1.0)
+        assert abs(negativity(s, whole) - oracles.noisy_negativity_first_qubit(family, n, p)) < 1e-14
+        assert abs(negativity(s, pair) - oracles.noisy_negativity_pair(family, n, p)) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # entanglement of formation
 # ---------------------------------------------------------------------------

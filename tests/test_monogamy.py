@@ -200,6 +200,14 @@ def test_rstar_w_log_negativity():
     assert res.score_lo < 0.0 < res.score_hi
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rstar_of_eof_on_the_w_tail_state_is_the_closed_form(n):
+    # (|0>|0..0> + |1>|W_{n-1}>)/sqrt 2: the sharpest EoF exponent found by search
+    s = states.MultipartiteState.from_vector(oracles.w_tail_vector(n), (2,) * n)
+    res = critical_exponent(MeasureKind(Measure.EOF), s, 0, (1.0, 2.0), 1e-10)
+    assert abs(res.r_star - oracles.eof_sharp_exponent(n)) <= res.tol
+
+
 def test_rstar_straddles_zero_within_tol():
     res = critical_exponent(LOGNEG, states.w(3), 0, (1.0, 2.0), 1e-4)
     lo = monogamy_score(LOGNEG, states.w(3), 0, res.r_star - res.tol).score

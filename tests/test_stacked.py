@@ -353,3 +353,59 @@ def test_strong_and_hierarchy_raise_the_first_error_of_the_loop(kind, rank, focu
     ]:
         want = raised_by(loop)
         assert raised_by(report) == want
+
+
+def test_real_and_complex_rows_of_one_stack_keep_the_bits_of_their_own_call():
+    # a real symmetric row is solved in real arithmetic, a -0.0 imaginary
+    # part counting as zero; a complex row as it is; both kinds in one stack
+    # take the same branches as on their own
+    real = [states.white_noise_mix(states.w(4), p).rho for p in (0.0, 0.3)]
+    signed = np.array(real[1])
+    signed.imag[...] = -0.0
+    rows = [real[0], states.random_mixed((2,) * 4, 5, 2).rho, signed, real[1],
+            tensor.partial_transpose(states.haar_pure((2,) * 4, 1).rho, (2,) * 4, (0,))]
+    stack = np.stack(rows)
+    values = tensor._eigvalsh(tensor._hermitian(stack))
+    for row, value in zip(rows, values):
+        assert np.array_equal(value, tensor._eigvalsh(tensor._hermitian(row)))
+    assert np.array_equal(values[0], np.linalg.eigvalsh(tensor._hermitian(real[0]).real))
+    assert np.array_equal(values[2], np.linalg.eigvalsh(tensor._hermitian(real[1]).real))
+    assert np.array_equal(values[1], np.linalg.eigvalsh(tensor._hermitian(rows[1])))
+    norms = tensor._trace_norm(stack)
+    assert [tensor._trace_norm(row) for row in rows] == norms.tolist()
+    assert (tensor._entropies(tensor._density_eig(stack[:4])[1]).tolist()
+            == [tensor._entropies(tensor._density_eig(row)[1]) for row in rows[:4]])
+
+
+def solved_dtypes(monkeypatch, build):
+    """The dtypes that np.linalg.eigvalsh receives while ``build`` runs."""
+    seen, solve = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.dtype, a.shape[-1]))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    build()
+    monkeypatch.undo()
+    return seen
+
+
+def test_a_real_state_is_checked_and_scored_in_real_arithmetic(monkeypatch):
+    whole, w6 = Cut((0,), tuple(range(1, 6))), states.w(6)
+    seen = solved_dtypes(monkeypatch, lambda: states.white_noise_mix(w6, 0.3))
+    assert seen == [(np.float64, 64)]
+    noisy = states.white_noise_mix(w6, 0.3)
+    seen = solved_dtypes(monkeypatch, lambda: evaluate(MeasureKind(Measure.NEGATIVITY), noisy, whole))
+    assert seen == [(np.float64, 64)]
+    seen = solved_dtypes(monkeypatch, lambda: eof_pure_cut(w6, whole))
+    assert seen == [(np.float64, 2)]  # the entropy of side A
+
+
+def test_a_complex_state_is_checked_and_scored_in_complex_arithmetic(monkeypatch):
+    whole = Cut((0,), tuple(range(1, 6)))
+    seen = solved_dtypes(monkeypatch, lambda: states.random_mixed((2,) * 6, 64, 3))
+    assert seen == [(np.complex128, 64)]
+    mixed = states.random_mixed((2,) * 6, 64, 3)
+    seen = solved_dtypes(monkeypatch, lambda: evaluate(MeasureKind(Measure.NEGATIVITY), mixed, whole))
+    assert seen == [(np.complex128, 64)]
