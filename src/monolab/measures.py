@@ -30,8 +30,9 @@ per plan on every cut that shares it. A stacked numpy call gives the same
 bits as one call per matrix, so a value does not depend on its stack. One
 matrix becomes a float only in the public kernels
 (``concurrence_two_qubit``, ``tangle_rank2`` and ``eof_two_qubit`` also
-take stacks). The marginals it takes from a checked state's matrix are
-symmetrized, not checked again.
+take stacks). A checked state's matrix is exactly Hermitian, and so are
+the marginals and partial transposes taken from it: they are neither
+checked nor symmetrized again.
 
 A reduced stack takes one of three forms, told apart by its number of
 axes: matrices (m, d, d), the marginals of the cut; Schmidt coefficients
@@ -43,7 +44,7 @@ covers the whole state gives the Schmidt coefficients of F (one stacked
 svd), a whole 2x2 cut keeps the matrix, and any other cut gives F itself.
 The negativity family contracts F with its conjugate into the partially
 transposed marginal in one einsum; every other branch takes the marginal
-from one einsum. Either is exactly Hermitian, so neither is symmetrized.
+from one einsum. Either is exactly Hermitian, like the matrix form.
 The Schmidt and vector forms carry the plan of the two-party cut
 (da, db), side A first. Every form takes the branch, and raises the error,
 of the matrix path.
@@ -211,17 +212,10 @@ def _marginal(f: np.ndarray, transposed: bool = False) -> np.ndarray:
     return np.einsum(subscripts, f, f.conj()).reshape(m, da * db, da * db)
 
 
-def _same(m: np.ndarray) -> np.ndarray:
-    return m
-
-
-def _matrices(red: np.ndarray):
-    """(red, sym): a reduced stack with the vector form replaced by its
-    marginals, and the symmetrization its matrices take before a kernel
-    that checks them or reads one triangle: ``tensor._hermitian`` for the
-    matrix form, none for the exactly Hermitian marginals of the vector
-    form. Schmidt coefficients pass as they are."""
-    return (_marginal(red), _same) if red.ndim == 4 else (red, tensor._hermitian)
+def _matrices(red: np.ndarray) -> np.ndarray:
+    """A reduced stack with the vector form replaced by its marginals; the
+    matrix form and Schmidt coefficients pass as they are."""
+    return _marginal(red) if red.ndim == 4 else red
 
 
 def _state_reduced(state: MultipartiteState, cut: Cut):
@@ -279,14 +273,13 @@ def _pure_cut_concurrence(red: np.ndarray, rdims, a_pos) -> list[float]:
     return [_flush(min(math.sqrt(max(0.0, 2.0 * (1.0 - p))), 1.0)) for p in purity]
 
 
-def _side_entropy(red: np.ndarray, rdims, a_pos, sym) -> list[float]:
-    """Flushed entropy of side A of each matrix of a stack, its marginal
-    symmetrized by ``sym`` (``_matrices``), or of the squared Schmidt
-    coefficients of each row."""
+def _side_entropy(red: np.ndarray, rdims, a_pos) -> list[float]:
+    """Flushed entropy of side A of each matrix of a stack, or of the
+    squared Schmidt coefficients of each row."""
     if red.ndim == 2:
         lam = red * red
-    else:  # a marginal of a checked state: symmetrized, not checked again
-        lam = tensor._eigvalsh(sym(tensor.partial_trace(red, rdims, a_pos)))
+    else:  # a marginal of a checked state: exactly Hermitian, not checked again
+        lam = tensor._eigvalsh(tensor.partial_trace(red, rdims, a_pos))
     return [_flush(e) for e in tensor._entropies(lam).tolist()]
 
 
@@ -305,7 +298,7 @@ def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     single qubit.
     """
     red, rdims, a_pos, *_ = _state_reduced(state, cut)
-    red, _ = _matrices(red)
+    red = _matrices(red)
     if not _is_pure(red)[0]:
         raise ValueError("state on the cut is not pure")
     if len(a_pos) != 1 or rdims[a_pos[0]] != 2:
@@ -422,10 +415,10 @@ def eof_pure_cut(state: MultipartiteState, cut: Cut) -> float:
 def _pure_cut_entropy(red: np.ndarray, rdims, a_pos, *_) -> list[float]:
     """eof_pure_cut of each row of a reduced stack and its cut plan
     (``_reduced``); every row must be pure."""
-    red, sym = _matrices(red)
+    red = _matrices(red)
     if not all(_is_pure(red)):
         raise ValueError("state on the cut is not pure")
-    return _side_entropy(red, rdims, a_pos, sym)
+    return _side_entropy(red, rdims, a_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -610,23 +603,22 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
             norms = red.sum(-1) ** 2
         elif red.ndim == 3:
             norms = tensor._trace_norm(tensor.partial_transpose(red, rdims, a_pos))
-        else:  # exactly Hermitian: no symmetrization
+        else:  # complex, as the vector-form states are: no realness test
             norms = np.abs(np.linalg.eigvalsh(_marginal(red, True))).sum(-1)
         return [_negativity(kind, t) for t in norms.tolist()]
-    # the public kernels below check their input again: a symmetrized
-    # marginal passes (the vector form's is exactly Hermitian already), and
-    # symmetrizing it once more changes no value
-    red, sym = _matrices(red)
+    # the public kernels below check their input again: an exactly
+    # Hermitian marginal passes, and their symmetrization changes no value
+    red = _matrices(red)
     if tag is Measure.CONCURRENCE:
         if da == 2 and db == 2:
-            return concurrence_two_qubit(sym(red)).tolist()
+            return concurrence_two_qubit(red).tolist()
         if da == 2:  # side A is a single qubit
             # the pure-cut formula runs on the whole stack; the mixed
             # matrices discard their values and take the rank-2 roof, in one call
             val = _pure_cut_concurrence(red, rdims, a_pos)
             mixed = [i for i, pure in enumerate(_is_pure(red)) if not pure]
             if mixed:
-                taus = tangle_rank2(sym(red[mixed]), rdims, a_pos[0])
+                taus = tangle_rank2(red[mixed], rdims, a_pos[0])
                 for i, tau in zip(mixed, taus.tolist()):
                     val[i] = _flush(math.sqrt(tau))
             return val
@@ -635,9 +627,9 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
         )
     if tag is Measure.EOF:
         if da == 2 and db == 2:
-            return eof_two_qubit(sym(red)).tolist()
+            return eof_two_qubit(red).tolist()
         if all(_is_pure(red)):
-            return _side_entropy(red, rdims, a_pos, sym)
+            return _side_entropy(red, rdims, a_pos)
         raise MeasureUndefinedError(
             f"entanglement of formation undefined on a mixed {da}x{db} cut"
         )
@@ -645,4 +637,4 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
         raise MeasureUndefinedError(f"{tag.value} defined only on 2x2 cuts, requested {da}x{db}")
     measured = "a" if b_pos[0] == 0 else "b"  # measurement acts on side B
     fn = discord if tag is Measure.DISCORD else classical_correlation
-    return [fn(m, measured) for m in sym(red)]
+    return [fn(m, measured) for m in red]

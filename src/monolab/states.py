@@ -13,7 +13,10 @@ transform and one stacked normalisation for all samples of one vector
 length. Both steps are elementwise per row, so each sample keeps the bits it
 has on its own.
 
-A state is checked once, when it is constructed (``tensor._density_eig``).
+A state is checked once, when it is constructed (``tensor._density_eig``),
+and its matrix is exactly Hermitian: a checked state stores the check's
+symmetrization of its input, a rank-1 state the product of ``_projector``,
+and an induced draw the symmetrization of ``random_mixed``'s check.
 States that are density matrices by construction skip that eigensolve: the
 Haar and induced draws of ``sample_states`` are wrapped read-only and the
 fields of the ``EnsembleSpec`` are checked, and the states of ``haar_pure``
@@ -50,9 +53,12 @@ class MultipartiteState:
     ``tensor._density_eig``: Hermitian within 1e-10, unit trace within 1e-9,
     no eigenvalue below -1e-9 (``tensor.POSITIVITY_TOL``), and integer dims
     >= 2 (``tensor._dims``, the dims rule of every kernel). The stored
-    matrix is a read-only copy, so no caller can change a state through its
-    input array. A state built by ``_pure`` keeps its unit vector read-only
-    as ``_psi`` and skips the eigensolve and copy.
+    matrix is the check's symmetrization (M + M^dag)/2 of the input, a new
+    read-only array that is exactly Hermitian (``rho == rho.conj().T``), so
+    no caller can change a state through its input array and nothing
+    derived from it is symmetrized again. A state built by ``_pure`` keeps
+    its unit vector read-only as ``_psi`` and skips the eigensolve; its
+    rank-1 product is exactly Hermitian by construction (``_projector``).
     """
 
     rho: np.ndarray
@@ -63,8 +69,7 @@ class MultipartiteState:
         rho = tensor.as_matrix(self.rho)
         dims = tensor.check_dims(rho.shape[0], self.dims)
         if self._psi is None:
-            tensor._density_eig(rho)
-            rho = rho.copy()
+            rho = tensor._density_eig(rho)[0]
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "dims", dims)
@@ -89,15 +94,14 @@ class MultipartiteState:
         """``from_vector``'s state, checked by its unit vector, whose outer
         product is a density matrix: ``__post_init__`` checks the dims only."""
         v = _unit_vector(psi)
-        state = cls._trusted(np.outer(v, v.conj()), dims, v)
+        state = cls._trusted(_projector(v), dims, v)
         state.__post_init__()
         return state
 
     @classmethod
     def from_vector(cls, psi, dims) -> "MultipartiteState":
         """Rank-1 density matrix of a (normalized) state vector."""
-        v = _unit_vector(psi)
-        return cls(np.outer(v, v.conj()), dims)
+        return cls(_projector(_unit_vector(psi)), dims)
 
     @property
     def dim(self) -> int:
@@ -118,6 +122,15 @@ class MultipartiteState:
         keep_idx = sorted(set(_indices(keep, self.n_subsystems)))
         rho = tensor.partial_trace(self.rho, self.dims, keep_idx)
         return MultipartiteState(rho, tuple(self.dims[i] for i in keep_idx))
+
+
+def _projector(v: np.ndarray) -> np.ndarray:
+    """|v><v| of a vector (d,), or of each row of a stack (k, d), exactly
+    Hermitian: a matrix product with inner dimension 1, whose entries (i, j)
+    and (j, i) are computed alike. ``np.outer`` is not: its fused
+    multiply-adds leave an imaginary residue of about 1e-18 on the diagonal.
+    A stack gives each row the bits of its own product."""
+    return v[..., :, None] @ v.conj()[..., None, :]
 
 
 def _unit_vector(psi) -> np.ndarray:
@@ -249,8 +262,8 @@ def w(n: int) -> MultipartiteState:
 def white_noise_mix(state: MultipartiteState, p: float) -> MultipartiteState:
     """(1-p) rho + p I/d, the white-noise admixture with weight p in [0, 1]."""
     p = _real(p, "noise weight p", closed=True, hi=1.0)
-    d = state.dim
-    rho = (1.0 - p) * state.rho + p * np.eye(d) / d
+    rho = (1.0 - p) * state.rho
+    rho.flat[::state.dim + 1] += p / state.dim  # the diagonal, in place
     return MultipartiteState(rho, state.dims)
 
 
@@ -292,12 +305,12 @@ def random_mixed(dims, rank: int, seed: int, index: int = 0) -> MultipartiteStat
 
 
 def _draw(dims: tuple[int, ...], rank: int | None, seed: int, indices):
-    """(rho, psi): the density matrices (k, d, d), unchecked, of
-    ``haar_pure`` (rank None) or ``random_mixed`` at each sample index, and
-    for ``haar_pure`` their unit vectors (k, d), else None. They are drawn
-    in bulk: one Philox re-keyed per sample (counter 0, empty buffer) to the
-    key of substream (seed, i), one Box-Muller transform and one stacked
-    normalisation for them all."""
+    """(rho, psi): the density matrices (k, d, d), unchecked and exactly
+    Hermitian, of ``haar_pure`` (rank None) or ``random_mixed`` at each
+    sample index, and for ``haar_pure`` their unit vectors (k, d), else
+    None. They are drawn in bulk: one Philox re-keyed per sample (counter
+    0, empty buffer) to the key of substream (seed, i), one Box-Muller
+    transform and one stacked normalisation for them all."""
     d = math.prod(dims)
     n = d * (rank or 1)  # the length of each Haar vector
     bits = np.random.Philox(0)
@@ -315,9 +328,9 @@ def _draw(dims: tuple[int, ...], rank: int | None, seed: int, indices):
         re, im = v.real, v.imag
         v = v / np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
     if rank is None:
-        return v[:, :, None] * v.conj()[:, None, :], v
-    v = v.reshape(-1, d, rank)
-    return v @ v.conj().swapaxes(-1, -2), None
+        return _projector(v), v
+    v = v.reshape(-1, d, rank)  # random_mixed's product, symmetrized as its check does
+    return tensor._hermitian(v @ v.conj().swapaxes(-1, -2)), None
 
 
 # ---------------------------------------------------------------------------

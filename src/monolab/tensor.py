@@ -19,10 +19,13 @@ has no eigenvalue below -1e-9 (``POSITIVITY_TOL``). ``_density_eig`` is the
 one check of this rule, shared by the state constructor and every public
 kernel of ``measures`` that takes a density matrix; the entropies
 (``_entropies``) clamp eigenvalues in [-1e-9, 0) to 0. A matrix is checked
-once, where it enters the library: the partial traces and transposes
-``measures`` derives from checked states go unchecked to the private cores
-``_hermitian`` and ``_trace_norm``, and the symmetrization of ``_hermitian``
-is that of the check, so both paths give the same bits.
+once, where it enters the library, and the check returns its symmetrization
+(M + M^dag)/2, which is exactly Hermitian: entries (i, j) and (j, i) sum the
+same two numbers, and the imaginary parts of the diagonal cancel to zero.
+A state stores that matrix, and the partial traces and transposes of an
+exactly Hermitian matrix are exactly Hermitian too, so the matrices
+``measures`` derives from a checked state go to the private cores
+``_eigvalsh`` and ``_trace_norm`` unchecked and unsymmetrized.
 
 The eigenvalue-only solves of the matrix path (the density check, the trace
 norm, and the side-A entropy in ``measures``) go through ``_eigvalsh``: a
@@ -276,8 +279,8 @@ def partial_transpose(rho, dims, transposed) -> np.ndarray:
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """(M + M^dag)/2 of a matrix or stack, unchecked: the symmetrization of
-    require_hermitian, for matrices derived from a checked state. Applied to
-    its own output it returns the same values."""
+    require_hermitian, for matrices built without the check. Its output is
+    exactly Hermitian, and applied to it again returns the same values."""
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
@@ -286,15 +289,19 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
     matrix. A matrix whose imaginary part is all zero (-0.0 included) is
     real symmetric and is solved in real arithmetic (LAPACK ``dsyevd``),
     every other one as it is (``zheevd``). Each matrix takes its own
-    branch, so its bits do not depend on the stack around it: a stack that
-    mixes both kinds makes one call of each and scatters the results back."""
+    branch, so its bits do not depend on the stack around it: one reduction
+    sends an all-real stack to one real call, and only a stack of several
+    matrices with an imaginary part looks at each matrix, making one call of
+    each kind when they are mixed and scattering the results back."""
     # numpy.linalg is read at call time, so a rebinding of eigvalsh is seen
-    flags = h.imag.reshape(-1, h.shape[-1] ** 2).any(-1).tolist()
-    if not any(flags):
+    if not h.imag.any():
         return np.linalg.eigvalsh(h.real)
-    if all(flags):
+    d = h.shape[-1]
+    if h.size == d * d:  # one complex matrix
         return np.linalg.eigvalsh(h)
-    cplx = np.array(flags).reshape(h.shape[:-2])
+    cplx = h.imag.reshape(h.shape[:-2] + (d * d,)).any(-1)
+    if cplx.all():
+        return np.linalg.eigvalsh(h)
     out = np.empty(h.shape[:-1])
     out[~cplx] = np.linalg.eigvalsh(h.real[~cplx])
     out[cplx] = np.linalg.eigvalsh(h[cplx])
@@ -302,8 +309,8 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
 
 
 def _trace_norm(m: np.ndarray) -> np.ndarray:
-    """Trace norms of the symmetrized matrices of a stack, unchecked."""
-    return np.abs(_eigvalsh(_hermitian(m))).sum(-1)
+    """Trace norms of the exactly Hermitian matrices of a stack, unchecked."""
+    return np.abs(_eigvalsh(m)).sum(-1)
 
 
 def purity(rho):

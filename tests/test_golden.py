@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of the figure outputs, a 5-qubit sweep, the
+"""Golden SHA-256 digests of the figure outputs, 5- and 6-qubit sweeps, the
 counterexample search, every verification summary and the stdout of the CLI's
 JSON and text commands.
 
@@ -79,11 +79,11 @@ def test_five_qubit_sweep_matches_golden_digest(tmp_path, monkeypatch):
 # the three shapes of the hill-climb benchmark, 2 restarts x 60 steps, seed 5
 SEARCH = [
     (Measure.LOG_NEGATIVITY, 1.0, (2, 2, 2),
-     "aee3edcae51b3ca12cc27c4bf33f6bd112814b155be8812551faf1c97064ddb7"),
+     "4cde8879f6c39cd41b17d9495a168ba5ed51b6fa25e7813c370be7591baea525"),
     (Measure.CONCURRENCE, 2.0, (2, 2, 2),
-     "f454fbceb4ff3eb1f7cf39dfab4cd7b3681b180637a49b5dd9398d9738106f1c"),
+     "1c60ac3be09329071b07161b9e219ff5c087f75559baeb11957af484a56240c4"),
     (Measure.LOG_NEGATIVITY, 1.0, (2, 2, 2, 2),
-     "034dd3234d1d03cbabd3bb234744cfa836087ed8f158540cb7a58222a167d79a"),
+     "0ac144ddfcc21c1674c802dade2fe70bdce03e5f7652b33cdc9c09d0699f4a0b"),
 ]
 
 
@@ -137,8 +137,8 @@ def test_verification_summaries_match_golden_digests(name):
 
 
 # stdout of each command that writes through the CLI's provenance wrapper:
-# every verify tag on a tiny ensemble, a JSON sweep, rstar as text and JSON,
-# and a random state export
+# every verify tag on a tiny ensemble, a JSON sweep, two 6-qubit sweeps,
+# rstar as text and JSON, and a random state export
 CLI_STDOUT = {
     "verify-lemmas": (("verify", "lemmas", "--samples", "200", "--seed", "3"),
                       "ed984e89505a1aff705050c2233e86b94228a540edc1a8e88e62704c15824b21"),
@@ -161,10 +161,18 @@ CLI_STDOUT = {
                                  "--count", "3", "--seed", "3"),
                                 "a89c1fed1c1cb685dede44185be7266765f8c3040063b26738f6d95fb0343905"),
     "verify-search": (("verify", "search", "--dims", "2,2,2", "--count", "1", "--seed", "3"),
-                      "43b30e6ba7d6fee568b39d55d62d719683e57d1d6d9c49081ec2248faba85de8"),
+                      "cf09177af9ca5796cf1d0ad421589316876caf81f5b5d9d7503152a5ceffacad"),
     "sweep-json": (("sweep", "--measure", "negativity", "--state", "w3", "--p-grid", "0:1:3",
                     "--r-grid", "1,2", "--format", "json"),
                    "ad1fc906379a59fdb0400cf737f541ac781e5bcb1194fa48d84ae5706bbc3f8a"),
+    # 6 qubits: a real 64x64 matrix path (w6) and a complex one (rank 17)
+    "sweep-w6-csv": (("sweep", "--measure", "negativity", "--state", "w6", "--p-grid", "0:1:5",
+                      "--r-grid", "1,2"),
+                     "3e999d28a4518fa668bf884ed9e7bfeae09bbdeed63a9b12c7403a9a652af728"),
+    "sweep-random-mixed-6q-json": (("sweep", "--measure", "lognegativity", "--state", "random-mixed",
+                                    "--dims", "2,2,2,2,2,2", "--rank", "17", "--seed", "5",
+                                    "--p-grid", "0:1:5", "--r-grid", "1,2", "--format", "json"),
+                                   "935033063cd6218466307472936ad708266f36de1f6dfc2efc7e237e84bf679c"),
     "rstar-text": (("rstar", "--measure", "lognegativity", "--state", "w3", "--bracket", "1,2"),
                    "2482c09b0db54a8bcb0caf7a24460dde5ef940b14e0d7c138673f0aad6dfb990"),
     "rstar-json": (("rstar", "--measure", "lognegativity", "--state", "w3", "--bracket", "1,2",

@@ -625,22 +625,24 @@ def test_an_eigenvalue_the_constructor_accepts_is_clamped_by_every_kernel():
     assert math.isfinite(share_sum(Measure.DISCORD, state, 0))
 
 
-def hermitian_edge_state():
+def hermitian_edge_matrix():
     """I/8 plus i 4.5e-11 at (k, 2+k) and (2+k, k), k = 0, 1: its Hermiticity
-    defect is 9e-11, within the 1e-10 rule, while its (0, 1) marginal adds
-    both defects up to 1.8e-10."""
+    defect is 9e-11, within the 1e-10 rule, while its (0, 1) marginal would
+    add both defects up to 1.8e-10."""
     rho = np.eye(8, dtype=complex) / 8
     for k in (0, 1):
         rho[k, 2 + k] = rho[2 + k, k] = 4.5e-11j
-    return states.MultipartiteState(rho, (2, 2, 2))
+    return rho
 
 
 @pytest.mark.parametrize("measure", [Measure.NEGATIVITY, Measure.CONCURRENCE, Measure.EOF,
                                      Measure.DISCORD])
 def test_a_checked_state_scores_on_every_pair_cut(measure):
-    # a matrix derived from a checked state is symmetrized, not checked again
-    state = hermitian_edge_state()
-    with pytest.raises(ValueError, match="not Hermitian"):
-        tensor.require_hermitian(tensor.partial_trace(state.rho, state.dims, (0, 1)))
+    # a checked state stores its input symmetrized, exactly Hermitian, so
+    # the matrices derived from it need no check or symmetrization
+    rho = hermitian_edge_matrix()
+    state = states.MultipartiteState(rho, (2, 2, 2))
+    assert np.array_equal(state.rho, state.rho.conj().T)
+    assert np.abs(state.rho - rho).max() <= 4.5e-11
     for cut in (A_B, A_C, Cut((1,), (2,))):
         assert 0.0 <= evaluate(measure, state, cut) < 1e-9

@@ -303,6 +303,36 @@ def test_every_constructor_checks_its_dims(build):
     assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2), (2,) * 6])
+def test_every_constructor_stores_an_exactly_hermitian_read_only_matrix(dims):
+    # rho == rho^dag bit for bit: the marginals and partial transposes of
+    # a state are then exactly Hermitian too, and nothing symmetrizes them
+    d = math.prod(dims)
+    rng = np.random.default_rng(d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    mixed = states.random_mixed(dims, 3, 1)
+    skewed = mixed.rho + 1e-11j * np.triu(np.ones((d, d)), 1)  # a Hermiticity defect within 1e-10
+    built = [
+        states.MultipartiteState.from_vector(psi, dims),
+        states.haar_pure(dims, 1),
+        mixed,
+        states.white_noise_mix(mixed, 0.4),
+        states.state_from_json({"dims": list(dims), "rho_re": skewed.real, "rho_im": skewed.imag}),
+        mixed.marginal((0,)),
+        mixed.marginal((1, 0)),
+    ]
+    for family in ("haar_pure", "random_mixed"):
+        for p_grid in (None, (0.0, 0.3, 1.0)):
+            built += states.sample_states(states.EnsembleSpec(family, dims, 3, p_grid=p_grid), 2)
+    if dims == (2, 2, 2):
+        built += [states.ghz(3), states.w(3), states.classical_corr_state()]
+    if dims == (2,) * 6:
+        built += [states.ghz(6), states.w(6), states.white_noise_mix(states.w(6), 0.3)]
+    for state in built:
+        assert np.array_equal(state.rho, state.rho.conj().T)
+        assert not state.rho.flags.writeable
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 1e-320])
 def test_from_vector_normalizes_huge_and_tiny_vectors(scale):
     # the norm of such a vector over- or underflows; it is rescaled first
@@ -327,7 +357,7 @@ def test_a_vector_checked_state_is_from_vectors_state(dims):
         got = states.MultipartiteState._pure(psi, dims)
         assert got.rho.tobytes() == want.rho.tobytes() and got.dims == want.dims == dims
         assert not got.rho.flags.writeable and want._psi is None
-        assert np.array_equal(np.outer(got._psi, got._psi.conj()), got.rho)
+        assert np.array_equal(got._psi[:, None] @ got._psi.conj()[None, :], got.rho)
     for i in range(5):
         got = states.haar_pure(dims, 6, i)
         want = states.MultipartiteState.from_vector(states.haar_vector(d, states.generator(6, i)), dims)
@@ -459,14 +489,16 @@ def test_every_sampler_checks_its_dims(draw):
 
 def draw_on_its_own(dims, rank, seed, index):
     """One sample's density matrix from its own substream and its own
-    Box-Muller transform (rank None: a Haar pure state)."""
+    Box-Muller transform (rank None: a Haar pure state), as the state stores
+    it: a pure state's exactly Hermitian rank-1 product, or the mixed
+    state's product symmetrized as its check does."""
     d = math.prod(dims)
     v = states.haar_vector(d * (rank or 1), states.generator(seed, index))
     if rank is None:
         v = v / np.linalg.norm(v)  # from_vector normalises once more
-        return np.outer(v, v.conj())
+        return v[:, None] @ v.conj()[None, :]
     v = v.reshape(d, rank)
-    return v @ v.conj().T
+    return tensor._hermitian(v @ v.conj().T)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3), (2, 2, 2, 2)])
