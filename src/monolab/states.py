@@ -58,7 +58,7 @@ class MultipartiteState:
     no caller can change a state through its input array and nothing
     derived from it is symmetrized again. A state built by ``_pure`` keeps
     its unit vector read-only as ``_psi`` and skips the eigensolve; its
-    rank-1 product is exactly Hermitian by construction (``_projector``).
+    rank-1 product is exactly Hermitian as ``_projector`` computes it.
     """
 
     rho: np.ndarray
@@ -125,11 +125,15 @@ class MultipartiteState:
 
 
 def _projector(v: np.ndarray) -> np.ndarray:
-    """|v><v| of a vector (d,), or of each row of a stack (k, d), exactly
-    Hermitian: a matrix product with inner dimension 1, whose entries (i, j)
-    and (j, i) are computed alike. ``np.outer`` is not: its fused
-    multiply-adds leave an imaginary residue of about 1e-18 on the diagonal.
-    A stack gives each row the bits of its own product."""
+    """|v><v| of a vector (d,), or of each row of a stack (k, d): a matrix
+    product with inner dimension 1, exactly Hermitian as numpy's matmul
+    computes it here. That is a measured property of the build, which
+    test_every_constructor_stores_an_exactly_hermitian_read_only_matrix
+    guards; ``np.outer`` fails it, its fused multiply-adds leaving an
+    imaginary residue of about 1e-18 on the diagonal. Writing the real and
+    imaginary parts out in real arithmetic would be exact on any build, but
+    costs about 5 us more per 16-vector. A stack gives each row the bits of
+    its own product."""
     return v[..., :, None] @ v.conj()[..., None, :]
 
 

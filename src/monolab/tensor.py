@@ -289,19 +289,15 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
     matrix. A matrix whose imaginary part is all zero (-0.0 included) is
     real symmetric and is solved in real arithmetic (LAPACK ``dsyevd``),
     every other one as it is (``zheevd``). Each matrix takes its own
-    branch, so its bits do not depend on the stack around it: one reduction
-    sends an all-real stack to one real call, and only a stack of several
-    matrices with an imaginary part looks at each matrix, making one call of
-    each kind when they are mixed and scattering the results back."""
+    branch, so its bits do not depend on the stack around it: a stack that
+    mixes both kinds makes one call of each and scatters the results back."""
     # numpy.linalg is read at call time, so a rebinding of eigvalsh is seen
-    if not h.imag.any():
+    flags = h.imag.reshape(-1, h.shape[-1] ** 2).any(-1).tolist()
+    if not any(flags):
         return np.linalg.eigvalsh(h.real)
-    d = h.shape[-1]
-    if h.size == d * d:  # one complex matrix
+    if all(flags):
         return np.linalg.eigvalsh(h)
-    cplx = h.imag.reshape(h.shape[:-2] + (d * d,)).any(-1)
-    if cplx.all():
-        return np.linalg.eigvalsh(h)
+    cplx = np.array(flags).reshape(h.shape[:-2])
     out = np.empty(h.shape[:-1])
     out[~cplx] = np.linalg.eigvalsh(h.real[~cplx])
     out[cplx] = np.linalg.eigvalsh(h[cplx])
