@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from . import __version__, measures, monogamy, states, verify
@@ -57,7 +57,7 @@ class RunConfig:
     count: int = 100
     samples: int = 1_000_000
     theorem: str | None = None
-    figure: int | None = None
+    figure: int | str | None = None  # "1".."3" or "all" as parsed; an int once written
     out: str | None = None
     fmt: str = "csv"
 
@@ -159,11 +159,23 @@ def _write_text(path: str | None, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _write_json(path: str | None, obj: dict) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _out_dir(path: str | None) -> str:
+    """The directory an ``all`` target writes into: --out, created if absent,
+    or the working directory ("") when --out is not given."""
+    if path is None:
+        return ""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file, or is empty
+        raise ValueError(f"cannot create directory {path!r}: {exc}") from exc
+    return path
 
 
 def _sweep_rows(kind: MeasureKind, base: states.MultipartiteState, focus: int,
@@ -284,6 +296,10 @@ _SUITES = {
     "lemmas": _Suite(
         lambda cfg, kind, r: verify.check_scalar_lemmas(cfg.samples, cfg.seed), ("samples",)
     ),
+    "decreasing-concave": _Suite(
+        lambda cfg, kind, r: verify.check_decreasing_concave_family(cfg.samples, cfg.seed),
+        ("samples",),
+    ),
     "raising": _Suite(
         lambda cfg, kind, r: verify.verify_raising(
             kind, _resolve_ensemble(cfg), r, cfg.alpha or (r + 0.5, r + 1.0, 2.0 * r), cfg.seed
@@ -337,6 +353,14 @@ _SUITES = {
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    """``verify all`` runs every tag with its defaults into DIR/<tag>.json,
+    each file as ``verify <tag> --seed S --out DIR/<tag>.json`` writes it."""
+    if cfg.theorem == "all":
+        states.generator(cfg.seed)  # a bad --seed fails before the directory is made
+        out_dir = _out_dir(cfg.out)
+        codes = [cmd_verify(replace(cfg, theorem=tag, out=os.path.join(out_dir, f"{tag}.json")))
+                 for tag in _SUITES]
+        return max(codes)  # EXIT_VIOLATION if any suite counted violations
     suite = _SUITES[cfg.theorem]
     kind = suite.measure if cfg.measure is None else _measure_kind(cfg)
     r = suite.r if cfg.r is None else cfg.r
@@ -345,12 +369,25 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if summary.ok else EXIT_VIOLATION  # exploratory suites never count violations
 
 
+# the one grid each figure reads: figures 1-2 scan p, figure 3 scans r;
+# ``figure all`` reads neither, so every figure keeps its default grids
+_FIGURE_GRID = {"1": "p_grid", "2": "p_grid", "3": "r_grid", "all": None}
+
+
 def cmd_figure(cfg: RunConfig) -> int:
-    fid = cfg.figure
-    unread = "r_grid" if fid in (1, 2) else "p_grid"  # figures 1-2 scan p, figure 3 scans r
-    if getattr(cfg, unread) is not None:
-        raise ValueError(f"figure {fid} does not read --{unread.replace('_', '-')}")
-    out = cfg.out or f"figure{fid}.csv"
+    """``figure all`` writes DIR/figureN.csv and its sidecar for N = 1, 2, 3,
+    each file as ``figure N --out DIR/figureN.csv`` writes it."""
+    for grid in ("p_grid", "r_grid"):
+        if grid != _FIGURE_GRID[cfg.figure] and getattr(cfg, grid) is not None:
+            raise ValueError(f"figure {cfg.figure} does not read --{grid.replace('_', '-')}")
+    if cfg.figure == "all":
+        out_dir = _out_dir(cfg.out)
+        for n in "123":
+            cmd_figure(replace(cfg, figure=n, out=os.path.join(out_dir, f"figure{n}.csv")))
+        return EXIT_OK
+    fid = int(cfg.figure)
+    cfg = replace(cfg, figure=fid)  # the provenance records the figure as a number
+    out = f"figure{fid}.csv" if cfg.out is None else cfg.out
     p_grid = cfg.p_grid or FIGURE_P_GRID
     r_grid = cfg.r_grid or FIGURE_R_GRID
     if fid in (1, 2):
@@ -414,7 +451,9 @@ _FLAGS = {
     "rank": dict(type=int, help="rank for random-mixed states"),
     "focus": dict(type=int, help="focus subsystem index (default 0)"),
     "seed": dict(type=int, help="ensemble seed (default 0)"),
-    "out": dict(help="output path (default stdout; figureN.csv plus .meta.json for figure)"),
+    "out": dict(help="output path (default stdout; figureN.csv plus .meta.json for figure N); "
+                "for figure all and verify all, the directory to write into, created if "
+                "absent (default: the working directory)"),
 }
 _STATE = ("state", "state_file", "dims", "rank", "seed", "out")
 
@@ -452,9 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
     for tag, suite in _SUITES.items():
         normalized = ("normalized",) if "measure" in suite.reads else ()
         _add_flags(tags.add_parser(tag), (*suite.reads, *normalized, "seed", "out"))
+    _add_flags(tags.add_parser("all", help="every tag with its defaults, one JSON file each"),
+               ("seed", "out"))
 
-    p = sub.add_parser("figure", help="emit the data grid behind one of the figures")
-    p.add_argument("figure", type=int, choices=(1, 2, 3))
+    p = sub.add_parser("figure", help="emit the data grid behind one or all of the figures")
+    p.add_argument("figure", choices=tuple(_FIGURE_GRID))
     _add_flags(p, ("p_grid", "r_grid", "focus", "out"))
 
     _add_flags(sub.add_parser("state-export", help="write a state as a JSON file"), _STATE)

@@ -32,9 +32,8 @@ def perfbench():
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
-def test_one_traced_pass_gives_every_pinned_count(perfbench, name, tmp_path, monkeypatch):
+def test_one_traced_pass_gives_every_pinned_count(perfbench, name, tmp_path):
     metrics, tracer, workloads = perfbench
-    monkeypatch.delenv("MONOLAB_THREADS", raising=False)  # the benchmark runs the default pool
     bench = workloads.WORKLOADS[name](0, **SMALL[name])
     bench.warmup(str(tmp_path))  # as the benchmark does before its passes
     t = tracer.Tracer()

@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import re
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from monolab import cli, states
-from monolab.cli import EXIT_BRACKET, EXIT_CONFIG, EXIT_MEASURE, EXIT_OK
+from monolab import cli, states, verify
+from monolab.cli import EXIT_BRACKET, EXIT_CONFIG, EXIT_MEASURE, EXIT_OK, EXIT_VIOLATION
 
 
 def run(*args):
@@ -91,12 +95,15 @@ def test_sweep_json_format_has_provenance(tmp_path):
 
 
 @pytest.mark.parametrize("grid, want", [("-0.0,0.5", "0,0.5"), ("-0:0.5:2", "0,0.5"), ("-0.0:0:1", "0")])
-def test_a_negative_zero_in_a_grid_writes_zero(grid, want, tmp_path):
+def test_a_negative_zero_in_a_grid_writes_zero(grid, want, tmp_path, monkeypatch):
+    # a relative --out, since the JSON provenance echoes it and a temporary
+    # directory such as pytest-0 would put a "-0" in the text
+    monkeypatch.chdir(tmp_path)
     args = ("sweep", "--measure", "negativity", "--state", "ghz3", "--r-grid", "1")
     for fmt in ("csv", "json"):
         a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
-        assert run(*args, f"--p-grid={grid}", "--format", fmt, "--out", str(a)) == EXIT_OK
-        assert run(*args, "--p-grid", want, "--format", fmt, "--out", str(b)) == EXIT_OK
+        assert run(*args, f"--p-grid={grid}", "--format", fmt, "--out", a.name) == EXIT_OK
+        assert run(*args, "--p-grid", want, "--format", fmt, "--out", b.name) == EXIT_OK
         assert "-0" not in a.read_text()
         if fmt == "csv":
             assert a.read_bytes() == b.read_bytes()
@@ -149,6 +156,7 @@ RSTAR_W3 = ("rstar", "--measure", "lognegativity", "--state", "w3")
         ("verify", "raising", "--state", "w3", "--r", "nan"),
         ("verify", "raising", "--count", "0"),
         ("verify", "lemmas", "--samples", "0"),
+        ("verify", "decreasing-concave", "--samples", "0"),
         ("sweep", "--measure", "negativity", "--state", "random-mixed", "--rank", "0",
          "--p-grid", "0", "--r-grid", "1"),
         ("verify", "raising", "--state", "w3", "--r", "1", "--alpha", ","),
@@ -165,6 +173,12 @@ RSTAR_W3 = ("rstar", "--measure", "lognegativity", "--state", "w3")
         ("figure", "1", "--r-grid", "nan"),
         ("figure", "2", "--r-grid", "1,2,3"),
         ("figure", "3", "--p-grid", "0.5"),
+        # the all targets keep every default: no grid for figure all, and
+        # verify all reads --seed and --out only
+        ("figure", "all", "--p-grid", "0.5"),
+        ("figure", "all", "--r-grid", "1"),
+        ("verify", "all", "--count", "3"),
+        ("verify", "all", "--seed", "-1"),
     ],
 )
 def test_config_rejects_non_finite_and_zero_values(argv, tmp_path):
@@ -545,6 +559,38 @@ def test_verify_unknown_theorem_is_parse_error():
     assert run("verify", "bogus") == EXIT_CONFIG
 
 
+@pytest.fixture
+def short_search(monkeypatch):
+    """counterexample_search with at most 5 steps per restart: the search tag
+    at its defaults takes seconds, and the tests below check the CLI's
+    plumbing, which runs every tag through the same patched library."""
+    search = verify.counterexample_search
+    monkeypatch.setattr(verify, "counterexample_search",
+                        lambda *args: search(*args, max_steps=5))
+
+
+def test_verify_all_writes_each_tag_as_the_single_tag_command_does(short_search, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("verify", "all", "--seed", "3", "--out", "v") == EXIT_OK
+    written = {p.name: p.read_bytes() for p in (tmp_path / "v").iterdir()}
+    assert sorted(written) == sorted(f"{tag}.json" for tag in cli._SUITES)
+    for tag in cli._SUITES:
+        assert run("verify", tag, "--seed", "3", "--out", f"v/{tag}.json") == EXIT_OK
+        assert (tmp_path / "v" / f"{tag}.json").read_bytes() == written[f"{tag}.json"], tag
+
+
+def test_verify_all_exits_5_after_every_suite_when_one_counts_violations(short_search,
+                                                                         tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lemmas = verify.check_scalar_lemmas
+    monkeypatch.setattr(verify, "check_scalar_lemmas",
+                        lambda *args: replace(lemmas(*args), violations=1))
+    assert run("verify", "all") == EXIT_VIOLATION
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{t}.json" for t in cli._SUITES)
+    assert json.loads((tmp_path / "lemmas.json").read_text())["summary"]["violations"] == 1
+
+
 # ---------------------------------------------------------------------------
 # figure
 # ---------------------------------------------------------------------------
@@ -592,6 +638,36 @@ def test_figure_3_crossing(tmp_path):
 
 def test_figure_unknown_id_exit_2():
     assert run("figure", "7") == EXIT_CONFIG
+
+
+def test_figure_rejects_an_empty_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("figure", "1", "--out", "") == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: cannot write ''")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_all_writes_into_the_working_directory_by_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("figure", "all", "--focus", "1") == EXIT_OK
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(written) == [f"figure{n}.{ext}" for n in (1, 2, 3) for ext in ("csv", "meta.json")]
+    for n in (1, 2, 3):
+        assert run("figure", str(n), "--focus", "1", "--out", f"figure{n}.csv") == EXIT_OK
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+@pytest.mark.parametrize("command", ["figure", "verify"])
+@pytest.mark.parametrize("out", ["taken", ""])
+def test_all_rejects_an_out_that_cannot_be_a_directory(command, out, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("not a directory")
+    assert run(command, "all", "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create directory {out!r}")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 # ---------------------------------------------------------------------------
@@ -686,3 +762,28 @@ def test_malformed_state_file_exits_2(text, tmp_path, capsys):
 
 def test_unknown_command_exits_2():
     assert run("frobnicate") == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+def _readme_commands() -> list[str]:
+    """Every ``monolab ...`` line of README's command block, continuation
+    lines joined and trailing comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command-line interface", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    lines = re.sub(r"\\\n\s*", "", block).splitlines()
+    return [line.split("#", 1)[0].strip() for line in lines if line.startswith("monolab ")]
+
+
+def test_every_readme_command_parses():
+    commands = _readme_commands()
+    assert {shlex.split(c)[1] for c in commands} == set(cli._COMMANDS)
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

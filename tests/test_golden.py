@@ -10,14 +10,9 @@ because the provenance block in the ``.meta.json`` sidecar echoes the path.
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import monolab
 from monolab import cli, states, verify
 from monolab.measures import Measure, MeasureKind
 from monolab.states import EnsembleSpec
@@ -49,18 +44,17 @@ def test_figure_outputs_match_golden_digests(figure, tmp_path, monkeypatch):
     assert digests == GOLDEN[figure]
 
 
-def test_reproduce_figures_script_writes_the_golden_figures(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    src = str(Path(monolab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "reproduce_figures.py"), "--outdir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_figure_all_writes_the_golden_figures_as_figure_n_does(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["figure", "all", "--out", "figs"]) == cli.EXIT_OK
+    written = {p.name: p.read_bytes() for p in (tmp_path / "figs").iterdir()}
+    assert len(written) == 6
     for figure, digests in GOLDEN.items():
-        csv = (tmp_path / f"figure{figure}.csv").read_bytes()
+        csv = written[f"figure{figure}.csv"]
         assert hashlib.sha256(csv).hexdigest() == digests[f"fig{figure}.csv"]
+        # the sidecar echoes the path, so figure N rewrites the same one
+        assert cli.main(["figure", str(figure), "--out", f"figs/figure{figure}.csv"]) == cli.EXIT_OK
+    assert {p.name: p.read_bytes() for p in (tmp_path / "figs").iterdir()} == written
 
 
 SWEEP_ARGV = [

@@ -1,13 +1,8 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import monolab
 from monolab import states, tensor
 from monolab.measures import Measure, MeasureKind
 from monolab.monogamy import monogamy_score, power_sweep
@@ -389,41 +384,3 @@ def test_lowering_skips_when_hypothesis_fails():
     summary = verify_lowering(Measure.LOG_NEGATIVITY, W3, 1.2, (1.1,), seed=0)
     assert summary.skipped == 1
     assert summary.violations == 0 and summary.passes == 0
-
-
-# ---------------------------------------------------------------------------
-# scripts/run_verification.py
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("argv", [("--count", "0", "--samples", "1"),
-                                  ("--samples", "0", "--count", "1")])
-def test_run_verification_rejects_sizes_below_one(argv, tmp_path):
-    # --count 0 would report every ensemble suite as passed on no states
-    root = Path(__file__).resolve().parents[1]
-    src = str(Path(monolab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    outdir = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_verification.py"), *argv,
-         "--outdir", str(outdir)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert f"argument {argv[0]}: must be >= 1, got 0" in proc.stderr
-    assert not outdir.exists()
-
-
-def test_run_verification_rejects_an_outdir_that_is_a_file(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    src = str(Path(monolab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    outdir = tmp_path / "taken"
-    outdir.write_text("not a directory")
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_verification.py"), "--count", "1",
-         "--samples", "1", "--outdir", str(outdir)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "argument --outdir: cannot create directory" in proc.stderr
-    assert "Traceback" not in proc.stderr
