@@ -381,6 +381,8 @@ def cmd_figure(cfg: RunConfig) -> int:
         if grid != _FIGURE_GRID[cfg.figure] and getattr(cfg, grid) is not None:
             raise ValueError(f"figure {cfg.figure} does not read --{grid.replace('_', '-')}")
     if cfg.figure == "all":
+        # every figure's state has 3 qubits: a bad --focus fails before the directory is made
+        monogamy._monogamy_cuts(3, cfg.focus)
         out_dir = _out_dir(cfg.out)
         for n in "123":
             cmd_figure(replace(cfg, figure=n, out=os.path.join(out_dir, f"figure{n}.csv")))

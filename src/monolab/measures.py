@@ -32,7 +32,10 @@ matrix becomes a float only in the public kernels
 (``concurrence_two_qubit``, ``tangle_rank2`` and ``eof_two_qubit`` also
 take stacks). A checked state's matrix is exactly Hermitian, and so are
 the marginals and partial transposes taken from it: they are neither
-checked nor symmetrized again.
+checked nor symmetrized again. They also keep its dtype, float64 for a
+real state (see ``tensor``), so every eigensolve of a real state runs in
+real arithmetic; a stack mixes no dtypes, since ``monogamy._cut_table``
+stacks real and complex states apart.
 
 A reduced stack takes one of three forms, told apart by its number of
 axes: matrices (m, d, d), the marginals of the cut; Schmidt coefficients
@@ -279,7 +282,7 @@ def _side_entropy(red: np.ndarray, rdims, a_pos) -> list[float]:
     if red.ndim == 2:
         lam = red * red
     else:  # a marginal of a checked state: exactly Hermitian, not checked again
-        lam = tensor._eigvalsh(tensor.partial_trace(red, rdims, a_pos))
+        lam = np.linalg.eigvalsh(tensor.partial_trace(red, rdims, a_pos))
     return [_flush(e) for e in tensor._entropies(lam).tolist()]
 
 
@@ -601,10 +604,9 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
     if tag is Measure.NEGATIVITY or tag is Measure.LOG_NEGATIVITY:
         if red.ndim == 2:
             norms = red.sum(-1) ** 2
-        elif red.ndim == 3:
-            norms = tensor._trace_norm(tensor.partial_transpose(red, rdims, a_pos))
-        else:  # complex, as the vector-form states are: no realness test
-            norms = np.abs(np.linalg.eigvalsh(_marginal(red, True))).sum(-1)
+        else:
+            pt = tensor.partial_transpose(red, rdims, a_pos) if red.ndim == 3 else _marginal(red, True)
+            norms = tensor._trace_norm(pt)
         return [_negativity(kind, t) for t in norms.tolist()]
     # the public kernels below check their input again: an exactly
     # Hermitian marginal passes, and their symmetrization changes no value

@@ -145,22 +145,23 @@ def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
 
     ``score(red, *plan)`` scores a reduced stack and its cut plan
     (``measures._reduced``) and returns a list. The states that share their
-    dims, and whether they carry a unit vector, are stacked and reduced once
-    per cut, so each state is reduced as ``evaluate`` reduces it: from its
-    vector when it has one. The reduced stacks that share the shape of a
-    row (which tells the form: matrices, Schmidt coefficients or vector
-    form) and their plan, across cuts and dims, are scored in one call.
+    dims, their dtype, and whether they carry a unit vector, are stacked and
+    reduced once per cut, so each state is reduced as ``evaluate`` reduces
+    it: from its vector when it has one. The reduced stacks that share the
+    shape of a row (which tells the form: matrices, Schmidt coefficients or
+    vector form), their dtype and their plan, across cuts and dims, are
+    scored in one call; a real state is never solved in a complex stack.
     When anything raises ValueError, the work is replayed one state and one
     cut at a time, so the error raised is the one a per-state loop raises
     first.
     """
     groups: dict[tuple, list[int]] = {}
     for i, state in enumerate(states):
-        groups.setdefault((state.dims, state._psi is not None), []).append(i)
+        groups.setdefault((state.dims, state._psi is not None, state.rho.dtype), []).append(i)
     table: list = [None] * len(states)
     by_plan: dict[tuple, list] = {}  # plan -> [(reduced stack, state indices, cut position)]
     try:
-        for (dims, vector), idx in groups.items():
+        for (dims, vector, _), idx in groups.items():
             rho = np.stack([states[i].rho for i in idx])
             psi = np.stack([states[i]._psi for i in idx]) if vector else None
             cuts = cuts_of(len(dims))
@@ -168,8 +169,8 @@ def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
                 table[i] = [None] * len(cuts)
             for j, cut in enumerate(cuts):
                 red, *plan = _reduced(rho, dims, cut, psi)
-                by_plan.setdefault((red.shape[1:], *plan), []).append((red, idx, j))
-        for (_, *plan), parts in by_plan.items():
+                by_plan.setdefault((red.shape[1:], red.dtype, *plan), []).append((red, idx, j))
+        for (_, _, *plan), parts in by_plan.items():
             values = iter(score(np.concatenate([red for red, _, _ in parts]), *plan))
             for _, idx, j in parts:
                 for i in idx:

@@ -24,6 +24,12 @@ and the counterexample search are checked by their unit vector (``_pure``).
 ``from_vector`` and the named states keep the matrix check, because the
 benchmark pins the validation eigensolves of the 6-qubit named states.
 
+Realness is decided once per state, by the matrix check: a checked matrix
+whose imaginary part is all zero is stored as float64, and everything
+derived from it stays real (see ``tensor``). The named states, their noise
+mixtures and marginals are real; the draws and the states of ``_pure``
+are stored as complex128, as they are built.
+
 The states of ``haar_pure``, of the counterexample search and the Haar
 draws of ``sample_states`` keep their unit vector as ``_psi``, and
 ``measures`` scores them from it (see ``measures._reduced``); every other
@@ -56,9 +62,11 @@ class MultipartiteState:
     matrix is the check's symmetrization (M + M^dag)/2 of the input, a new
     read-only array that is exactly Hermitian (``rho == rho.conj().T``), so
     no caller can change a state through its input array and nothing
-    derived from it is symmetrized again. A state built by ``_pure`` keeps
-    its unit vector read-only as ``_psi`` and skips the eigensolve; its
-    rank-1 product is exactly Hermitian as ``_projector`` computes it.
+    derived from it is symmetrized again. It is float64 when the input's
+    imaginary part is all zero (-0.0 included), else complex128. A state
+    built by ``_pure`` keeps its unit vector read-only as ``_psi``, skips
+    the eigensolve and stays complex128; its rank-1 product is exactly
+    Hermitian as ``_projector`` computes it.
     """
 
     rho: np.ndarray
@@ -69,6 +77,8 @@ class MultipartiteState:
         rho = tensor.as_matrix(self.rho)
         dims = tensor.check_dims(rho.shape[0], self.dims)
         if self._psi is None:
+            if rho.dtype == complex and not rho.imag.any():  # -0.0 counts as zero
+                rho = rho.real  # a real matrix is checked and stored as float64
             rho = tensor._density_eig(rho)[0]
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
@@ -273,7 +283,7 @@ def white_noise_mix(state: MultipartiteState, p: float) -> MultipartiteState:
 
 def classical_corr_state() -> MultipartiteState:
     """Three-qubit maximally classically-correlated mixture of |000> and |111>."""
-    rho = np.zeros((8, 8), dtype=complex)
+    rho = np.zeros((8, 8))
     rho[0, 0] = rho[7, 7] = 0.5
     return MultipartiteState(rho, (2, 2, 2))
 

@@ -1,9 +1,10 @@
-"""Dense complex linear algebra for small multipartite Hilbert spaces.
+"""Dense linear algebra for small multipartite Hilbert spaces.
 
-States and operators are plain ``numpy`` complex128 square matrices; the
-subsystem structure travels separately as a tuple of dimensions. Subsystem 0
-is the leftmost tensor factor, i.e. the most significant digit of the basis
-index (the standard Kronecker-product convention).
+States and operators are plain ``numpy`` float64 or complex128 square
+matrices; the subsystem structure travels separately as a tuple of
+dimensions. Subsystem 0 is the leftmost tensor factor, i.e. the most
+significant digit of the basis index (the standard Kronecker-product
+convention).
 
 The public kernels (partial trace and transpose, the Hermiticity and
 density checks, purity) also take a stack of matrices of shape (..., d, d)
@@ -24,16 +25,20 @@ once, where it enters the library, and the check returns its symmetrization
 same two numbers, and the imaginary parts of the diagonal cancel to zero.
 A state stores that matrix, and the partial traces and transposes of an
 exactly Hermitian matrix are exactly Hermitian too, so the matrices
-``measures`` derives from a checked state go to the private cores
-``_eigvalsh`` and ``_trace_norm`` unchecked and unsymmetrized.
+``measures`` derives from a checked state go to ``np.linalg.eigvalsh`` and
+``_trace_norm`` unchecked and unsymmetrized.
 
-The eigenvalue-only solves of the matrix path (the density check, the trace
-norm, and the side-A entropy in ``measures``) go through ``_eigvalsh``: a
-Hermitian matrix whose imaginary part is all zero is solved in real
-arithmetic, a fraction of the complex solve's work, and its values agree
-with the complex solve within about 1e-15. The named states and their
-noise mixtures take this path. Each matrix of a stack is routed on its
-own, so the stack rule above still holds.
+Every public kernel coerces its input by one dtype rule (``_array``): a
+real dtype (bool, integer, floating) becomes float64, any other
+complex128, and a float64 or complex128 array passes as it is. A real
+state is stored as float64 (see ``states.MultipartiteState``), so its
+partial traces, partial transposes and purity stay float64 by numpy's own
+dtype rules, and numpy's eigensolvers pick LAPACK's real routines for it,
+a fraction of the complex solve's work. Nothing tests an imaginary part
+at solve time. A partial trace sums and a partial transpose permutes, so
+on a real matrix both equal the real part of the complex call bit for
+bit; purity is a matrix product, whose real and complex BLAS kernels may
+sum in different orders (within 2 eps).
 
 Index plans are cached per shape: the dimension check, and the reshape and
 axis bookkeeping of the partial trace and transpose, are worked out once per
@@ -75,18 +80,30 @@ TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 
 
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
+
+
+def _array(m) -> np.ndarray:
+    """``m`` as an array: float64 if its dtype is real (bool, integer or
+    floating), else complex128. A float64 or complex128 array passes as it is."""
+    a = np.asarray(m)
+    if a.dtype is _FLOAT or a.dtype is _COMPLEX:  # the fast path: a dtype identity test
+        return a
+    return a.astype(float if a.dtype.kind in "biuf" else complex)
+
+
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex128 matrix."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce input to a square float64 or complex128 matrix (see ``_array``)."""
+    a = _array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
 def as_matrices(m) -> np.ndarray:
-    """Coerce input to complex128 square matrices: one (d, d) matrix or a
-    stack (..., d, d)."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce input to float64 or complex128 square matrices (see
+    ``_array``): one (d, d) matrix or a stack (..., d, d)."""
+    a = _array(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a
@@ -284,29 +301,9 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each Hermitian matrix of a stack, or of one
-    matrix. A matrix whose imaginary part is all zero (-0.0 included) is
-    real symmetric and is solved in real arithmetic (LAPACK ``dsyevd``),
-    every other one as it is (``zheevd``). Each matrix takes its own
-    branch, so its bits do not depend on the stack around it: a stack that
-    mixes both kinds makes one call of each and scatters the results back."""
-    # numpy.linalg is read at call time, so a rebinding of eigvalsh is seen
-    flags = h.imag.reshape(-1, h.shape[-1] ** 2).any(-1).tolist()
-    if not any(flags):
-        return np.linalg.eigvalsh(h.real)
-    if all(flags):
-        return np.linalg.eigvalsh(h)
-    cplx = np.array(flags).reshape(h.shape[:-2])
-    out = np.empty(h.shape[:-1])
-    out[~cplx] = np.linalg.eigvalsh(h.real[~cplx])
-    out[cplx] = np.linalg.eigvalsh(h[cplx])
-    return out
-
-
 def _trace_norm(m: np.ndarray) -> np.ndarray:
     """Trace norms of the exactly Hermitian matrices of a stack, unchecked."""
-    return np.abs(_eigvalsh(m)).sum(-1)
+    return np.abs(np.linalg.eigvalsh(m)).sum(-1)
 
 
 def purity(rho):
@@ -321,7 +318,7 @@ def _density_eig(m, vectors: bool = False):
     its eigenvectors. The one positivity test: no eigenvalue below -1e-9."""
     h = require_density(m)
     # numpy.linalg is read at call time, so a rebinding of eigh is seen
-    evals, evecs = np.linalg.eigh(h) if vectors else (_eigvalsh(h), None)
+    evals, evecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     lam_min = min(evals[..., 0].ravel().tolist(), default=0.0)
     if lam_min < -POSITIVITY_TOL:
         raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} < -1e-9")

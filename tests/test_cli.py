@@ -187,6 +187,16 @@ def test_config_rejects_non_finite_and_zero_values(argv, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("focus", ["3", "5", "-1"])
+def test_figure_all_checks_focus_before_making_its_directory(focus, tmp_path, capsys):
+    # every figure's state has 3 qubits, so the focus must lie in 0..2
+    out = tmp_path / "out"
+    assert run("figure", "all", "--focus", focus, "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: subsystem index must be an integer in 0..2") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

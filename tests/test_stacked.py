@@ -115,9 +115,15 @@ def test_empty_ensemble():
 
 
 def test_explicit_list_mixing_dims():
+    # real (float64) and complex states of one dims: each keeps the bits of
+    # its own call, so the two are never stacked into one solve
+    signed = np.array(states.white_noise_mix(states.ghz(4), 0.2).rho, dtype=complex)
+    signed.imag[...] = -0.0  # an imaginary part of -0.0 is zero: the state is real
     sts = [states.haar_pure((2, 2, 2), 1), states.haar_pure((2, 2, 2, 2), 1),
            states.random_mixed((2, 2, 2), 2, 1), states.w(4), states.ghz(3),
-           states.random_mixed((2, 3, 2), 4, 2), states.random_mixed((2, 2, 2, 2), 5, 2)]
+           states.random_mixed((2, 3, 2), 4, 2), states.random_mixed((2, 2, 2, 2), 5, 2),
+           states.MultipartiteState(signed, (2,) * 4)]
+    assert [s.rho.dtype for s in sts[3:]] == [np.float64, np.float64, np.complex128, np.complex128, np.float64]
     for kind in (Measure.NEGATIVITY, Measure.LOG_NEGATIVITY):
         assert _base_values_stack(kind, sts, 0) == per_state(kind, sts, 0)
     summary = verify.verify_mixed_lifting(Measure.NEGATIVITY, sts, 0)
@@ -353,28 +359,6 @@ def test_strong_and_hierarchy_raise_the_first_error_of_the_loop(kind, rank, focu
     ]:
         want = raised_by(loop)
         assert raised_by(report) == want
-
-
-def test_real_and_complex_rows_of_one_stack_keep_the_bits_of_their_own_call():
-    # a real symmetric row is solved in real arithmetic, a -0.0 imaginary
-    # part counting as zero; a complex row as it is; both kinds in one stack
-    # take the same branches as on their own
-    real = [states.white_noise_mix(states.w(4), p).rho for p in (0.0, 0.3)]
-    signed = np.array(real[1])
-    signed.imag[...] = -0.0
-    rows = [real[0], states.random_mixed((2,) * 4, 5, 2).rho, signed, real[1],
-            tensor.partial_transpose(states.haar_pure((2,) * 4, 1).rho, (2,) * 4, (0,))]
-    stack = np.stack(rows)
-    values = tensor._eigvalsh(tensor._hermitian(stack))
-    for row, value in zip(rows, values):
-        assert np.array_equal(value, tensor._eigvalsh(tensor._hermitian(row)))
-    assert np.array_equal(values[0], np.linalg.eigvalsh(tensor._hermitian(real[0]).real))
-    assert np.array_equal(values[2], np.linalg.eigvalsh(tensor._hermitian(real[1]).real))
-    assert np.array_equal(values[1], np.linalg.eigvalsh(tensor._hermitian(rows[1])))
-    norms = tensor._trace_norm(stack)
-    assert [tensor._trace_norm(row) for row in rows] == norms.tolist()
-    assert (tensor._entropies(tensor._density_eig(stack[:4])[1]).tolist()
-            == [tensor._entropies(tensor._density_eig(row)[1]) for row in rows[:4]])
 
 
 def solved_dtypes(monkeypatch, build):

@@ -333,6 +333,44 @@ def test_every_constructor_stores_an_exactly_hermitian_read_only_matrix(dims):
         assert not state.rho.flags.writeable
 
 
+def test_a_real_state_is_stored_as_float64_and_any_other_as_complex128():
+    # realness is decided once, when a checked state is built: an imaginary
+    # part that is all zero, -0.0 included, leaves a float64 matrix
+    dims = (2, 2, 2)
+    zero = [[0.0] * 8] * 8
+    real_rho = states.white_noise_mix(states.w(3), 0.3).rho.tolist()
+    named = [states.ghz(3), states.w(3), states.classical_corr_state()]
+    real = [
+        *named,
+        *(states.white_noise_mix(s, 0.3) for s in named),
+        states.ghz(4).marginal((2, 0)),
+        states.MultipartiteState.from_vector(np.arange(8.0), dims),
+        states.state_from_json({"dims": dims, "rho_re": real_rho, "rho_im": zero}),
+        states.state_from_json({"dims": dims, "rho_re": real_rho, "rho_im": [[-0.0] * 8] * 8}),
+    ]
+    complex_ = [
+        states.haar_pure(dims, 1),
+        states.random_mixed(dims, 3, 1),
+        *states.sample_states(states.EnsembleSpec("haar_pure", dims, 2), 1),
+        *states.sample_states(states.EnsembleSpec("random_mixed", dims, 2), 1),
+        # the counterexample search's states, even on a real vector
+        states.MultipartiteState._pure(np.arange(8.0), dims),
+    ]
+    assert [s.rho.dtype for s in real] == [np.float64] * len(real)
+    assert [s.rho.dtype for s in complex_] == [np.complex128] * len(complex_)
+    # the JSON of a real state is the one a complex128 matrix wrote: rho_im is 0.0
+    text = json.dumps(states.state_to_json(states.white_noise_mix(states.w(2), 0.3)))
+    assert text == (
+        '{"dims": [2, 2], "rho_re": [[0.075, 0.0, 0.0, 0.0], [0.0, 0.42500000000000004, '
+        '0.35000000000000003, 0.0], [0.0, 0.35000000000000003, 0.42500000000000004, 0.0], '
+        '[0.0, 0.0, 0.0, 0.075]], "rho_im": [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], '
+        '[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]}'
+    )
+    for state in real:
+        im = states.state_to_json(state)["rho_im"]
+        assert not np.any(im) and "-0.0" not in json.dumps(im)
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 1e-320])
 def test_from_vector_normalizes_huge_and_tiny_vectors(scale):
     # the norm of such a vector over- or underflows; it is rescaled first
@@ -355,7 +393,11 @@ def test_a_vector_checked_state_is_from_vectors_state(dims):
     for psi in vectors:
         want = states.MultipartiteState.from_vector(psi, dims)
         got = states.MultipartiteState._pure(psi, dims)
-        assert got.rho.tobytes() == want.rho.tobytes() and got.dims == want.dims == dims
+        # a real vector's checked state is stored as float64, the real part
+        # of the vector-checked state's complex128 matrix, whose imaginary part is zero
+        same = got.rho if want.rho.dtype == complex else got.rho.real
+        assert same.tobytes() == want.rho.tobytes() and got.dims == want.dims == dims
+        assert got.rho.dtype == complex and (want.rho.dtype == complex or not got.rho.imag.any())
         assert not got.rho.flags.writeable and want._psi is None
         assert np.array_equal(got._psi[:, None] @ got._psi.conj()[None, :], got.rho)
     for i in range(5):

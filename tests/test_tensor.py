@@ -126,6 +126,43 @@ def test_partial_trace_errors():
         tensor.partial_trace(rho, (2, 3), [0])
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 2, 2)])
+def test_a_float64_input_stays_float64_through_the_kernels(dims):
+    # a partial trace sums and a partial transpose permutes, so both give
+    # the real part of the same call on the complex128 copy bit for bit;
+    # purity is a matrix product, whose real and complex BLAS kernels may
+    # sum in different orders, so it agrees within 4 eps
+    d = int(np.prod(dims))
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(3, d, d))
+    rho = a @ a.swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+    for m in (rho, rho[0]):
+        c = m.astype(complex)
+        for keep in ([0], [len(dims) - 1, 0]):
+            got, want = tensor.partial_trace(m, dims, keep), tensor.partial_trace(c, dims, keep)
+            assert got.dtype == np.float64 and got.tobytes() == want.real.tobytes()
+            got, want = tensor.partial_transpose(m, dims, keep), tensor.partial_transpose(c, dims, keep)
+            assert got.dtype == np.float64 and got.tobytes() == want.real.tobytes()
+        got, want = np.asarray(tensor.purity(m)), np.asarray(tensor.purity(c))
+        assert got.dtype == np.float64 and np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_int_and_bool_lists_are_read_as_float64_and_strings_raise():
+    for m in ([[1, 0], [0, 1]], [[True, False], [False, True]], np.eye(2, dtype=np.float32)):
+        assert tensor.as_matrix(m).dtype == np.float64
+        assert tensor.partial_transpose(m, (2,), [0]).dtype == np.float64
+    assert tensor.as_matrices([[[1, 0], [0, 1]]]).dtype == np.float64
+    assert tensor.as_matrix([[1, 1j], [-1j, 1]]).dtype == np.complex128
+    rho = np.eye(4) / 4
+    assert tensor.as_matrix(rho) is rho and tensor.as_matrices(rho.astype(complex)).dtype == np.complex128
+    for bad in ("ab", [["a", "b"], ["c", "d"]]):
+        with pytest.raises(ValueError):
+            tensor.as_matrix(bad)
+        with pytest.raises(ValueError):
+            tensor.purity(bad)
+
+
 # ---------------------------------------------------------------------------
 # partial transpose
 # ---------------------------------------------------------------------------
