@@ -46,8 +46,12 @@ from the vector F, its axes permuted to side A, side B, traced: a cut that
 covers the whole state gives the Schmidt coefficients of F (one stacked
 svd), a whole 2x2 cut keeps the matrix, and any other cut gives F itself.
 The negativity family contracts F with its conjugate into the partially
-transposed marginal in one einsum; every other branch takes the marginal
-from one einsum. Either is exactly Hermitian, like the matrix form.
+transposed marginal in one einsum. Concurrence with side A one qubit and
+side B more takes the marginal's spectrum and support from one svd of F
+(``_qubit_cut_concurrence``), and its rank-2 roof from that support
+(``_roof``, the core that ``tangle_rank2`` runs after its checks); every
+other branch takes the marginal from one einsum. Either marginal is
+exactly Hermitian, like the matrix form.
 The Schmidt and vector forms carry the plan of the two-party cut
 (da, db), side A first. Every form takes the branch, and raises the error,
 of the matrix path.
@@ -78,8 +82,10 @@ _PAULI = (
     _PAULI_Y,
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-_PAULI_STACK = np.stack(_PAULI)
-_PAIRS = np.triu_indices(4)  # (i, j) with i <= j, row by row
+# half of sigma_u[k, l] sigma_v[c, a] at [a, k, c, l, u, v]: contracted with
+# a support and its conjugate, half of tr(Phi(sigma_u) sigma_v) (see _roof)
+_PHI_PAULI = 0.5 * np.einsum("ukl,vca->akcluv", _PAULI, _PAULI)
+_MINKOWSKI = np.array((1.0, -1.0, -1.0, -1.0))  # 4 det of (c0 + c.sigma)/2 is c0^2 - |c|^2
 
 # Discord / classical-correlation optimizer settings: coarse measurement grid
 # followed by coordinate-wise golden-section refinement (target accuracy 1e-4).
@@ -309,6 +315,18 @@ def concurrence_pure_cut(state: MultipartiteState, cut: Cut) -> float:
     return _pure_cut_concurrence(red, rdims, a_pos)[0]
 
 
+def _require_rank2(third: np.ndarray) -> None:
+    """Raise MeasureUndefinedError for the first row of a stack of mixed
+    single-qubit cuts whose marginal has a third eigenvalue above RANK_TOL;
+    ``third`` (m, 1) holds each row's third eigenvalue, or is (m, 0) when
+    the marginals have none."""
+    for t in third.ravel().tolist():
+        if t > RANK_TOL:
+            raise MeasureUndefinedError(
+                f"concurrence undefined on a mixed cut of rank > 2 (third eigenvalue {t:.3e})"
+            )
+
+
 def tangle_rank2(rho, dims, a_index: int):
     """Convex-roof squared concurrence of a rank <= 2 state across qubit A : rest,
     or of each matrix of a stack (..., d, d).
@@ -320,11 +338,13 @@ def tangle_rank2(rho, dims, a_index: int):
     is attained by a two-point decomposition along the eigendirection of the
     smallest eigenvalue of the quadratic's matrix M, giving the closed form
 
-        tau(rho) = tau_affine(m) + lambda_min(M) (1 - |m|^2).
+        tau(rho) = tau_affine(m) + lambda_min(M) (1 - |m|^2)
 
-    The input must be a density matrix (``tensor._density_eig``, one
-    eigensolve for the whole stack); raises MeasureUndefinedError for the
-    first matrix whose numerical rank exceeds 2.
+    (Osborne, PRA 72, 022309 (2005)). The input must be a density matrix
+    (``tensor._density_eig``, one eigensolve for the whole stack), whose
+    two leading eigenvectors span the support; raises MeasureUndefinedError
+    for the first matrix whose numerical rank exceeds 2. ``_roof`` then
+    takes the value from the support, as it does for the vector form.
     """
     rho = tensor.as_matrices(rho)
     lead, d = rho.shape[:-2], rho.shape[-1]
@@ -333,34 +353,70 @@ def tangle_rank2(rho, dims, a_index: int):
     if dims[a_index] != 2:
         raise ValueError("side A must be a single qubit")
     _, evals, evecs = tensor._density_eig(rho.reshape(-1, d, d), vectors=True)
-    for third in evals[:, -3].tolist() if d > 2 else ():
-        if third > RANK_TOL:
-            raise MeasureUndefinedError(
-                f"concurrence undefined on a mixed cut of rank > 2 (third eigenvalue {third:.3e})"
-            )
-    # the barycenter m = (0, 0, lam0 - lam1) in the support's Bloch frame
-    x = evals[:, -1] - np.maximum(evals[:, -2], 0.0)
-    support = evecs[..., -2:][..., ::-1]  # columns: dominant, subdominant
-    # Phi(sigma_mu) = tr_B(W sigma_mu W^dag) maps the support qubit to A.
-    l_ops = tensor.partial_trace(
-        support[:, None] @ _PAULI_STACK @ support.conj().swapaxes(-1, -2)[:, None], dims, [a_index]
-    )
-    # polarization of the 2x2 determinant, det(A+B) = detA + detB + 2 D(A,B),
-    # with D(A, B) = (tr A tr B - tr AB)/2 for each pair i <= j; the complex
-    # product tr A tr B is spelled out in real arithmetic
-    tr = np.trace(l_ops, axis1=-2, axis2=-1)
-    rows, cols = _PAIRS
-    tr_ab = np.trace(l_ops[:, rows] @ l_ops[:, cols], axis1=-2, axis2=-1)
-    re, im = tr.real, tr.imag
-    q = np.empty((len(x), 4, 4))
-    q[:, rows, cols] = q[:, cols, rows] = 0.5 * (
-        (re[:, rows] * re[:, cols] - im[:, rows] * im[:, cols]) - tr_ab.real
-    )
-    # Q(m) = q00 + 2 q0.m + m.q.m and |m|^2, with m's zero entries dropped
+    _require_rank2(evals[:, -3:-2])  # the third eigenvalue, if d > 2
+    # the support, columns dominant then subdominant, with qubit A's axis first
+    support = evecs[..., -2:][..., ::-1].reshape(-1, *dims, 2)
+    support = np.moveaxis(support, 1 + a_index, 1).reshape(-1, 2, d // 2, 2)
+    tau = _roof(evals[:, -1] - np.maximum(evals[:, -2], 0.0), support)
+    return tensor._number_or_stack(tau.reshape(lead))
+
+
+def _roof(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """tangle_rank2 of each row of a stack from its support w (m, 2, r, 2),
+    side A first, columns dominant then subdominant (orthonormal), and
+    x = lam_0 - lam_1, the barycenter m = (0, 0, x) in the support's Bloch
+    frame.
+
+    Phi(X) = tr_B(W X W^dag) maps the support qubit to A, and c[mu, k] =
+    tr(Phi(sigma_mu) sigma_k), its Pauli coefficients, take one einsum of
+    the support, its conjugate and a constant table. Then
+    det((c0 + c.sigma)/2) = (c0^2 - |c|^2)/4 polarizes to the quadratic's
+    matrix q = C diag(1, -1, -1, -1) C^T / 4, and tau = Q(m) + lam_min(q
+    without row and column 0) (1 - x^2), clamped at 0.
+    """
+    c = np.einsum("mabk,mcbl,akcluv->muv", w, w.conj(), _PHI_PAULI).real  # half of c[mu, k]
+    q = (c * _MINKOWSKI) @ c.swapaxes(-1, -2)
+    # Q(m) = q00 + 2 q0.m + m.q.m, with m's zero entries dropped
     q_m = q[:, 0, 0] + 2.0 * (q[:, 0, 3] * x) + (x * q[:, 3, 3]) * x
     lam_min = np.linalg.eigvalsh(q[:, 1:, 1:])[:, 0]
-    tau = q_m + lam_min * (1.0 - x * x)
-    return tensor._number_or_stack(np.maximum(tau, 0.0).reshape(lead))
+    return np.maximum(q_m + lam_min * (1.0 - x * x), 0.0)
+
+
+def _qubit_cut_concurrence(red: np.ndarray, rdims, a_pos) -> list[float]:
+    """Concurrence of each row of a reduced stack whose side A is one qubit
+    and side B more: the pure-cut formula on the pure rows, the square root
+    of the rank-2 roof on the others.
+
+    Schmidt coefficients are pure. A matrix row is pure by its purity, and
+    its roof is ``tangle_rank2``. A row F (2, db, k) of the vector form
+    gives its marginal's spectrum and support from one svd of F as a
+    (2 db, k) matrix: the eigenvalues are s^2, the purity sum s^4, and the
+    two leading left singular vectors span the support, so a mixed row
+    takes ``_roof`` without its marginal or an eigensolve; a third s^2
+    above RANK_TOL raises ``tangle_rank2``'s error.
+    """
+    if red.ndim == 2:
+        return _pure_cut_concurrence(red, rdims, a_pos)
+    if red.ndim == 4:
+        m, _, db, k = red.shape
+        u, s, _ = np.linalg.svd(red.reshape(m, 2 * db, k), full_matrices=False)
+        lam = s * s
+        pure = [p >= 1.0 - PURITY_TOL for p in (lam * lam).sum(-1).tolist()]
+    else:
+        pure = _is_pure(red)
+    rows = [i for i, p in enumerate(pure) if p]
+    mixed = [i for i, p in enumerate(pure) if not p]
+    val = {}
+    if rows:
+        val.update(zip(rows, _pure_cut_concurrence(_matrices(red[rows] if mixed else red), rdims, a_pos)))
+    if mixed:
+        if red.ndim == 3:
+            taus = tangle_rank2(red[mixed], rdims, a_pos[0])
+        else:
+            _require_rank2(lam[mixed, 2:3])  # the third eigenvalue, if F has one
+            taus = _roof(lam[mixed, 0] - lam[mixed, 1], u[mixed, :, :2].reshape(-1, 2, db, 2))
+        val.update(zip(mixed, [_flush(math.sqrt(tau)) for tau in taus.tolist()]))
+    return [val[i] for i in range(len(red))]
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +654,8 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
     pure whole cut they come from: ||rho^T_A||_1 = (sum s)^2, 2 s_1 s_2
     and the entropy of the s^2. The vector form takes the branch of its
     marginal; for the negativity family one einsum builds the partial
-    transpose straight away.
+    transpose straight away, and for concurrence on a single-qubit side A
+    one svd of F gives the marginal's spectrum and support.
     """
     tag = kind.tag
     if tag is Measure.NEGATIVITY or tag is Measure.LOG_NEGATIVITY:
@@ -610,23 +667,15 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
         return [_negativity(kind, t) for t in norms.tolist()]
     # the public kernels below check their input again: an exactly
     # Hermitian marginal passes, and their symmetrization changes no value
-    red = _matrices(red)
     if tag is Measure.CONCURRENCE:
         if da == 2 and db == 2:
-            return concurrence_two_qubit(red).tolist()
+            return concurrence_two_qubit(_matrices(red)).tolist()
         if da == 2:  # side A is a single qubit
-            # the pure-cut formula runs on the whole stack; the mixed
-            # matrices discard their values and take the rank-2 roof, in one call
-            val = _pure_cut_concurrence(red, rdims, a_pos)
-            mixed = [i for i, pure in enumerate(_is_pure(red)) if not pure]
-            if mixed:
-                taus = tangle_rank2(red[mixed], rdims, a_pos[0])
-                for i, tau in zip(mixed, taus.tolist()):
-                    val[i] = _flush(math.sqrt(tau))
-            return val
+            return _qubit_cut_concurrence(red, rdims, a_pos)
         raise MeasureUndefinedError(
             f"concurrence undefined on a {da}x{db} cut with a non-qubit A side"
         )
+    red = _matrices(red)
     if tag is Measure.EOF:
         if da == 2 and db == 2:
             return eof_two_qubit(red).tolist()

@@ -139,6 +139,12 @@ def base_values(kind, state: MultipartiteState, focus: int) -> tuple[float, tupl
     return whole, parts
 
 
+def _joined(stacks: list) -> np.ndarray:
+    """``np.concatenate`` of a list of stacks; a list of one passes as it
+    is, with no copy."""
+    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+
+
 def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
     """For each state of a list, in order, the tuple of ``post(value)`` over
     its cuts ``cuts_of(n)``; the default ``post`` keeps each value as is.
@@ -151,9 +157,11 @@ def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
     shape of a row (which tells the form: matrices, Schmidt coefficients or
     vector form), their dtype and their plan, across cuts and dims, are
     scored in one call; a real state is never solved in a complex stack.
-    When anything raises ValueError, the work is replayed one state and one
-    cut at a time, so the error raised is the one a per-state loop raises
-    first.
+    A group of one state stacks views of its arrays, and a plan of one part
+    is scored as it is, so the one-state tables of the strong and hierarchy
+    reports copy nothing; a copy has the same bits. When anything raises
+    ValueError, the work is replayed one state and one cut at a time, so
+    the error raised is the one a per-state loop raises first.
     """
     groups: dict[tuple, list[int]] = {}
     for i, state in enumerate(states):
@@ -162,8 +170,8 @@ def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
     by_plan: dict[tuple, list] = {}  # plan -> [(reduced stack, state indices, cut position)]
     try:
         for (dims, vector, _), idx in groups.items():
-            rho = np.stack([states[i].rho for i in idx])
-            psi = np.stack([states[i]._psi for i in idx]) if vector else None
+            rho = _joined([states[i].rho[None] for i in idx])
+            psi = _joined([states[i]._psi[None] for i in idx]) if vector else None
             cuts = cuts_of(len(dims))
             for i in idx:
                 table[i] = [None] * len(cuts)
@@ -171,7 +179,7 @@ def _cut_table(score, states, cuts_of, post=float) -> list[tuple[float, ...]]:
                 red, *plan = _reduced(rho, dims, cut, psi)
                 by_plan.setdefault((red.shape[1:], red.dtype, *plan), []).append((red, idx, j))
         for (_, _, *plan), parts in by_plan.items():
-            values = iter(score(np.concatenate([red for red, _, _ in parts]), *plan))
+            values = iter(score(_joined([red for red, _, _ in parts]), *plan))
             for _, idx, j in parts:
                 for i in idx:
                     table[i][j] = post(next(values))

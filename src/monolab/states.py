@@ -362,10 +362,14 @@ def state_to_json(state: MultipartiteState) -> dict:
 
 def state_from_json(obj: dict) -> MultipartiteState:
     """The state of ``state_to_json``'s dict. ``rho_re`` and ``rho_im`` must
-    have one square shape, else ValueError: neither is broadcast."""
-    re, im = np.asarray(obj["rho_re"], dtype=float), np.asarray(obj["rho_im"], dtype=float)
+    have one square shape, else ValueError: neither is broadcast. Each entry
+    then goes through the real rule, as ``dims`` goes through the dims rule,
+    so ``true``, ``"1"``, null and non-finite entries raise ValueError."""
+    re, im = (np.asarray(obj[key], dtype=object) for key in ("rho_re", "rho_im"))
     if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise ValueError(f"rho_re and rho_im must have one square shape, got {re.shape} and {im.shape}")
+    re, im = (np.array([_real(x, f"{key} entry", -math.inf) for x in part.flat]).reshape(part.shape)
+              for key, part in (("rho_re", re), ("rho_im", im)))
     return MultipartiteState(re + 1j * im, obj["dims"])
 
 

@@ -37,8 +37,9 @@ dtype rules, and numpy's eigensolvers pick LAPACK's real routines for it,
 a fraction of the complex solve's work. Nothing tests an imaginary part
 at solve time. A partial trace sums and a partial transpose permutes, so
 on a real matrix both equal the real part of the complex call bit for
-bit; purity is a matrix product, whose real and complex BLAS kernels may
-sum in different orders (within 2 eps).
+bit; purity sums the squares of the entries' real and imaginary parts,
+and a complex matrix interleaves its zero imaginary parts into that sum,
+so the real and complex calls may differ within 2 eps.
 
 Index plans are cached per shape: the dimension check, and the reshape and
 axis bookkeeping of the partial trace and transpose, are worked out once per
@@ -307,9 +308,14 @@ def _trace_norm(m: np.ndarray) -> np.ndarray:
 
 
 def purity(rho):
-    """tr(rho^2) of a matrix, or of each matrix of a stack."""
+    """tr(rho^2) of a Hermitian matrix, or of each matrix of a stack: the
+    sum of the squares of the real and imaginary parts of its entries,
+    which takes d^2 products where rho @ rho takes d^3."""
     rho = as_matrices(rho)
-    return _number_or_stack(np.real(np.trace(rho @ rho, axis1=-2, axis2=-1)))
+    x = np.ascontiguousarray(rho).reshape(*rho.shape[:-2], -1)
+    if x.dtype is _COMPLEX:
+        x = x.view(float)  # (re, im) pairs
+    return _number_or_stack((x * x).sum(-1))
 
 
 def _density_eig(m, vectors: bool = False):

@@ -729,6 +729,25 @@ def test_a_negative_seed_exits_2_with_its_own_message(argv, capsys):
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [True, "1"], ids=["true", "string"])
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--measure", "negativity", "--p-grid", "0", "--r-grid", "1"),
+     ("rstar", "--measure", "lognegativity", "--bracket", "1,2"), ("state-export",)],
+    ids=["sweep", "rstar", "state-export"],
+)
+def test_a_state_file_entry_that_is_not_a_number_exits_2(entry, argv, tmp_path, capsys):
+    """|000><000| with its first entry written as true or "1": the real
+    rule rejects it as the file is read, where numpy would read it as 1."""
+    obj = states.state_to_json(states.MultipartiteState.from_vector(np.eye(8)[0], (2, 2, 2)))
+    obj["rho_re"][0][0] = entry
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    assert run(*argv, "--state-file", str(path), "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert f"rho_re entry must lie in (-inf, inf), got {entry!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("defect", ["nan-entry", "null-rho-im"])
 @pytest.mark.parametrize(
     "argv",
@@ -736,10 +755,10 @@ def test_a_negative_seed_exits_2_with_its_own_message(argv, capsys):
     ids=["sweep", "state-export"],
 )
 def test_non_finite_state_file_exits_2(defect, argv, tmp_path, capsys):
-    """A NaN entry fails the Hermiticity check, before any eigensolve, whose
-    handling of NaN depends on the LAPACK build; otherwise a sweep can print
-    a row of zeros and state-export write NaN, which is not JSON. A null
-    rho_im, read as one NaN, fails the shape rule before it is broadcast."""
+    """A NaN entry fails the real rule as the file is read, before any
+    eigensolve, whose handling of NaN depends on the LAPACK build; otherwise
+    a sweep can print a row of zeros and state-export write NaN, which is not
+    JSON. A null rho_im fails the shape rule before it is broadcast."""
     obj = states.state_to_json(states.classical_corr_state())
     if defect == "nan-entry":
         obj["rho_re"][0][0] = math.nan
@@ -748,7 +767,7 @@ def test_non_finite_state_file_exits_2(defect, argv, tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(obj))
     assert run(*argv, "--state-file", str(path), "--out", str(tmp_path / "out")) == EXIT_CONFIG
-    want = "not Hermitian" if defect == "nan-entry" else "got (8, 8) and ()"
+    want = "rho_re entry must lie in (-inf, inf), got nan" if defect == "nan-entry" else "got (8, 8) and ()"
     assert want in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -103,7 +103,7 @@ SUITES = {
     "lemmas": (lambda: verify.check_scalar_lemmas(1000, 3), "f13d906d0c2ae57425f286bcc5afcabfd35a881c133829314a3f0f27f4fb5618"),
     "decreasing-concave": (lambda: verify.check_decreasing_concave_family(1000, 3), "4ecd347b3ca7b22f3ca475648181d703e919ac5ff529e422af4a72210be58fc0"),
     "raising": (lambda: verify.verify_raising(_CONC, _PURE3, 2.0, (2.5, 3.0), 3), "7f4a6145536ab42d87e54d23204d8bfc9f657d7bdac0367563e6407f2ff1a711"),
-    "raising-rank2": (lambda: verify.verify_raising(_CONC, _RANK2, 2.0, (2.5, 4.0), 3), "5338de2952864c102394273310ca04934660901c55656fce4246ec3dc46468dc"),
+    "raising-rank2": (lambda: verify.verify_raising(_CONC, _RANK2, 2.0, (2.5, 4.0), 3), "5644d59a5d880d071dbf8c80d93bc46cdbafccde94da6610beb3e5621313153a"),
     "lowering": (
         lambda: verify.verify_lowering(Measure.LOG_NEGATIVITY, _MIXED3, 1.0, (0.5, 0.8), 3), "a4d27bc22eb09c0d997ebbb15b1fd30a25f6b40dc8de3d63aaa4ad7d11ae9b37"
     ),
@@ -118,8 +118,8 @@ SUITES = {
     "mixed": (lambda: verify.verify_mixed_lifting(Measure.NEGATIVITY, _MIXED3, 3), "003468781b306b600dc77a0b1dc56bfaab76104211ba18066106aed5eebe5f15"),
     "probe": (lambda: verify.probe_high_power_mixed((2.0, 3.0, 4.0), _MIXED3, 3), "115f4c6727235c5a2c7942ee1c123e8258175429bd541dbb0478bc2952ad4302"),
     "probe-empty-ensemble": (lambda: verify.probe_high_power_mixed((2.0, 3.0), [], 3), "90f2d018320bb45c1d292dc7d9bc22698c2fe1840753b5d5315f466fcc6232cc"),
-    "strong": (lambda: verify.verify_strong_chain(_CONC, _PURE4, 2.0, 3), "14bef30abcfabe505d4418dd1c6d429fd0b1779408ed8d00097389426979bf16"),
-    "hierarchy": (lambda: verify.verify_hierarchy_chain(_CONC, _PURE4, 2.0, 3), "71e34804fdb4ea420736f4a3adcf086f53f6ceed93ab96a02522581399e4dca8"),
+    "strong": (lambda: verify.verify_strong_chain(_CONC, _PURE4, 2.0, 3), "c5a3d4d8e04e1174567b1ebea19a721f1bac6f3b97b232aec0d8ab4c7983fec4"),
+    "hierarchy": (lambda: verify.verify_hierarchy_chain(_CONC, _PURE4, 2.0, 3), "19534adf65dc9c63363d3b7ed5f7127ba34994cd0a6c992bd23ccad565607f5c"),
 }
 
 
@@ -148,7 +148,7 @@ CLI_STDOUT = {
                      "a90cbce34ebc99eca74b03fb9654a4edec045b0b638bb08cb3ea70c82dcbc1ed"),
     "verify-strong": (("verify", "strong", "--dims", "2,2,2,2", "--focus", "1", "--count", "2",
                        "--seed", "3"),
-                      "c88ae28e61add2ddc53c9df49fa75f3c0d0cc44bb6abcb1173085467a7c4423f"),
+                      "55f748903c55328f18ba9f7d48dc511dcae816449b87360fbbdf7333960ba150"),
     "verify-hierarchy": (("verify", "hierarchy", "--alpha", "2", "--count", "3", "--seed", "3"),
                          "ce1904b95b1a27c37b6dda2195991fb8d5a5d77c7366188c43cea5154f90a6ad"),
     "verify-probe-high-power": (("verify", "probe-high-power", "--r-grid", "2,3", "--rank", "2",

@@ -282,6 +282,48 @@ def test_stacked_roof_raises_for_its_first_row_of_rank_above_two():
     assert raised_by(lambda: tangle_rank2(np.stack([rank2, rank3, rank4]), (2, 2, 2), 0)) == want
 
 
+def reduced_vectors(sts, cut):
+    """``_reduced`` of a list of vector states on one dims, as one stack."""
+    psi = np.stack([st._psi for st in sts])
+    return _reduced(np.stack([st.rho for st in sts]), sts[0].dims, cut, psi)
+
+
+def with_product_qubit(st, amplitudes):
+    """The vector state st x (one more qubit, last)."""
+    return states.MultipartiteState._pure(np.kron(st._psi, amplitudes), st.dims + (2,))
+
+
+def test_a_vector_form_stack_mixes_the_pure_cut_formula_and_the_roof():
+    # cut 0 : {1, 2} of 4 qubits, from one svd of F for the stack: a row whose
+    # traced qubit is a product factor is pure and takes the pure-cut
+    # formula, the others the rank-2 roof; each row keeps its own bits
+    haar4 = [states.haar_pure((2, 2, 2, 2), 31, i) for i in range(3)]
+    product = [with_product_qubit(states.haar_pure((2, 2, 2), 31, i), a)
+               for i, a in enumerate(([1.0, 0.0], [0.6, 0.8j]))]
+    sts = [haar4[0], product[0], haar4[1], product[1], haar4[2]]
+    cut, kind = Cut((0,), (1, 2)), MeasureKind(Measure.CONCURRENCE)
+    assert [st.marginal([0, 1, 2]).is_pure() for st in sts] == [False, True, False, True, False]
+    red = reduced_vectors(sts, cut)
+    assert red[0].ndim == 4
+    assert _score_stack(kind, *red) == [evaluate(kind, st, cut) for st in sts]
+    for st in sts:
+        assert _score_stack(kind, *reduced_vectors([st], cut)) == [evaluate(kind, st, cut)]
+
+
+def test_a_vector_form_stack_raises_for_its_first_row_of_rank_above_two():
+    # cut 0 : {1, 2} of 5 qubits traces qubits 3 and 4: rank 2 when qubit 4
+    # is a product factor, else rank 4
+    rank2 = with_product_qubit(states.haar_pure((2, 2, 2, 2), 32), [1.0, 0.0])
+    rank4 = [states.haar_pure((2,) * 5, 32, i) for i in range(2)]
+    cut, kind = Cut((0,), (1, 2)), MeasureKind(Measure.CONCURRENCE)
+    assert evaluate(kind, rank2, cut) > 0.0
+    want = raised_by(lambda: evaluate(kind, rank4[0], cut))
+    assert want[0] is MeasureUndefinedError
+    matrix = states.MultipartiteState.from_vector(rank4[0]._psi, rank4[0].dims)
+    assert raised_by(lambda: evaluate(kind, matrix, cut)) == want
+    assert raised_by(lambda: _score_stack(kind, *reduced_vectors([rank2, *rank4], cut))) == want
+
+
 def strong_by_loop(kind, state, focus, alpha):
     """strong_monogamy_report as a loop of one evaluate per cut."""
     kind = MeasureKind(kind) if isinstance(kind, Measure) else kind

@@ -263,6 +263,23 @@ def test_state_from_json_broadcasts_neither_part(rho_im):
         states.state_from_json(obj)
 
 
+@pytest.mark.parametrize("key,entry", [("rho_re", True), ("rho_re", "1"), ("rho_im", False), ("rho_im", "0"),
+                                       ("rho_re", None), ("rho_im", math.inf)],
+                         ids=["true", "string-one", "false", "string-zero", "null", "inf"])
+def test_state_from_json_reads_each_entry_by_the_real_rule(key, entry, tmp_path):
+    # |00><00| with its first entry spelled as a value numpy would read as
+    # the same number; the dims rule rejects "2" in dims the same way
+    obj = {"dims": [2, 2], "rho_re": np.diag([1.0, 0.0, 0.0, 0.0]).tolist(), "rho_im": [[0.0] * 4] * 4}
+    obj[key] = [[entry, *row[1:]] if i == 0 else row for i, row in enumerate(obj[key])]
+    message = rf"^{key} entry must lie in \(-inf, inf\), got {re.escape(repr(entry))}$"
+    with pytest.raises(ValueError, match=message):
+        states.state_from_json(obj)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=message):
+        states.load_state(path)
+
+
 def test_state_invariant_rejections():
     with pytest.raises(ValueError):
         states.MultipartiteState(np.diag([0.6, 0.6]), (2,))  # trace

@@ -130,8 +130,8 @@ def test_partial_trace_errors():
 def test_a_float64_input_stays_float64_through_the_kernels(dims):
     # a partial trace sums and a partial transpose permutes, so both give
     # the real part of the same call on the complex128 copy bit for bit;
-    # purity is a matrix product, whose real and complex BLAS kernels may
-    # sum in different orders, so it agrees within 4 eps
+    # purity sums squares, and the complex copy's sum has its zero imaginary
+    # parts in between, so it agrees within 4 eps
     d = int(np.prod(dims))
     rng = np.random.default_rng(d)
     a = rng.normal(size=(3, d, d))
@@ -146,6 +146,20 @@ def test_a_float64_input_stays_float64_through_the_kernels(dims):
             assert got.dtype == np.float64 and got.tobytes() == want.real.tobytes()
         got, want = np.asarray(tensor.purity(m)), np.asarray(tensor.purity(c))
         assert got.dtype == np.float64 and np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 64])
+def test_purity_is_the_sum_of_the_squared_entries(d):
+    # tr(rho^2) = sum |rho_ij|^2 on a Hermitian matrix: within 4 eps of the
+    # trace of the product, real or complex, and a strided view reads as
+    # its contiguous copy
+    rng = np.random.default_rng(d)
+    for a in (rng.normal(size=(d, d)), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
+        rho = a @ a.conj().T
+        rho = tensor._hermitian(rho / np.trace(rho).real)
+        want = np.trace(rho @ rho).real
+        assert abs(tensor.purity(rho) - want) <= 4 * np.finfo(float).eps * want
+        assert tensor.purity(rho.T) == tensor.purity(np.ascontiguousarray(rho.T))
 
 
 def test_int_and_bool_lists_are_read_as_float64_and_strings_raise():

@@ -8,8 +8,10 @@ vector path must give ``evaluate``'s bits.
 """
 
 import functools
+import itertools
 
 import numpy as np
+import oracles
 import pytest
 
 from monolab import states
@@ -24,6 +26,7 @@ from monolab.measures import (
     concurrence_pure_cut,
     eof_pure_cut,
     evaluate,
+    tangle_rank2,
 )
 from monolab.monogamy import _cut_table, _hierarchy_cuts, _monogamy_cuts, _strong_cuts
 
@@ -155,3 +158,54 @@ def test_the_vector_form_puts_side_a_first_and_contracts_to_the_marginal():
     assert np.allclose(_marginal(f)[0], rho, rtol=0, atol=1e-15)
     pt = rho.reshape(2, 3, 2, 3).transpose(2, 1, 0, 3).reshape(6, 6)
     assert np.allclose(_marginal(f, True)[0], pt, rtol=0, atol=1e-15)
+
+
+def qubit_cuts(n: int) -> list[Cut]:
+    """Every cut focus : X of n qubits with two or more parties in X and at
+    least one party traced: the cuts that take the vector form's svd."""
+    return [Cut((f,), x) for f in range(n) for size in range(2, n - 1)
+            for x in itertools.combinations([j for j in range(n) if j != f], size)]
+
+
+def marginal_roof(state, cut):
+    """tangle_rank2 of the cut's marginal, built as a checked matrix, or the
+    type and message of the ValueError it raises."""
+    keep = sorted(cut.side_a + cut.side_b)
+    rho = state.marginal(keep).rho
+    return outcome(lambda: tangle_rank2(rho, (2,) * len(keep), keep.index(cut.side_a[0])))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_vector_form_roof_is_tangle_rank2_of_its_marginal(n):
+    # one svd of F against the eigensolve of the marginal: the same roof
+    # within 1e-14, or the matrix path's error, text and all (the 5-qubit
+    # focus : {j, k} marginals have rank 4)
+    roofs = undefined = 0
+    for i in range(3):
+        vector = states.haar_pure((2,) * n, 29, i)
+        matrix = states.MultipartiteState.from_vector(vector._psi, vector.dims)
+        for cut in qubit_cuts(n):
+            assert _reduced(vector.rho[None], vector.dims, cut, vector._psi[None])[0].ndim == 4
+            got = outcome(lambda: evaluate(Measure.CONCURRENCE, vector, cut) ** 2)
+            want = marginal_roof(vector, cut)
+            if isinstance(want, tuple):
+                assert want[0] is MeasureUndefinedError and "rank > 2" in want[1]
+                assert got == want == outcome(lambda: evaluate(Measure.CONCURRENCE, matrix, cut) ** 2), cut
+                undefined += 1
+            else:
+                assert 0.0 < got and abs(got - want) < 1e-14, (cut, got, want)
+                roofs += 1
+    assert roofs > 0 and (undefined > 0) == (n == 5)
+
+
+def test_the_chords_bound_the_vector_form_roof():
+    # every two-point decomposition of the marginal bounds its convex roof
+    for i in range(3):
+        s = states.haar_pure((2, 2, 2, 2), 30, i)
+        for cut in (Cut((0,), (1, 2)), Cut((3,), (0, 2))):
+            tau = evaluate(Measure.CONCURRENCE, s, cut) ** 2
+            keep = sorted(cut.side_a + cut.side_b)
+            rho = s.marginal(keep).rho
+            chord = oracles.tangle_roof_chords(rho, (2, 2, 2), keep.index(cut.side_a[0]), directions=1500, seed=i)
+            assert tau <= chord + 1e-12
+            assert chord - tau < 3e-3  # random-direction scan converges quadratically
