@@ -167,14 +167,6 @@ def qubit_cuts(n: int) -> list[Cut]:
             for x in itertools.combinations([j for j in range(n) if j != f], size)]
 
 
-def marginal_roof(state, cut):
-    """tangle_rank2 of the cut's marginal, built as a checked matrix, or the
-    type and message of the ValueError it raises."""
-    keep = sorted(cut.side_a + cut.side_b)
-    rho = state.marginal(keep).rho
-    return outcome(lambda: tangle_rank2(rho, (2,) * len(keep), keep.index(cut.side_a[0])))
-
-
 @pytest.mark.parametrize("n", [4, 5])
 def test_the_vector_form_roof_is_tangle_rank2_of_its_marginal(n):
     # one svd of F against the eigensolve of the marginal: the same roof
@@ -187,7 +179,9 @@ def test_the_vector_form_roof_is_tangle_rank2_of_its_marginal(n):
         for cut in qubit_cuts(n):
             assert _reduced(vector.rho[None], vector.dims, cut, vector._psi[None])[0].ndim == 4
             got = outcome(lambda: evaluate(Measure.CONCURRENCE, vector, cut) ** 2)
-            want = marginal_roof(vector, cut)
+            keep = sorted(cut.side_a + cut.side_b)
+            rho = vector.marginal(keep).rho  # a checked matrix
+            want = outcome(lambda: tangle_rank2(rho, (2,) * len(keep), keep.index(cut.side_a[0])))
             if isinstance(want, tuple):
                 assert want[0] is MeasureUndefinedError and "rank > 2" in want[1]
                 assert got == want == outcome(lambda: evaluate(Measure.CONCURRENCE, matrix, cut) ** 2), cut
