@@ -247,10 +247,7 @@ def cmd_rstar(cfg: RunConfig) -> int:
                 "tol": result.tol,
                 "score_lo": result.score_lo,
                 "score_hi": result.score_hi,
-                "trace": [
-                    {"lo": lo, "hi": hi, "mid": mid, "score": sc}
-                    for lo, hi, mid, sc in result.steps
-                ],
+                "trace": [{"r": r, "score": sc} for r, sc in result.steps],
             },
         )
     else:
@@ -442,8 +439,8 @@ _FLAGS = {
     "r": dict(type=float, help="hypothesis exponent"),
     "r_grid": dict(type=_parse_grid, help="exponents, e.g. 1,2 or 1:2:11"),
     "p_grid": dict(type=_parse_grid, help="white-noise weights, e.g. 0:1:51"),
-    "bracket": dict(type=_parse_floats, help="exponent bracket lo,hi"),
-    "tol": dict(type=float, help="bisection tolerance (default 1e-4)"),
+    "bracket": dict(type=_parse_floats, help="exponent window lo,hi that must hold the crossing"),
+    "tol": dict(type=float, help="tolerance, checked and recorded; r* is the exact root (default 1e-4)"),
     "alpha": dict(type=_parse_floats, help="target exponent(s), e.g. 2 or 2.5,3,4"),
     "count": dict(type=int, help="ensemble size / search restarts (default 100)"),
     "samples": dict(type=int, help="scalar-lemma draws"),
@@ -482,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                required=("measure", "r_grid", "p_grid"))
     p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
-    p = sub.add_parser("rstar", help="bisect the critical exponent of the monogamy score")
+    p = sub.add_parser("rstar", help="the critical exponent where the monogamy score crosses zero")
     _add_flags(p, ("measure", "normalized", "bracket", "tol", "focus", *_STATE),
                required=("measure", "bracket"))
     p.add_argument("--format", dest="fmt", choices=("json",), help="JSON instead of text")

@@ -14,6 +14,9 @@ Quantum discord and classical correlation work on the Bloch (Fano) form of
 a two-qubit state, its local Bloch vectors a, b and correlation matrix T
 (Luo, PRA 77, 042303 (2008)): a projective measurement along a unit vector
 n costs a few flops, so the measurement optimizer never builds projectors.
+On a pure cut that is not 2x2 both equal the entanglement entropy S(A),
+as the entanglement of formation does: a Schmidt-basis measurement is
+optimal, so J = S(A) and D = I - J = S(A).
 
 The index bookkeeping of a cut (which subsystems to keep, where each side
 sits in the reduced state, the side dimensions) is cached per (dimensions,
@@ -655,7 +658,8 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
     and the entropy of the s^2. The vector form takes the branch of its
     marginal; for the negativity family one einsum builds the partial
     transpose straight away, and for concurrence on a single-qubit side A
-    one svd of F gives the marginal's spectrum and support.
+    one svd of F gives the marginal's spectrum and support. EoF, discord and
+    classical correlation are S(A) on a pure cut that is not 2x2.
     """
     tag = kind.tag
     if tag is Measure.NEGATIVITY or tag is Measure.LOG_NEGATIVITY:
@@ -676,11 +680,11 @@ def _score_stack(kind: MeasureKind, red: np.ndarray, rdims, a_pos, b_pos, da, db
             f"concurrence undefined on a {da}x{db} cut with a non-qubit A side"
         )
     red = _matrices(red)
+    if not da == db == 2 and all(_is_pure(red)):  # a pure cut: EoF = D = J = S(A)
+        return _side_entropy(red, rdims, a_pos)
     if tag is Measure.EOF:
         if da == 2 and db == 2:
             return eof_two_qubit(red).tolist()
-        if all(_is_pure(red)):
-            return _side_entropy(red, rdims, a_pos)
         raise MeasureUndefinedError(
             f"entanglement of formation undefined on a mixed {da}x{db} cut"
         )

@@ -217,18 +217,20 @@ def power_sweep(kind, state: MultipartiteState, focus: int, r_grid) -> list[Mono
 
 @dataclass(frozen=True)
 class CriticalExponent:
-    """Bisection result: the crossing exponent and the endpoint scores."""
+    """The exponent r* where the monogamy score crosses zero, the window it
+    was asked for in and the scores at the window's ends, the tol as given,
+    and the Newton iterates."""
 
     r_star: float
     bracket: tuple[float, float]
     tol: float
     score_lo: float
     score_hi: float
-    steps: tuple[tuple[float, float, float, float], ...]  # (lo, hi, mid, score_mid)
+    steps: tuple[tuple[float, float], ...]  # (r, delta(r)) of each iterate
 
 
-def _bisection(bracket, tol) -> tuple[float, float, float]:
-    """The checked bracket, exactly one pair with ends 0 < lo < hi, and
+def _window(bracket, tol) -> tuple[float, float, float]:
+    """The checked window, exactly one pair with ends 0 < lo < hi, and
     tol > 0, all finite."""
     ends = _list(bracket, "bracket end")
     if len(ends) != 2:
@@ -238,38 +240,43 @@ def _bisection(bracket, tol) -> tuple[float, float, float]:
 
 
 def bisect_score_crossing(whole: float, parts, bracket, tol: float) -> CriticalExponent:
-    """Bisect delta(r) = whole^r - sum parts^r over ``bracket``.
+    """The root r* of delta(r) = whole^r - sum parts^r inside ``bracket``.
 
-    ``whole`` and each part must be finite and >= 0. Requires delta < 0 at
-    the lower endpoint and delta > 0 at the upper one; assumes a single sign
-    change inside the bracket.
+    ``whole`` and each part must be finite and >= 0. A crossing exists, and
+    is unique, exactly when whole > 0, two or more parts are nonzero and
+    each is below the whole; it lies in the window when delta < 0 at its
+    lower end and delta > 0 at its upper one, and BracketError is raised
+    otherwise. r* is then the root of the convex, decreasing
+    g(r) = log sum_j (p_j / whole)^r over the nonzero parts, which Newton's
+    method, started at r = 0, climbs monotonically; it stops at the first
+    iterate that does not increase. ``tol`` is checked and recorded only.
     """
-    lo, hi, tol = _bisection(bracket, tol)
-    bracket = (lo, hi)
+    lo, hi, tol = _window(bracket, tol)
     whole, *parts = _reals((whole, *_list(parts, "measure value")), "measure value", closed=True)
     d_lo, d_hi = _delta(whole, parts, lo), _delta(whole, parts, hi)
     if not (d_lo < 0.0 < d_hi):
         raise BracketError(
             f"no bracketed crossing: delta({lo:g}) = {d_lo:.6g}, delta({hi:g}) = {d_hi:.6g}"
         )
-    steps = []
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # tol below the float spacing of the bracket
-            break
-        d_mid = _delta(whole, parts, mid)
-        steps.append((lo, hi, mid, d_mid))
-        if d_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return CriticalExponent(0.5 * (lo + hi), bracket, tol, d_lo, d_hi, tuple(steps))
+    logs = [math.log(p) - math.log(whole) for p in parts if p > 0.0]  # each < 0
+    r, steps = 0.0, []
+    while True:
+        top = max(r * x for x in logs)  # log-sum-exp: no power leaves the float range
+        terms = [math.exp(r * x - top) for x in logs]
+        h = math.fsum(terms)  # h(r) / exp(top)
+        # r - g / g', with g = top + log h and g' = sum_j terms_j x_j / h
+        nxt = r - (top + math.log(h)) * h / math.fsum(t * x for t, x in zip(terms, logs))
+        if not nxt > r:
+            return CriticalExponent(r, (lo, hi), tol, d_lo, d_hi, tuple(steps))
+        r = nxt
+        steps.append((r, _delta(whole, parts, r)))
 
 
 def critical_exponent(kind, state: MultipartiteState, focus: int, bracket, tol: float) -> CriticalExponent:
-    """Locate the exponent where the monogamy score crosses zero. The bracket
-    and tol are checked before any measure is evaluated."""
-    lo, hi, tol = _bisection(bracket, tol)
+    """The exponent where the monogamy score crosses zero, as the exact root
+    of ``bisect_score_crossing``. The window and tol are checked before any
+    measure is evaluated."""
+    lo, hi, tol = _window(bracket, tol)
     whole, parts = base_values(as_kind(kind), state, focus)
     return bisect_score_crossing(whole, parts, (lo, hi), tol)
 

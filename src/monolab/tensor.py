@@ -151,7 +151,7 @@ def _real(x, what: str, lo: float = 0.0, closed: bool = False, hi: float = math.
     """``x`` as a float if it is a real number, not a bool, finite, above
     ``lo`` (or equal to it when ``closed``) and at most ``hi``, else
     ValueError: the one real rule of exponents, tolerances, noise weights,
-    concurrences and the measure values a caller hands to the bisection."""
+    concurrences and the measure values a caller hands to the root finder."""
     v = x
     if type(x) is not float:  # the fast path: a Python float needs no conversion
         try:  # bools, strings, None and complex numbers fail, and so do ints beyond the float range

@@ -215,11 +215,16 @@ def _base_slacks(kind: MeasureKind, slack):
 
 def _transfer(theorem: str, sign: float, kind: MeasureKind, ensemble, r: float,
               alphas: tuple[float, ...], seed: int) -> VerificationSummary:
-    """Raising (sign +1) and lowering (sign -1): a state with sign * delta(r) >= -1e-9
-    must keep sign * delta(alpha) >= -1e-9 at every alpha; others are skipped."""
+    """Raising (sign +1) and lowering (sign -1): an admitted state must keep
+    sign * delta(alpha) >= -1e-9 at every alpha; others are skipped. Raising
+    admits delta(r) >= -1e-9. Lowering admits whole = 0, and otherwise
+    h(r) = sum_j (part_j / whole)^r >= 1 - 1e-9, a test that does not shrink
+    with whole^r as delta(r) does."""
 
     def slack(whole, parts):
-        if sign * _delta(whole, parts, r) < -STATE_TOL:
+        # a ratio of 1 or more admits alone, so clamping it keeps the powers finite
+        if (_delta(whole, parts, r) < -STATE_TOL if sign > 0.0 else
+                whole > 0.0 and math.fsum(min(p / whole, 1.0) ** r for p in parts) < 1.0 - STATE_TOL):
             return None
         # + 0.0 makes a negated zero score 0.0, not -0.0, in the summary
         return min(sign * _delta(whole, parts, a) for a in alphas) + 0.0
@@ -244,8 +249,10 @@ def verify_raising(kind, ensemble, r: float, alphas, seed: int) -> VerificationS
 def verify_lowering(kind, ensemble, r: float, alphas, seed: int) -> VerificationSummary:
     """States non-monogamous at exponent r must stay so at every alpha <= r.
 
-    Slack here is sum_j Q^alpha_j - Q^alpha(whole); states with
-    delta(r) > 1e-9 are skipped (hypothesis not met).
+    Slack here is sum_j Q^alpha_j - Q^alpha(whole). A state with whole > 0
+    and sum_j (Q_j / Q(whole))^r < 1 - 1e-9 is skipped (hypothesis not
+    met); the test is on the ratios, so a score that is positive but below
+    1e-9 only because Q(whole)^r is small is not admitted.
     """
     kind, r = _normalized(kind), _real(r, "r")
     alphas = _reals(alphas, "alpha", hi=r)

@@ -338,7 +338,9 @@ def test_rstar_w3_text_and_json(tmp_path):
     payload = json.loads(out.read_text())
     assert 1.05 <= payload["r_star"] <= 1.07
     assert payload["score_lo"] < 0.0 < payload["score_hi"]
-    assert len(payload["trace"]) >= 10  # bisection trace included
+    # the Newton iterates: W_3's two pair terms are equal, so the first is the root
+    assert payload["trace"] == [{"r": payload["r_star"], "score": 0.0}]
+    assert payload["tol"] == 1e-4  # recorded only
 
     txt = tmp_path / "r.txt"
     assert run(

@@ -168,10 +168,10 @@ CLI_STDOUT = {
                                     "--p-grid", "0:1:5", "--r-grid", "1,2", "--format", "json"),
                                    "935033063cd6218466307472936ad708266f36de1f6dfc2efc7e237e84bf679c"),
     "rstar-text": (("rstar", "--measure", "lognegativity", "--state", "w3", "--bracket", "1,2"),
-                   "2482c09b0db54a8bcb0caf7a24460dde5ef940b14e0d7c138673f0aad6dfb990"),
+                   "8bb04561dfe63f0a71b172873e614261eb9a1ac27598ac20cd0bd757ce8ea24d"),
     "rstar-json": (("rstar", "--measure", "lognegativity", "--state", "w3", "--bracket", "1,2",
                     "--tol", "1e-3", "--format", "json"),
-                   "8295ebd693658133157092eb7feeb46c7d93cf3b892819c83cf42a07fcba83f4"),
+                   "d26611f38508d212f89c438298e829adaf2bd106500f72c9764b405c85942993"),
     "state-export": (("state-export", "--state", "random-mixed", "--rank", "2", "--seed", "3"),
                      "345f6139ae4238b2c87d0a00e312e984e7b04540523fb7716f07c845008c14fb"),
 }

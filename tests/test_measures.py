@@ -447,6 +447,37 @@ def test_discord_rejects_bad_side():
         discord(states.ghz(2).rho, "c")
 
 
+PURE_WHOLE_CUTS = [((2, 2, 2), Cut((0,), (1, 2))), ((2, 2, 2), Cut((1,), (2, 0))),
+                   ((2, 2, 2, 2), Cut((0,), (1, 2, 3))), ((3, 2, 2), Cut((1,), (0, 2)))]
+
+
+@pytest.mark.parametrize("tag", [Measure.DISCORD, Measure.CLASSICAL_CORRELATION])
+@pytest.mark.parametrize("dims, cut", PURE_WHOLE_CUTS, ids=lambda x: str(x))
+def test_discord_and_classical_correlation_are_the_entropy_on_pure_whole_cuts(tag, dims, cut):
+    # a Schmidt-basis measurement is optimal on a pure state: J = D = S(A),
+    # from the vector form of a Haar state and from the matrix of a rank-1 one
+    for s in (states.haar_pure(dims, 31, 2), states.random_mixed(dims, 1, 31, 2)):
+        want = oracles.entropy(tensor.partial_trace(s.rho, s.dims, cut.side_a))
+        assert abs(evaluate(MeasureKind(tag), s, cut) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_bloch_optimiser_meets_the_pure_state_identity_on_2x2(seed):
+    rho = states.haar_pure((2, 2), seed).rho
+    want = oracles.entropy(tensor.partial_trace(rho, (2, 2), [0]))
+    for side in ("a", "b"):
+        assert abs(discord(rho, side) - want) <= 1e-4
+        assert abs(classical_correlation(rho, side) - want) <= 1e-4
+
+
+@pytest.mark.parametrize("tag", [Measure.DISCORD, Measure.CLASSICAL_CORRELATION])
+def test_discord_and_classical_correlation_stay_undefined_on_mixed_whole_cuts(tag):
+    s = states.random_mixed((2, 2, 2), 2, 31)
+    message = f"^{tag.value} defined only on 2x2 cuts, requested 2x4$"
+    with pytest.raises(MeasureUndefinedError, match=message):
+        evaluate(MeasureKind(tag), s, A_BC)
+
+
 # ---------------------------------------------------------------------------
 # dispatcher
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from monolab import states
 from monolab.measures import Cut, Measure, MeasureKind, evaluate
 from monolab.monogamy import (
     BracketError,
+    _delta,
+    base_values,
     bisect_score_crossing,
     critical_exponent,
     hierarchy_chain,
@@ -204,8 +206,8 @@ def test_rstar_w_log_negativity():
 def test_rstar_of_eof_on_the_w_tail_state_is_the_closed_form(n):
     # (|0>|0..0> + |1>|W_{n-1}>)/sqrt 2: the sharpest EoF exponent found by search
     s = states.MultipartiteState.from_vector(oracles.w_tail_vector(n), (2,) * n)
-    res = critical_exponent(MeasureKind(Measure.EOF), s, 0, (1.0, 2.0), 1e-10)
-    assert abs(res.r_star - oracles.eof_sharp_exponent(n)) <= res.tol
+    res = critical_exponent(MeasureKind(Measure.EOF), s, 0, (1.0, 2.0), 1e-4)
+    assert abs(res.r_star - oracles.eof_sharp_exponent(n)) <= 1e-14  # the root, not the tol
 
 
 def test_rstar_straddles_zero_within_tol():
@@ -222,19 +224,81 @@ def test_rstar_rejects_unbracketed():
         critical_exponent(NEG, states.w(3), 0, (1.0, 1.5), 1e-4)
 
 
-def test_bisection_matches_closed_form():
+def test_root_matches_closed_form():
     # whole^r = 2 * 0.8^r crosses at r = log(2) / log(0.9/0.8)
     res = bisect_score_crossing(0.9, (0.8, 0.8), (4.0, 8.0), 1e-6)
     expected = math.log(2.0) / math.log(0.9 / 0.8)
-    assert abs(res.r_star - expected) <= 1e-6
-    assert res.steps  # bisection trace is recorded
-    lo, hi, mid, score = res.steps[0]
-    assert lo == 4.0 and hi == 8.0 and mid == 6.0
+    assert abs(res.r_star - expected) <= 1e-14 * expected
+    assert res.steps  # the Newton iterates are recorded
+    r, score = res.steps[-1]
+    assert r == res.r_star and score == _delta(0.9, (0.8, 0.8), r)
+
+
+def test_newton_iterates_climb_to_the_root():
+    # unequal parts: g(r) = log sum_j (p_j / w)^r is not a line, so Newton takes several steps
+    res = bisect_score_crossing(1.0, (0.9, 0.5, 0.1), (0.5, 20.0), 1e-3)
+    rs = [r for r, _ in res.steps]
+    assert len(rs) > 1 and rs == sorted(set(rs)) and rs[-1] == res.r_star
+    # below the root the state is not monogamous; the last iterates round to it
+    assert res.steps[0][1] < 0.0 and all(score <= 1e-15 for _, score in res.steps)
+    assert abs(math.fsum(p ** res.r_star for p in (0.9, 0.5, 0.1)) - 1.0) <= 1e-15
+
+
+def _bisection(whole, parts, lo, hi, tol):
+    """A plain bisection of delta(r) = whole^r - sum parts^r, down to tol."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if _delta(whole, parts, mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("measure", [Measure.LOG_NEGATIVITY, Measure.EOF, Measure.CONCURRENCE])
+def test_root_matches_a_fine_bisection_on_haar_states(measure):
+    crossings = 0
+    for i in range(40):
+        whole, parts = base_values(MeasureKind(measure), states.haar_pure((2, 2, 2, 2), 17, i), 0)
+        try:
+            res = bisect_score_crossing(whole, parts, (0.05, 40.0), 1e-4)
+        except BracketError:
+            continue
+        crossings += 1
+        exact = _bisection(whole, parts, 0.05, 40.0, 1e-15)
+        assert abs(res.r_star - exact) <= 1e-13 * exact
+        assert len(res.steps) <= 10
+    assert crossings >= 20
+
+
+@pytest.mark.parametrize("whole, parts", [
+    (0.9, (0.5, 0.0, 0.0)),  # one nonzero part: delta > 0 at every r
+    (0.9, (0.9, 0.3)),  # a part equal to the whole: delta < 0 at every r
+    (0.9, (1.2, 0.3)),  # a part above the whole
+    (0.0, (0.5, 0.5)),  # w = 0
+    (0.9, (0.8, 0.8)),  # a crossing at 5.88, outside the window
+])
+def test_no_crossing_in_the_window_is_a_bracket_error(whole, parts):
+    with pytest.raises(BracketError, match="^no bracketed crossing"):
+        bisect_score_crossing(whole, parts, (1.0, 2.0), 1e-4)
+
+
+DISCORD = MeasureKind(Measure.DISCORD)
+
+
+def test_discord_and_classical_correlation_scores_on_w3_and_ghz3():
+    # W_3: S(A) = h(1/3) = 0.91830 on the whole cut, discord 0.55005 on each pair
+    assert abs(monogamy_score(DISCORD, states.w(3), 0, 1.0).score + 0.18180) <= 1e-4
+    assert abs(monogamy_score(DISCORD, states.ghz(3), 0, 1.0).score - 1.0) <= 1e-12
+    cc = MeasureKind(Measure.CLASSICAL_CORRELATION)
+    assert abs(monogamy_score(cc, states.w(3), 0, 1.0).score - 0.18180) <= 1e-4
+    # the W_3 discord crossing, with the pair values' 1e-4 accuracy
+    assert abs(critical_exponent(DISCORD, states.w(3), 0, (1.0, 2.0), 1e-4).r_star - 1.35244) <= 1e-4
 
 
 def test_bisection_terminates_below_float_spacing():
-    # tol is below the bracket's float spacing; the call runs in a child
-    # process so that a loop that never ends fails by timeout, not by hanging
+    # tol is below the window's float spacing, and it is only recorded; the
+    # call runs in a child process so that a loop that never ends fails by
+    # timeout, not by hanging
     code = (
         "from monolab.monogamy import bisect_score_crossing as b\n"
         "res = b(0.9, (0.5, 0.5), (1, 2), 1e-300)\n"
@@ -384,9 +448,8 @@ EXPONENT_ARGS = {
     # with no state to score, only the suite itself can check its exponent
     "verify_strong_chain-empty": (lambda x: verify_strong_chain(CONC, [], x, 0), 1.0),
     "verify_hierarchy_chain-empty": (lambda x: verify_hierarchy_chain(CONC, [], x, 0), 0.0),
-    # discord is undefined on the 2x4 whole cut of every 3-qubit state
-    "counterexample_search": (
-        lambda x: counterexample_search(MeasureKind(Measure.DISCORD), x, (2, 2, 2), 1, 0, 0), 0.0),
+    # concurrence is undefined on the 3x4 whole cut of every (3, 2, 2) state
+    "counterexample_search": (lambda x: counterexample_search(CONC, x, (3, 2, 2), 1, 0, 0), 0.0),
 }
 
 

@@ -127,8 +127,11 @@ def test_undefined_cuts_raise_the_matrix_paths_message_on_vectors():
     message = "^concurrence undefined on a 3x4 cut with a non-qubit A side$"
     with pytest.raises(MeasureUndefinedError, match=message):
         evaluate(Measure.CONCURRENCE, s, Cut((0,), (1, 2)))
+    # discord is S(A) on the pure 2x6 whole cut, and undefined on a mixed 2x6 cut
+    assert evaluate(Measure.DISCORD, s, Cut((1,), (0, 2))) == evaluate(Measure.EOF, s, Cut((1,), (0, 2)))
+    mixed = states.haar_pure((3, 2, 2, 2), 26)
     with pytest.raises(MeasureUndefinedError, match="^discord defined only on 2x2 cuts, requested 2x6$"):
-        evaluate(Measure.DISCORD, s, Cut((1,), (0, 2)))
+        evaluate(Measure.DISCORD, mixed, Cut((1,), (0, 2)))
 
 
 @pytest.mark.parametrize("dims", DIMS + [(2, 3, 2, 2)], ids=lambda d: "x".join(map(str, d)))

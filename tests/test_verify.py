@@ -377,6 +377,18 @@ def test_search_offender_reproduces_margin():
     assert abs(score - summary.worst_margin) < 1e-12
 
 
+def test_lowering_admits_by_the_ratio_of_parts_to_whole():
+    # cos s|000> + sin s|11>(cos t|0> + sin t|1>): delta(1) = +7.98e-10 is
+    # below 1e-9 only because the whole is 0.01, while h(1) - 1 = -7.97e-8.
+    # The state is monogamous at r = 1, outside the lowering hypothesis
+    s, t = math.asin(0.00696) / 2, 4e-4
+    psi = np.zeros(8)
+    psi[0], psi[6], psi[7] = math.cos(s), math.sin(s) * math.cos(t), math.sin(s) * math.sin(t)
+    state = states.MultipartiteState.from_vector(psi, (2, 2, 2))
+    summary = verify_lowering(Measure.LOG_NEGATIVITY, [state], 1.0, (0.5, 0.8), 0)
+    assert summary.skipped == 1 and summary.violations == 0 and summary.passes == 0
+
+
 def test_lowering_skips_when_hypothesis_fails():
     # W is monogamous in log-negativity at r = 1.2 (above the crossing), so
     # the non-monogamy hypothesis is unmet and the state is skipped, not
