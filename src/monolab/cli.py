@@ -366,49 +366,45 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if summary.ok else EXIT_VIOLATION  # exploratory suites never count violations
 
 
-# the one grid each figure reads: figures 1-2 scan p, figure 3 scans r;
-# ``figure all`` reads neither, so every figure keeps its default grids
-_FIGURE_GRID = {"1": "p_grid", "2": "p_grid", "3": "r_grid", "all": None}
+_NEGATIVITIES = (measures.Measure.NEGATIVITY, measures.Measure.LOG_NEGATIVITY)
+# The paper's three figures, each (state, measures, the one grid it scans,
+# the axis it holds fixed as its sidecar records it): figures 1-2 scan p at
+# r = 1 and 2, figure 3 scans r at p = 0. A figure reads only the flag of its
+# scanned grid, else that grid's default; ``figure all`` reads neither.
+_FIGURES = {
+    "1": ("ghz3", _NEGATIVITIES, "p_grid", {"r_values": (1.0, 2.0)}),
+    "2": ("w3", _NEGATIVITIES, "p_grid", {"r_values": (1.0, 2.0)}),
+    "3": ("w3", _NEGATIVITIES[1:], "r_grid", {"p": 0.0}),
+}
+_FIGURE_DEFAULTS = {"p_grid": FIGURE_P_GRID, "r_grid": FIGURE_R_GRID}
 
 
 def cmd_figure(cfg: RunConfig) -> int:
     """``figure all`` writes DIR/figureN.csv and its sidecar for N = 1, 2, 3,
     each file as ``figure N --out DIR/figureN.csv`` writes it."""
+    name, tags, scans, held = _FIGURES.get(cfg.figure, (None, (), None, {}))
     for grid in ("p_grid", "r_grid"):
-        if grid != _FIGURE_GRID[cfg.figure] and getattr(cfg, grid) is not None:
+        if grid != scans and getattr(cfg, grid) is not None:
             raise ValueError(f"figure {cfg.figure} does not read --{grid.replace('_', '-')}")
     if cfg.figure == "all":
         # every figure's state has 3 qubits: a bad --focus fails before the directory is made
         monogamy._monogamy_cuts(3, cfg.focus)
         out_dir = _out_dir(cfg.out)
-        for n in "123":
+        for n in _FIGURES:
             cmd_figure(replace(cfg, figure=n, out=os.path.join(out_dir, f"figure{n}.csv")))
         return EXIT_OK
-    fid = int(cfg.figure)
-    cfg = replace(cfg, figure=fid)  # the provenance records the figure as a number
-    out = f"figure{fid}.csv" if cfg.out is None else cfg.out
-    p_grid = cfg.p_grid or FIGURE_P_GRID
-    r_grid = cfg.r_grid or FIGURE_R_GRID
-    if fid in (1, 2):
-        base = states.ghz(3) if fid == 1 else states.w(3)
-        rows: list[dict] = []
-        for tag in (measures.Measure.NEGATIVITY, measures.Measure.LOG_NEGATIVITY):
-            rows.extend(
-                _sweep_rows(MeasureKind(tag), base, cfg.focus, p_grid, (1.0, 2.0))
-            )
-        grids = {"p_grid": list(p_grid), "r_values": [1.0, 2.0]}
-        state_name = "ghz3" if fid == 1 else "w3"
-    else:
-        base = states.w(3)
-        rows = _sweep_rows(
-            MeasureKind(measures.Measure.LOG_NEGATIVITY), base, cfg.focus, (0.0,), r_grid
-        )
-        grids = {"p": 0.0, "r_grid": list(r_grid)}
-        state_name = "w3"
+    cfg = replace(cfg, figure=int(cfg.figure))  # the provenance records the figure as a number
+    out = f"figure{cfg.figure}.csv" if cfg.out is None else cfg.out
+    grids = {scans: getattr(cfg, scans) or _FIGURE_DEFAULTS[scans], **held}
+    p_grid = grids.get("p_grid", (grids.get("p"),))  # a held p is one weight
+    r_grid = grids.get("r_grid", grids.get("r_values"))
+    base = states.named_state(name)
+    rows = [row for tag in tags
+            for row in _sweep_rows(MeasureKind(tag), base, cfg.focus, p_grid, r_grid)]
     _write_text(out, _rows_to_csv(rows, base.n_subsystems - 1))
     sidecar = {
-        "figure": fid,
-        "state": state_name,
+        "figure": cfg.figure,
+        "state": name,
         "conventions": {
             "negativity_normalized": False,
             "log_base": 2,
@@ -494,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                ("seed", "out"))
 
     p = sub.add_parser("figure", help="emit the data grid behind one or all of the figures")
-    p.add_argument("figure", choices=tuple(_FIGURE_GRID))
+    p.add_argument("figure", choices=(*_FIGURES, "all"))
     _add_flags(p, ("p_grid", "r_grid", "focus", "out"))
 
     _add_flags(sub.add_parser("state-export", help="write a state as a JSON file"), _STATE)

@@ -6,9 +6,9 @@ dimensions. Subsystem 0 is the leftmost tensor factor, i.e. the most
 significant digit of the basis index (the standard Kronecker-product
 convention).
 
-The public kernels (partial trace and transpose, the Hermiticity and
-density checks, purity) also take a stack of matrices of shape (..., d, d)
-and then return one result per matrix, and so do the private cores below.
+The public kernels (partial trace and transpose, purity) also take a stack
+of matrices of shape (..., d, d) and then return one result per matrix, and
+so do the density check ``_density_eig`` and the private cores below.
 A stack runs the same numpy operations in the same order as a loop over its
 matrices, so every result is bit-identical to that matrix's own call, while
 the Python and numpy call overhead is paid once for the whole stack. A
@@ -204,39 +204,6 @@ def check_dims(dim: int, dims) -> tuple[int, ...]:
     return _checked_dims(dim, _dims(dims))
 
 
-def require_hermitian(m, what: str = "matrix") -> np.ndarray:
-    """Check Hermiticity within 1e-10 and return the symmetrized matrix. A NaN
-    or infinite entry fails, and so does an entry so large that the check
-    overflows, without a floating-point warning. A stack fails on its largest
-    defect."""
-    m = as_matrices(m)
-    m_dag = m.conj().swapaxes(-1, -2)
-    try:  # the errstate costs less than an isfinite test of every entry
-        with np.errstate(over="raise", invalid="raise"):
-            defect = float(np.abs(m - m_dag).max())
-            h = 0.5 * (m + m_dag)
-    except FloatingPointError:  # inf - inf, inf * 0, or a sum beyond the float range
-        defect = math.nan
-    if defect <= HERMITICITY_TOL:  # false for NaN
-        return h
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} is not Hermitian: it has a non-finite entry")
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"{what} is not Hermitian: max|M - M^dag| = {defect:.3e}")
-    raise ValueError(f"{what} has an entry too large to check: its arithmetic overflows")
-
-
-def require_density(m) -> np.ndarray:
-    """Check Hermiticity within 1e-10 and unit trace within 1e-9, and return
-    the symmetrized matrix; positivity needs the eigensolve of _density_eig."""
-    h = require_hermitian(m, "density matrix")
-    # Python sums: a trace beyond the float range is inf, not a numpy warning
-    for tr in map(sum, h.diagonal(0, -2, -1).real.reshape(-1, h.shape[-1]).tolist()):
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr:.12g} != 1")
-    return h
-
-
 @functools.lru_cache(maxsize=256)
 def _trace_plan(dim: int, dims: tuple, keep: tuple):
     """(tensor shape, einsum subscripts, output dimension) of the partial
@@ -297,7 +264,7 @@ def partial_transpose(rho, dims, transposed) -> np.ndarray:
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """(M + M^dag)/2 of a matrix or stack, unchecked: the symmetrization of
-    require_hermitian, for matrices built without the check. Its output is
+    _density_eig, for matrices built without the check. Its output is
     exactly Hermitian, and applied to it again returns the same values."""
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
@@ -319,10 +286,32 @@ def purity(rho):
 
 
 def _density_eig(m, vectors: bool = False):
-    """(h, evals, evecs or None): the symmetrized density matrix (or stack)
-    from require_density, its ascending eigenvalues and, with ``vectors``,
-    its eigenvectors. The one positivity test: no eigenvalue below -1e-9."""
-    h = require_density(m)
+    """(h, evals, evecs or None) of a density matrix or a stack of them, else
+    ValueError: the one check of the density rule. It tests Hermiticity
+    within 1e-10, then unit trace within 1e-9, then positivity: no
+    eigenvalue below -1e-9. A NaN or infinite entry fails the Hermiticity
+    test, and so does an entry so large that the test overflows, without a
+    floating-point warning; a stack fails on its largest defect. It returns
+    the symmetrized matrix (M + M^dag)/2, its ascending eigenvalues and,
+    with ``vectors``, its eigenvectors."""
+    m = as_matrices(m)
+    m_dag = m.conj().swapaxes(-1, -2)
+    try:  # the errstate costs less than an isfinite test of every entry
+        with np.errstate(over="raise", invalid="raise"):
+            defect = float(np.abs(m - m_dag).max())
+            h = 0.5 * (m + m_dag)
+    except FloatingPointError:  # inf - inf, inf * 0, or a sum beyond the float range
+        defect = math.nan
+    if not defect <= HERMITICITY_TOL:  # true for NaN
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix is not Hermitian: it has a non-finite entry")
+        if defect > HERMITICITY_TOL:
+            raise ValueError(f"density matrix is not Hermitian: max|M - M^dag| = {defect:.3e}")
+        raise ValueError("density matrix has an entry too large to check: its arithmetic overflows")
+    # Python sums: a trace beyond the float range is inf, not a numpy warning
+    for tr in map(sum, h.diagonal(0, -2, -1).real.reshape(-1, h.shape[-1]).tolist()):
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr:.12g} != 1")
     # numpy.linalg is read at call time, so a rebinding of eigh is seen
     evals, evecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     lam_min = min(evals[..., 0].ravel().tolist(), default=0.0)

@@ -197,6 +197,11 @@ def test_figure_all_checks_focus_before_making_its_directory(focus, tmp_path, ca
     assert not out.exists()
 
 
+def test_a_grid_of_no_points_is_a_config_error(capsys):
+    assert run(*SWEEP_W3, "--p-grid", "0:1:0", "--r-grid", "1") == EXIT_CONFIG
+    assert "argument --p-grid: cannot parse '0:1:0'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -549,6 +554,17 @@ def test_abbreviated_flags_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # figure writes to the working directory
     assert run(*argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_verify_functional_exits_5_on_w3_below_its_critical_exponent(tmp_path):
+    out = tmp_path / "functional.json"
+    assert run("verify", "functional", "--state", "w3", "--alpha", "1.3", "--out", str(out)) == EXIT_VIOLATION
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["theorem"] == "functional-lift-eof"
+    assert (summary["count"], summary["violations"]) == (1, 1)
+    assert abs(summary["worst_margin"] + 0.024385382583325) < 1e-12
+    offender = states.state_from_json(summary["offender"])
+    assert verify.verify_functional_lift([offender], 1.3, 0).worst_margin == summary["worst_margin"]
 
 
 @pytest.mark.parametrize("tag", ["functional", "strong", "hierarchy"])

@@ -185,6 +185,12 @@ def test_tangle_rank2_separable_mixture_is_zero():
     assert tangle_rank2(rho, (2, 2, 2), 0) == 0.0
 
 
+def test_tangle_rank2_rejects_a_side_a_that_is_not_a_qubit():
+    rho = states.random_mixed((3, 2), 2, 1).rho
+    with pytest.raises(ValueError, match="^side A must be a single qubit$"):
+        tangle_rank2(rho, (3, 2), 0)
+
+
 def test_tangle_rank2_rejects_higher_rank():
     full = states.random_mixed((2, 2, 2), 5, seed=1)
     with pytest.raises(MeasureUndefinedError):
@@ -526,6 +532,8 @@ def test_cut_validation():
         Cut((), (1,))
     with pytest.raises(ValueError):
         Cut((0,), (0, 1))
+    with pytest.raises(ValueError, match="^duplicate subsystem index in cut$"):
+        Cut((0, 0), (1,))
     with pytest.raises(ValueError):
         evaluate(MeasureKind(Measure.NEGATIVITY), states.ghz(3), Cut((0,), (5,)))
 

@@ -212,13 +212,13 @@ def test_stack_checks_reject_any_bad_matrix():
     bad = good.copy()
     bad[0, 1] += 1e-6  # not Hermitian
     with pytest.raises(ValueError, match="not Hermitian"):
-        tensor.require_hermitian(np.stack([good, bad]))
+        tensor._density_eig(np.stack([good, bad]))
     infinite = good.copy()
     infinite[2, 2] = np.inf  # inf - inf on the diagonal would warn before the check
     with pytest.raises(ValueError, match="not Hermitian: it has a non-finite entry"):
-        tensor.require_hermitian(np.stack([good, infinite]))
+        tensor._density_eig(np.stack([good, infinite]))
     with pytest.raises(ValueError, match="trace"):
-        tensor.require_density(np.stack([good, 2.0 * good]))
+        tensor._density_eig(np.stack([good, 2.0 * good]))
     with pytest.raises(ValueError, match="square"):
         tensor.partial_trace(np.zeros((2, 8, 4)), (2, 2, 2), (0,))
 

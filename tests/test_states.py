@@ -289,6 +289,8 @@ def test_state_invariant_rejections():
         states.MultipartiteState(np.diag([1.5, -0.5]), (2,))  # positivity
     with pytest.raises(ValueError):
         states.MultipartiteState(np.eye(4) / 4, (2, 3))  # dims mismatch
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(1, 3\)$"):
+        states.MultipartiteState([[1, 2, 3]], (3,))
     # non-finite entries: every comparison with NaN is false
     for rho in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, -np.inf])):
         with pytest.raises(ValueError, match="not Hermitian"):

@@ -295,10 +295,9 @@ def test_density_eig_recovers_known_spectrum(seed):
 
 def test_density_eig_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for kernel in (tensor.require_hermitian, tensor._density_eig):
-        for m in (bad, np.stack([np.eye(2), bad])):
-            with pytest.raises(ValueError, match="not Hermitian"):
-                kernel(m)
+    for m in (bad, np.stack([np.eye(2), bad])):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            tensor._density_eig(m)
 
 
 def test_private_cores_give_the_checked_bits():
@@ -309,20 +308,19 @@ def test_private_cores_give_the_checked_bits():
         rho = np.stack([random_density(int(np.prod(dims)), rng) for _ in range(4)])
         pt = tensor.partial_transpose(rho, dims, [0])
         ra = tensor.partial_trace(rho, dims, [0])
-        assert tensor._hermitian(pt).tobytes() == tensor.require_hermitian(pt).tobytes()
         assert np.linalg.eigvalsh(tensor._hermitian(ra)).tobytes() == density_eigvals(ra).tobytes()
         h = tensor._hermitian(rho)
-        assert h.tobytes() == tensor.require_hermitian(rho).tobytes()
+        assert h.tobytes() == tensor._density_eig(rho)[0].tobytes()
         assert tensor._hermitian(h).tobytes() == h.tobytes()
 
 
-def test_require_density_checks_and_symmetrizes():
+def test_density_eig_checks_and_symmetrizes():
     rho = np.array([[0.5, 0.25 + 3e-11j], [0.25, 0.5]])
-    assert np.array_equal(tensor.require_density(rho), 0.5 * (rho + rho.conj().T))
+    assert np.array_equal(tensor._density_eig(rho)[0], 0.5 * (rho + rho.conj().T))
     with pytest.raises(ValueError, match="not Hermitian"):
-        tensor.require_density(np.array([[0.5, 1e-9], [0.0, 0.5]]))
+        tensor._density_eig(np.array([[0.5, 1e-9], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="trace"):
-        tensor.require_density(np.diag([0.5, 0.5 + 2e-9]))
+        tensor._density_eig(np.diag([0.5, 0.5 + 2e-9]))
 
 
 @pytest.mark.parametrize("m", [
@@ -330,15 +328,15 @@ def test_require_density_checks_and_symmetrizes():
     [[1, 1e308], [1e308, 1]],  # Hermitian, but M + M^dag overflows
     [[1, 1e308j], [-1e308j, 1]],
 ])
-def test_require_hermitian_rejects_huge_entries_without_a_warning(m):
+def test_density_eig_rejects_huge_entries_without_a_warning(m):
     # pytest turns every warning into an error, so an overflow warning fails here
-    with pytest.raises(ValueError, match="too large to check"):
-        tensor.require_hermitian(m)
+    with pytest.raises(ValueError, match="density matrix has an entry too large to check"):
+        tensor._density_eig(m)
 
 
-def test_require_density_rejects_an_overflowing_trace_without_a_warning():
+def test_density_eig_rejects_an_overflowing_trace_without_a_warning():
     with pytest.raises(ValueError, match="density matrix trace inf != 1"):
-        tensor.require_density(np.diag([8e307] * 4))
+        tensor._density_eig(np.diag([8e307] * 4))
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +500,12 @@ def test_cut_sides_are_plain_ints():
     for sides in [((0.9,), (1.5,)), ((True,), (2,)), ((0,), (-1,))]:
         with pytest.raises(ValueError, match="^cut index must be an integer >= 0, got "):
             measures.Cut(*sides)
+
+
+def test_an_integer_beyond_the_float_range_fails_the_real_rule():
+    # float(10**400) overflows; the real rule reports it as out of its interval
+    with pytest.raises(ValueError, match=r"^x must lie in \(0\.0, inf\), got 1000"):
+        tensor._real(10**400, "x")
 
 
 def test_an_index_out_of_range_names_the_range():

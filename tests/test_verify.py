@@ -175,6 +175,22 @@ def test_functional_lift_rejects_a_single_qubit():
         verify_functional_lift([states.haar_pure((2,), 0)], 2.0, seed=0)
 
 
+def test_functional_lift_counts_w3_below_its_critical_exponent_as_a_violation():
+    # W_3's EoF critical exponent is 1.352: at m = 1.3 the score
+    # h(1/3)^m - 2 h((1 + sqrt(5)/3)/2)^m is negative
+    from monolab.tensor import binary_entropy
+
+    m = 1.3
+    expected = binary_entropy(1 / 3) ** m - 2 * binary_entropy((1 + math.sqrt(5) / 3) / 2) ** m
+    summary = verify_functional_lift([states.w(3)], m, 0)
+    assert (summary.count, summary.passes, summary.violations) == (1, 0, 1)
+    assert abs(summary.worst_margin - expected) < 1e-12 and expected < -0.024
+    offender = state_from_json(summary.offender)
+    assert offender.dims == (2, 2, 2)
+    assert verify_functional_lift([offender], m, 0).worst_margin == summary.worst_margin
+    assert verify_functional_lift([states.w(3)], 1.4, 0).violations == 0
+
+
 # ---------------------------------------------------------------------------
 # mixed lifting and the high-power probe
 # ---------------------------------------------------------------------------
