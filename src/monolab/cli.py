@@ -104,29 +104,30 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
 
 
-def _measure_kind(cfg: RunConfig) -> MeasureKind:
-    return MeasureKind(measures.Measure.from_string(cfg.measure), cfg.normalized)
+# The state sources that read each state flag; any other source would ignore
+# it. --count is checked first, then --dims, then --rank.
+_RANDOM = ("random-pure", "random-mixed")
+_READERS = {"count": _RANDOM, "dims": _RANDOM, "rank": ("random-mixed",)}
 
 
-def _check_random_flags(cfg: RunConfig, source: str) -> None:
-    """--dims goes with random-pure and random-mixed only, --rank with random-mixed."""
-    if cfg.dims is not None and source not in ("random-pure", "random-mixed"):
-        raise ValueError(f"--dims applies to random-pure or random-mixed only, not {source}")
-    if cfg.rank is not None and source != "random-mixed":
-        raise ValueError(f"--rank applies to random-mixed only, not {source}")
+def _source(cfg: RunConfig) -> str | None:
+    """--state-file, else --state, else the verify tag's default ensemble
+    (None for a command or tag that reads no state)."""
+    if cfg.state_file is not None:
+        return "--state-file"
+    suite = _SUITES.get(cfg.theorem)
+    return cfg.state.strip().lower() if cfg.state is not None else suite and suite.ensemble
 
 
 def _resolve_state(cfg: RunConfig) -> states.MultipartiteState:
     if (cfg.state is None) == (cfg.state_file is None):
         raise ValueError("exactly one of --state or --state-file is required")
-    name = "--state-file" if cfg.state is None else cfg.state.strip().lower()
-    _check_random_flags(cfg, name)
     if cfg.state_file is not None:
         try:
             return states.load_state(cfg.state_file)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"cannot load state file {cfg.state_file}: {exc}") from exc
-    dims = cfg.dims or (2, 2, 2)
+    name, dims = _source(cfg), cfg.dims or (2, 2, 2)
     if name == "random-pure":
         return states.haar_pure(dims, cfg.seed)
     if name == "random-mixed":
@@ -134,9 +135,8 @@ def _resolve_state(cfg: RunConfig) -> states.MultipartiteState:
     return states.named_state(name)
 
 
-def _resolve_ensemble(cfg: RunConfig, default: str = "random-pure") -> states.EnsembleSpec:
-    name = (cfg.state or default).strip().lower()
-    _check_random_flags(cfg, name)
+def _resolve_ensemble(cfg: RunConfig) -> states.EnsembleSpec:
+    name = _source(cfg)
     if name == "random-pure":
         return states.EnsembleSpec("haar_pure", cfg.dims, cfg.count, p_grid=cfg.p_grid)
     if name == "random-mixed":
@@ -166,16 +166,17 @@ def _write_json(path: str | None, obj: dict) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(path: str | None) -> str:
-    """The directory an ``all`` target writes into: --out, created if absent,
-    or the working directory ("") when --out is not given."""
-    if path is None:
-        return ""
+def _run_all(cfg: RunConfig, field: str, names, path: str) -> int:
+    """``figure all`` and ``verify all``: make the directory --out names, or
+    use the working directory when --out is not given, run the command once
+    per name with ``field`` set to it and --out set to DIR/``path``.format(name),
+    and return the largest exit code."""
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs("." if cfg.out is None else cfg.out, exist_ok=True)
     except OSError as exc:  # e.g. --out names an existing file, or is empty
-        raise ValueError(f"cannot create directory {path!r}: {exc}") from exc
-    return path
+        raise ValueError(f"cannot create directory {cfg.out!r}: {exc}") from exc
+    return max(_COMMANDS[cfg.command](replace(cfg, **{field: name, "out": os.path.join(
+        cfg.out or "", path.format(name))})) for name in names)
 
 
 def _sweep_rows(kind: MeasureKind, base: states.MultipartiteState, focus: int,
@@ -210,31 +211,25 @@ def _rows_to_csv(rows: list[dict], n_parts: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_to_json(rows: list[dict], cfg: RunConfig) -> dict:
-    return {
-        "provenance": cfg.provenance(),
-        "rows": [dict(row, parts=list(row["parts"])) for row in rows],
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    kind = _measure_kind(cfg)
+    kind = MeasureKind(cfg.measure, cfg.normalized)
     base = _resolve_state(cfg)
     rows = _sweep_rows(kind, base, cfg.focus, cfg.p_grid, cfg.r_grid)
     n_parts = base.n_subsystems - 1
     if cfg.fmt == "csv":
         _write_text(cfg.out, _rows_to_csv(rows, n_parts))
     else:
-        _write_json(cfg.out, _rows_to_json(rows, cfg))
+        # json writes each row's parts tuple as a list
+        _write_json(cfg.out, {"provenance": cfg.provenance(), "rows": rows})
     return EXIT_OK
 
 
 def cmd_rstar(cfg: RunConfig) -> int:
-    kind = _measure_kind(cfg)
+    kind = MeasureKind(cfg.measure, cfg.normalized)
     state = _resolve_state(cfg)
     result = monogamy.critical_exponent(kind, state, cfg.focus, cfg.bracket, cfg.tol)
     if cfg.fmt == "json":
@@ -267,12 +262,14 @@ class _Suite:
     ``kind`` is --measure or the default ``measure``, and ``r`` is --r or the
     default ``r``. ``reads`` lists the flags the tag uses besides --seed and
     --out (a tag that reads --measure also reads --normalized); the tag's
-    parser declares only those, so argparse rejects any other."""
+    parser declares only those, so argparse rejects any other. ``ensemble``
+    is the state source when --state is not given."""
 
     run: Callable[..., verify.VerificationSummary]
     reads: tuple[str, ...] = ()
     measure: MeasureKind | None = None
     r: float | None = None
+    ensemble: str = "random-pure"
 
 
 _ENSEMBLE = ("p_grid", "count", "state", "dims", "rank")  # read by _resolve_ensemble
@@ -318,9 +315,9 @@ _SUITES = {
     ),
     "mixed": _Suite(
         lambda cfg, kind, r: verify.verify_mixed_lifting(
-            kind, _resolve_ensemble(cfg, "random-mixed"), cfg.seed
+            kind, _resolve_ensemble(cfg), cfg.seed
         ),
-        ("measure", *_ENSEMBLE), _NEGATIVITY,
+        ("measure", *_ENSEMBLE), _NEGATIVITY, ensemble="random-mixed",
     ),
     "strong": _Suite(
         lambda cfg, kind, r: verify.verify_strong_chain(
@@ -336,9 +333,9 @@ _SUITES = {
     ),
     "probe-high-power": _Suite(
         lambda cfg, kind, r: verify.probe_high_power_mixed(
-            cfg.r_grid or (2.0, 3.0, 4.0), _resolve_ensemble(cfg, "random-mixed"), cfg.seed, kind
+            cfg.r_grid or (2.0, 3.0, 4.0), _resolve_ensemble(cfg), cfg.seed, kind
         ),
-        ("measure", "r_grid", *_ENSEMBLE), _NEGATIVITY,
+        ("measure", "r_grid", *_ENSEMBLE), _NEGATIVITY, ensemble="random-mixed",
     ),
     "search": _Suite(
         lambda cfg, kind, r: verify.counterexample_search(
@@ -354,12 +351,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     each file as ``verify <tag> --seed S --out DIR/<tag>.json`` writes it."""
     if cfg.theorem == "all":
         states.generator(cfg.seed)  # a bad --seed fails before the directory is made
-        out_dir = _out_dir(cfg.out)
-        codes = [cmd_verify(replace(cfg, theorem=tag, out=os.path.join(out_dir, f"{tag}.json")))
-                 for tag in _SUITES]
-        return max(codes)  # EXIT_VIOLATION if any suite counted violations
+        return _run_all(cfg, "theorem", _SUITES, "{}.json")  # EXIT_VIOLATION if any suite did
     suite = _SUITES[cfg.theorem]
-    kind = suite.measure if cfg.measure is None else _measure_kind(cfg)
+    kind = suite.measure if cfg.measure is None else MeasureKind(cfg.measure, cfg.normalized)
     r = suite.r if cfg.r is None else cfg.r
     summary = suite.run(cfg, kind, r)
     _write_json(cfg.out, {"provenance": cfg.provenance(), "summary": summary.to_json()})
@@ -389,10 +383,7 @@ def cmd_figure(cfg: RunConfig) -> int:
     if cfg.figure == "all":
         # every figure's state has 3 qubits: a bad --focus fails before the directory is made
         monogamy._monogamy_cuts(3, cfg.focus)
-        out_dir = _out_dir(cfg.out)
-        for n in _FIGURES:
-            cmd_figure(replace(cfg, figure=n, out=os.path.join(out_dir, f"figure{n}.csv")))
-        return EXIT_OK
+        return _run_all(cfg, "figure", _FIGURES, "figure{}.csv")
     cfg = replace(cfg, figure=int(cfg.figure))  # the provenance records the figure as a number
     out = f"figure{cfg.figure}.csv" if cfg.out is None else cfg.out
     grids = {scans: getattr(cfg, scans) or _FIGURE_DEFAULTS[scans], **held}
@@ -499,12 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = {name: value for name, value in vars(args).items() if value is not None}
-    # a named ensemble holds one state: --count, unlike --dims and --rank,
-    # has a default, so only the parsed flags show whether it was given
-    state = given.get("state", "random-pure").strip().lower()
-    if "count" in given and state not in ("random-pure", "random-mixed"):
-        raise ValueError(f"--count applies to random-pure or random-mixed only, not {state}")
-    return RunConfig(**given)
+    cfg = RunConfig(**given)
+    # only the parsed flags show whether --count, which has a default, was given
+    source = _source(cfg)  # None: sweep, rstar or state-export names no state
+    for flag, readers in _READERS.items():
+        if flag in given and source not in (None, *readers):
+            raise ValueError(f"--{flag} applies to {' or '.join(readers)} only, not {source}")
+    return cfg
 
 
 _COMMANDS = {

@@ -289,26 +289,59 @@ def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
+RANDOM_ONLY = "applies to random-pure or random-mixed only, not"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("verify", "raising", "--state", "w3", "--dims", "2,2,2,2", "--count", "3"),
-        ("verify", "raising", "--rank", "2", "--count", "2"),
-        ("verify", "mixed", "--state", "classical", "--rank", "2"),
-        (*SWEEP_W3, "--dims", "2,2,2", "--p-grid", "0", "--r-grid", "1"),
-        ("sweep", "--measure", "negativity", "--state", "random-pure", "--rank", "2",
-         "--p-grid", "0", "--r-grid", "1"),
-        ("state-export", "--state-file", "w3.json", "--dims", "2,2,2"),
-        ("state-export", "--state-file", "w3.json", "--rank", "2"),
+        # --count is checked ahead of --dims
+        (("verify", "raising", "--state", "w3", "--dims", "2,2,2,2", "--count", "3"),
+         f"--count {RANDOM_ONLY} w3"),
+        (("verify", "raising", "--rank", "2", "--count", "2"),
+         "--rank applies to random-mixed only, not random-pure"),
+        (("verify", "mixed", "--state", "classical", "--rank", "2"),
+         "--rank applies to random-mixed only, not classical"),
+        ((*SWEEP_W3, "--dims", "2,2,2", "--p-grid", "0", "--r-grid", "1"), f"--dims {RANDOM_ONLY} w3"),
+        (("sweep", "--measure", "negativity", "--state", "random-pure", "--rank", "2",
+          "--p-grid", "0", "--r-grid", "1"), "--rank applies to random-mixed only, not random-pure"),
+        (("state-export", "--state-file", "w3.json", "--dims", "2,2,2"), f"--dims {RANDOM_ONLY} --state-file"),
+        (("state-export", "--state-file", "w3.json", "--rank", "2"),
+         "--rank applies to random-mixed only, not --state-file"),
+        # --state-file is the source when both are given
+        (("state-export", "--state", "w3", "--state-file", "w3.json", "--dims", "2,2"),
+         f"--dims {RANDOM_ONLY} --state-file"),
     ],
 )
-def test_dims_and_rank_rejected_where_ignored(argv, tmp_path, capsys):
+def test_dims_and_rank_rejected_where_ignored(argv, message, tmp_path, capsys):
     """--dims goes with random-pure and random-mixed, --rank with random-mixed."""
     states.save_state(states.w(3), tmp_path / "w3.json")
     argv = [str(tmp_path / a) if a == "w3.json" else a for a in argv]
     assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
-    assert "applies to random-" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tag", ["raising", "lowering", "functional", "mixed", "strong", "hierarchy",
+                                 "probe-high-power"])
+def test_each_tag_draws_its_default_ensemble(tag, tmp_path, capsys):
+    """Without --state, mixed and probe-high-power draw random-mixed, which
+    reads --rank; every other ensemble tag draws random-pure, which does not."""
+    out = tmp_path / "out.json"
+    code = run("verify", tag, "--rank", "2", "--count", "2", "--out", str(out))
+    if tag in ("mixed", "probe-high-power"):
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["summary"]["ensemble"]["ranks"] == [2]
+    else:
+        assert code == EXIT_CONFIG and not out.exists()
+        assert capsys.readouterr().err == "error: --rank applies to random-mixed only, not random-pure\n"
+
+
+def test_an_empty_state_is_an_error_not_the_default_ensemble(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run("verify", "raising", "--state=", "--out", str(out)) == EXIT_CONFIG
+    assert "unknown named state ''" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("state", ["w3", "ghz4", "classical"])
@@ -491,12 +524,6 @@ def test_search_reports_the_normalisation_that_ran(tmp_path):
     assert got[False][1]["normalized"] is False and got[True][1]["normalized"] is True
     assert got[False][1]["measure"] == got[True][1]["measure"] == "negativity"
     assert abs(got[True][0] - 2.0 * got[False][0]) < 1e-12
-
-
-def test_verify_mixed_default_ensemble_honours_rank(tmp_path):
-    out = tmp_path / "mixed.json"
-    assert run("verify", "mixed", "--rank", "2", "--count", "3", "--out", str(out)) == EXIT_OK
-    assert json.loads(out.read_text())["summary"]["ensemble"]["ranks"] == [2]
 
 
 @pytest.mark.parametrize(
@@ -834,3 +861,19 @@ def test_every_readme_command_parses():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_python_example_prints_its_comments(capsys):
+    """README's Library overview example prints the values its comments show,
+    to the digits shown (a leading ~ marks a rounded value)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library overview", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = [re.search(r"#\s*~?(-?\d+\.(\d+))", line).group(1, 2)
+                for line in block.splitlines() if line.startswith("print(")]
+    assert len(expected) == 2
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == len(expected)
+    assert [format(float(v), f".{len(digits)}f") for v, (_, digits) in zip(printed, expected)] \
+        == [value for value, _ in expected]
